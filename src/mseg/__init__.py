@@ -12,7 +12,6 @@ from .conditions import (
     check_gls,
     check_ig,
     check_lc,
-    gls_matrix,
     lc_matrix,
     li_for_good,
 )
@@ -43,9 +42,7 @@ from .harness import (
     suite_invariances,
 )
 from .linalg import (
-    KERNEL,
     MERSENNE61,
-    IntMatrix,
     RankConfig,
     rank_exact,
     rank_mod_p,
@@ -55,18 +52,10 @@ from .segments import (
     CuspidalPoint,
     Multisegment,
     Segment,
-    is_ladder,
     linked,
-    max_end,
-    ms_add,
-    ms_dual,
     ms_filter,
-    ms_new,
     precedes,
-    seg_new,
     sli_sufficient,
-    split_mx,
-    supp,
     surgery,
     total_cmp,
 )

@@ -7,8 +7,9 @@ Expression grammar (whitespace ignored, ``-`` and the unicode minus accepted):
     term  := (UINT '*')? seg
     seg   := (LABEL ':')? '[' INT ',' INT ']'
 
-The default line label is "0"; multiplicities expand.  Canonical output is
-the '+'-joined descending order, which round-trips through the parser.
+The default line label is "0"; multiplicities expand, up to MAX_SEGMENTS
+segments in all.  Canonical output is the '+'-joined descending order, which
+round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -32,16 +33,21 @@ from .errors import (
     MsegError,
     NotApplicableError,
     ParseError,
+    TooLargeError,
 )
 from .harness import SUITES, GenParams, PropertyReport
 from .linalg import MERSENNE61, RankConfig
-from .segments import CuspidalPoint, Multisegment, Segment, is_ladder, sli_sufficient
+from .segments import CuspidalPoint, Multisegment, Segment, sli_sufficient
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
+
+# Largest multisegment an expression may denote; far above the 128-segment
+# inputs that still decide in seconds, far below what exhausts memory.
+MAX_SEGMENTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +96,8 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
 
-def _parse_term(sc: _Scanner) -> List[Segment]:
+def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
+    """The segments of one term; ``count`` segments precede it."""
     sc.skip_ws()
     mult = 1
     label = "0"
@@ -122,6 +129,8 @@ def _parse_term(sc: _Scanner) -> List[Segment]:
     sc.expect("]")
     if b > e:
         raise EmptySegmentError(f"segment [{b},{e}] is empty")
+    if count + mult > MAX_SEGMENTS:
+        raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
     return [Segment(label, b, e)] * mult
 
 
@@ -137,13 +146,13 @@ def parse_mseg(text: str) -> Multisegment:
             return Multisegment()
         sc.pos = save
     segs: List[Segment] = []
-    segs.extend(_parse_term(sc))
+    segs.extend(_parse_term(sc, 0))
     while True:
         sc.skip_ws()
         if sc.pos == len(sc.text):
             break
         sc.expect("+")
-        segs.extend(_parse_term(sc))
+        segs.extend(_parse_term(sc, len(segs)))
     return Multisegment(tuple(segs))
 
 
@@ -445,7 +454,7 @@ def run(argv: List[str], out=None, err=None) -> int:
             )
         elif args.command == "ladder":
             m = parse_mseg(args.mseg)
-            result = _result("ladder", [str(m)], cfg, verdict=is_ladder(m), certified=True)
+            result = _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
         elif args.command == "sli":
             m = parse_mseg(args.mseg[0])
             m2 = parse_mseg(args.mseg[1])
@@ -456,7 +465,7 @@ def run(argv: List[str], out=None, err=None) -> int:
             result, _ = _run_suite(args, cfg)
         else:  # pragma: no cover
             raise MsegError(f"unknown command {args.command}")
-    except (ParseError, EmptySegmentError) as e:
+    except (ParseError, EmptySegmentError, TooLargeError) as e:
         print(f"error: {e}", file=err)
         return EXIT_PARSE
     except MsegError as e:

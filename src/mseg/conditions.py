@@ -8,10 +8,11 @@ error bound.  Verdicts are therefore asymmetric: TRUE comes with a witness
 (optionally certified by an exact rational rank), FALSE with a probability
 bound.
 
-Rows are indexed by precedence pairs (an X set), columns by shifted
-precedence pairs (a Y set), both in canonical sorted pair order.  Pairs on
-distinct lines never interact, so the matrices are block diagonal per line
-and ranks are computed blockwise.
+Rows are indexed by cross precedence pairs (an X set), columns by cross
+shifted precedence pairs (a Y set), both in canonical sorted pair order.
+GLS(m) is LC(m, m) with one coefficient vector on both sides, so one builder
+and one protocol serve both.  Pairs on distinct lines never interact, so the
+matrices are block diagonal per line and ranks are computed blockwise.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
-from .linalg import (
-    IntMatrix,
-    RankConfig,
-    rank_exact,
-    rank_mod_p,
-    sample_coeffs,
-)
-from .segments import Multisegment, is_ladder
-from .zelevinsky import pairset_x, pairset_x_cross, pairset_y, pairset_y_cross
+from .linalg import RankConfig, Row, rank_exact, rank_mod_p, sample_coeffs
+from .segments import Multisegment
+from .zelevinsky import pairset_x, pairset_x_cross, pairset_y_cross
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,6 @@ def _sorted_x(m: Multisegment) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=4096)
-def _sorted_y(m: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(pairset_y(m).sorted())
-
-
-@lru_cache(maxsize=4096)
 def _sorted_x_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int], ...]:
     return tuple(pairset_x_cross(m, m2).sorted())
 
@@ -107,62 +97,65 @@ def _sorted_y_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int],
     return tuple(pairset_y_cross(m, m2).sorted())
 
 
-def gls_matrix(m: Multisegment, lam: CoeffVector) -> IntMatrix:
-    """Row vectors of the GLS condition for the coefficients lam.
+# One term of a symbolic row: (column, side, coefficient key, sign).  The
+# entry at the column is sign * lam[key] on side 0 and sign * lam2[key] on
+# side 1; the columns of one row are distinct.
+Term = Tuple[int, int, Tuple[int, int], int]
+# A line block: its column count and its rows, each a tuple of terms.
+Block = Tuple[int, Tuple[Tuple[Term, ...], ...]]
 
-    Row (i, j) collects, for every index k, a +lam[k, j] contribution at
-    column (i, k) when (k, j) is a precedence pair and (i, k) a shifted one,
-    and a -lam[i, k] contribution at column (k, j) in the mirrored case.
-    Full row rank for some lam is the condition.
+
+# A few entries suffice: every trial of a check asks for the same blocks.  A
+# cache as large as the pair-set caches would hold many blocks of terms
+# alive across a suite and raise its peak memory by several percent.
+@lru_cache(maxsize=16)
+def _symbolic_blocks(m: Multisegment, m2: Multisegment) -> Tuple[Block, ...]:
+    """The line blocks of LC(m, m2) with rows, in line order.
+
+    Row (i, j) holds +lam2[s, j] at column (i, s) for every precedence pair
+    (s, j) of m2, and -lam[i, r] at column (r, j) for every precedence pair
+    (i, r) of m, wherever that column is a cross shifted pair.  A block's
+    rows and columns follow sorted pair order, columns numbered from 0 per
+    line.  Lines with columns but no rows are left out.
     """
-    xs = _sorted_x(m)
-    if set(lam.support) != set(xs):
-        raise SupportMismatchError("coefficient support must equal the X pair set")
-    ys = _sorted_y(m)
-    xset = set(xs)
-    col = {pair: c for c, pair in enumerate(ys)}
-    n = len(m)
-    entries: List[int] = []
-    for i, j in xs:
-        row = [0] * len(ys)
-        for k in range(1, n + 1):
-            if (k, j) in xset and (i, k) in col:
-                row[col[(i, k)]] += lam.get(k, j)
-            if (i, k) in xset and (k, j) in col:
-                row[col[(k, j)]] -= lam.get(i, k)
-        entries.extend(row)
-    return IntMatrix(len(xs), len(ys), tuple(entries))
+    col: Dict[Tuple[int, int], int] = {}
+    width: Dict[str, int] = {}
+    for pair in _sorted_y_cross(m, m2):
+        line = m.seg(pair[0]).line
+        col[pair] = width.get(line, 0)
+        width[line] = col[pair] + 1
+    into: Dict[int, List[Tuple[int, int]]] = {}  # j -> the pairs (s, j) of X(m2)
+    for key in _sorted_x(m2):
+        into.setdefault(key[1], []).append(key)
+    out: Dict[int, List[Tuple[int, int]]] = {}  # i -> the pairs (i, r) of X(m)
+    for key in _sorted_x(m):
+        out.setdefault(key[0], []).append(key)
+    rows: Dict[str, List[Tuple[Term, ...]]] = {}
+    for i, j in _sorted_x_cross(m, m2):
+        terms = [(col[i, key[0]], 1, key, 1) for key in into.get(j, ()) if (i, key[0]) in col]
+        terms += [(col[key[1], j], 0, key, -1) for key in out.get(i, ()) if (key[1], j) in col]
+        rows.setdefault(m.seg(i).line, []).append(tuple(terms))
+    return tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
 
 
 def lc_matrix(
     m: Multisegment, m2: Multisegment, lam: CoeffVector, lam2: CoeffVector
-) -> IntMatrix:
+) -> List[List[Row]]:
     """Row vectors of the LC condition for the coefficient pair (lam, lam2).
 
-    Rows are indexed by cross precedence pairs, columns by cross shifted
-    pairs.  The sign convention is chosen so that for m2 = m and lam2 = lam
-    the rows coincide entrywise with :func:`gls_matrix` rows.
+    Returns the line blocks with rows, in line order, each a list of sparse
+    rows (column within the line -> entry).  With m2 = m and lam2 = lam the
+    rows are those of the GLS condition for lam.
     """
-    xs = _sorted_x_cross(m, m2)
     if set(lam.support) != set(_sorted_x(m)):
         raise SupportMismatchError("first support must equal the X set of m")
     if set(lam2.support) != set(_sorted_x(m2)):
         raise SupportMismatchError("second support must equal the X set of m2")
-    ys = _sorted_y_cross(m, m2)
-    col = {pair: c for c, pair in enumerate(ys)}
-    x1 = set(_sorted_x(m))
-    x2 = set(_sorted_x(m2))
-    entries: List[int] = []
-    for i, j in xs:
-        row = [0] * len(ys)
-        for s in range(1, len(m2) + 1):
-            if (s, j) in x2 and (i, s) in col:
-                row[col[(i, s)]] += lam2.get(s, j)
-        for r in range(1, len(m) + 1):
-            if (i, r) in x1 and (r, j) in col:
-                row[col[(r, j)]] -= lam.get(i, r)
-        entries.extend(row)
-    return IntMatrix(len(xs), len(ys), tuple(entries))
+    sides = (lam.values, lam2.values)
+    return [
+        [{c: sign * sides[side].get(key, 0) for c, side, key, sign in terms} for terms in block]
+        for _, block in _symbolic_blocks(m, m2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,67 +163,56 @@ def lc_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _line_blocks(
-    rows: Tuple[Tuple[int, int], ...],
-    cols: Tuple[Tuple[int, int], ...],
-    row_line,
-    col_line,
-) -> List[Tuple[List[int], List[int]]]:
-    """Group row/column positions by line; each block is rank-checked alone."""
-    lines: Dict[str, Tuple[List[int], List[int]]] = {}
-    for r, pair in enumerate(rows):
-        lines.setdefault(row_line(pair), ([], []))[0].append(r)
-    for c, pair in enumerate(cols):
-        lines.setdefault(col_line(pair), ([], []))[1].append(c)
-    return [lines[k] for k in sorted(lines)]
-
-
-def _blocks_full_rank(mat: IntMatrix, blocks, p: Optional[int]) -> bool:
+def _full_row_rank(blocks: List[List[Row]], p: Optional[int]) -> bool:
     """All blocks have full row rank, modulo p or exactly when p is None."""
-    for row_idx, col_idx in blocks:
-        if not row_idx:
-            continue
-        sub = mat.submatrix(row_idx, col_idx)
-        rank = rank_exact(sub) if p is None else rank_mod_p(sub, p)
-        if rank != len(row_idx):
+    for rows in blocks:
+        rank = rank_exact(rows) if p is None else rank_mod_p(rows, p)
+        if rank != len(rows):
             return False
     return True
 
 
-def _pigeonhole_false(blocks) -> bool:
-    return any(len(r) > len(c) for r, c in blocks)
+def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) -> Verdict:
+    """The randomized protocol for LC(m, m2), or for GLS(m) when ``shared``.
+
+    With ``shared`` (and m2 = m) one stream-0 vector stands on both sides and
+    is itself the witness; otherwise the sides draw from streams 0 and 1 and
+    the witness is the pair.  Deterministic shortcuts: no rows is trivially
+    independent; a line block with more rows than columns never is.
+    """
+    x1 = _sorted_x(m)
+    x2 = x1 if shared else _sorted_x(m2)
+
+    def witness(lam: CoeffVector, lam2: CoeffVector):
+        return lam if shared else (lam, lam2)
+
+    blocks = _symbolic_blocks(m, m2)
+    if not blocks:
+        empty = witness(CoeffVector(x1, {}), CoeffVector(x2, {}))
+        return Verdict(True, True, empty, 0, Fraction(0))
+    if any(len(rows) > cols for cols, rows in blocks):
+        return Verdict(False, True, None, 0, Fraction(0))
+    for t in range(1, cfg.trials + 1):
+        lam = CoeffVector(x1, sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0))
+        lam2 = lam
+        if not shared:
+            lam2 = CoeffVector(x2, sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1))
+        mat = lc_matrix(m, m2, lam, lam2)
+        if _full_row_rank(mat, cfg.prime):
+            certified = cfg.certify and _full_row_rank(mat, None)
+            return Verdict(True, certified, witness(lam, lam2), t, Fraction(0))
+    # Rows are linear in the coefficients, so a nonzero maximal minor has
+    # degree at most |X|; with coefficients uniform over the p-1 values of
+    # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.
+    nrows = sum(len(rows) for _, rows in blocks)
+    bound = min(Fraction(1), Fraction(nrows, cfg.prime - 1) ** cfg.trials)
+    return Verdict(False, False, None, cfg.trials, bound)
 
 
 def check_gls(m: Multisegment, cfg: RankConfig = RankConfig()) -> Verdict:
-    """Decide GLS(m) by randomized full-rank testing.
-
-    Deterministic shortcuts: an empty X set is trivially independent; a line
-    block with more rows than columns can never reach full rank.
-    """
-    return _notify("gls", (m,), _check_gls_impl(m, cfg))
-
-
-def _check_gls_impl(m: Multisegment, cfg: RankConfig) -> Verdict:
-    xs = _sorted_x(m)
-    ys = _sorted_y(m)
-    if not xs:
-        return Verdict(True, True, CoeffVector((), {}), 0, Fraction(0))
-    blocks = _line_blocks(
-        xs, ys, lambda p_: m.seg(p_[0]).line, lambda p_: m.seg(p_[0]).line
-    )
-    if _pigeonhole_false(blocks):
-        return Verdict(False, True, None, 0, Fraction(0))
-    for t in range(1, cfg.trials + 1):
-        lam = CoeffVector(xs, sample_coeffs(xs, cfg.prime, cfg.seed, t, stream=0))
-        mat = gls_matrix(m, lam)
-        if _blocks_full_rank(mat, blocks, cfg.prime):
-            certified = False
-            if cfg.certify:
-                certified = _blocks_full_rank(mat, blocks, None)
-            return Verdict(True, certified, lam, t, Fraction(0))
-    return Verdict(
-        False, False, None, cfg.trials, Fraction(len(xs), cfg.prime) ** cfg.trials
-    )
+    """Decide GLS(m) by randomized full-rank testing of LC(m, m) with one
+    coefficient vector on both sides."""
+    return _notify("gls", (m,), _decide(m, m, cfg, shared=True))
 
 
 def check_lc(
@@ -238,34 +220,7 @@ def check_lc(
 ) -> Verdict:
     """Decide LC(m, m2); the two coefficient vectors are sampled on
     independent streams so the diagonal case m2 = m stays generic."""
-    return _notify("lc", (m, m2), _check_lc_impl(m, m2, cfg))
-
-
-def _check_lc_impl(m: Multisegment, m2: Multisegment, cfg: RankConfig) -> Verdict:
-    xs = _sorted_x_cross(m, m2)
-    ys = _sorted_y_cross(m, m2)
-    x1 = _sorted_x(m)
-    x2 = _sorted_x(m2)
-    if not xs:
-        witness = (CoeffVector(x1, {}), CoeffVector(x2, {}))
-        return Verdict(True, True, witness, 0, Fraction(0))
-    blocks = _line_blocks(
-        xs, ys, lambda p_: m.seg(p_[0]).line, lambda p_: m.seg(p_[0]).line
-    )
-    if _pigeonhole_false(blocks):
-        return Verdict(False, True, None, 0, Fraction(0))
-    for t in range(1, cfg.trials + 1):
-        lam = CoeffVector(x1, sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0))
-        lam2 = CoeffVector(x2, sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1))
-        mat = lc_matrix(m, m2, lam, lam2)
-        if _blocks_full_rank(mat, blocks, cfg.prime):
-            certified = False
-            if cfg.certify:
-                certified = _blocks_full_rank(mat, blocks, None)
-            return Verdict(True, certified, (lam, lam2), t, Fraction(0))
-    return Verdict(
-        False, False, None, cfg.trials, Fraction(len(xs), cfg.prime) ** cfg.trials
-    )
+    return _notify("lc", (m, m2), _decide(m, m2, cfg, shared=False))
 
 
 def combine_ig(fwd: Verdict, rev: Verdict) -> Verdict:
@@ -276,14 +231,14 @@ def combine_ig(fwd: Verdict, rev: Verdict) -> Verdict:
         fwd.certified and rev.certified,
         (fwd.witness, rev.witness) if holds else None,
         fwd.trials_run + rev.trials_run,
-        fwd.false_verdict_bound + rev.false_verdict_bound,
+        min(Fraction(1), fwd.false_verdict_bound + rev.false_verdict_bound),
     )
 
 
 def check_ig(
     m: Multisegment, m2: Multisegment, cfg: RankConfig = RankConfig()
 ) -> Verdict:
-    """IG(m, m2): the conjunction of LC both ways; bounds add."""
+    """IG(m, m2): the conjunction of LC both ways; bounds add, capped at 1."""
     return combine_ig(check_lc(m, m2, cfg), check_lc(m2, m, cfg))
 
 
@@ -296,6 +251,6 @@ def li_for_good(
     condition agrees with LC.  When only m2 is a ladder the dual symmetry
     of LC transports goodness to the pair, so the same LC verdict applies.
     """
-    if not (is_ladder(m) or is_ladder(m2)):
+    if not (m.is_ladder() or m2.is_ladder()):
         raise NotApplicableError("neither multisegment is a ladder")
     return check_lc(m, m2, cfg)

@@ -18,7 +18,7 @@ class PreconditionError(MsegError, ValueError):
 
 
 class TooLargeError(MsegError, ValueError):
-    """Raised when an exhaustive oracle is asked to run beyond its scale."""
+    """Raised when an input or an exhaustive oracle exceeds its supported scale."""
 
 
 class InvalidMatchingError(MsegError, ValueError):

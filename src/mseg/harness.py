@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .conditions import check_gls, check_lc, gls_matrix, lc_matrix, CoeffVector
-from .linalg import RankConfig, mix_stream, sample_coeffs
+from .conditions import check_gls, check_lc
+from .linalg import RankConfig, mix_stream
 from .segments import (
     DEFAULT_LINE,
     CuspidalPoint,
@@ -684,16 +684,6 @@ def suite_invariances(
                 {"lc_self": lcself.holds},
                 _bound_of(g, lcself),
             )
-
-        xs = sorted(pairset_x(m).pairs)
-        lam = CoeffVector(tuple(xs), sample_coeffs(xs, cfg.prime, cfg.seed, 1))
-        note(
-            "gls-lc-diagonal-rows",
-            gls_matrix(m, lam).entries == lc_matrix(m, m, lam, lam).entries,
-            {"m": sm},
-            {},
-            Fraction(0),
-        )
 
     return PropertyReport(
         "invariances",

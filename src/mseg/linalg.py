@@ -1,11 +1,9 @@
 """Exact rank computation and deterministic coefficient sampling.
 
-Two rank routines back every condition check:
+Both rank routines take sparse rows, one ``dict`` (column -> integer) per
+row; absent columns are zero and column numbers only need to be comparable.
 
-* :func:`rank_mod_p` -- row echelon over a prime field.  The inner loop is
-  the package's hot kernel; a compiled extension is used when available and
-  the modulus fits in 62 bits, with a pure-Python fallback selected at
-  import time (``KERNEL`` says which one is active).
+* :func:`rank_mod_p` -- elimination over a prime field, by leading column.
 * :func:`rank_exact` -- fraction-free (division-minimizing) elimination over
   arbitrary-precision integers, used to certify witnesses exactly.
 
@@ -22,75 +20,15 @@ exactly uniform over [1, p-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Tuple
 
-import os
-
-if os.environ.get("MSEG_FORCE_PY_KERNEL"):  # pragma: no cover
-    from . import _modrank_py as _kernel
-
-    KERNEL = "python"
-else:
-    try:  # pragma: no cover - exercised only when the extension is missing
-        from . import _modrank as _kernel
-
-        KERNEL = "compiled"
-    except ImportError:  # pragma: no cover
-        from . import _modrank_py as _kernel
-
-        KERNEL = "python"
-
-from . import _modrank_py
+Row = Dict[int, int]
 
 MERSENNE61 = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
-_KERNEL_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """A dense integer matrix, row-major, arbitrary-precision entries."""
-
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = [list(r) for r in rows]
-        n = len(data)
-        k = len(data[0]) if data else 0
-        if any(len(r) != k for r in data):
-            raise ValueError("ragged rows")
-        return cls(n, k, tuple(v for r in data for v in r))
-
-    def at(self, r: int, c: int) -> int:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> Tuple[int, ...]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(r, c) for c in range(self.cols) for r in range(self.rows)),
-        )
-
-    def submatrix(self, row_idx: List[int], col_idx: List[int]) -> "IntMatrix":
-        return IntMatrix(
-            len(row_idx),
-            len(col_idx),
-            tuple(self.at(r, c) for r in row_idx for c in col_idx),
-        )
 
 
 def _is_prime(n: int) -> bool:
@@ -142,53 +80,72 @@ class RankConfig:
         _checked_prime(self.prime)
 
 
-def rank_mod_p(a: IntMatrix, p: int) -> int:
-    """Rank of the matrix over the field with p elements."""
-    _checked_prime(p)
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    reduced = [v % p for v in a.entries]
-    if p < _KERNEL_LIMIT:
-        return _kernel.rank_mod(reduced, a.rows, a.cols, p)
-    return _modrank_py.rank_mod(reduced, a.rows, a.cols, p)
+def rank_mod_p(rows: List[Row], p: int) -> int:
+    """Rank of the sparse rows over the field with p elements.
 
-
-def rank_exact(a: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination.
-
-    Intermediate entries stay (signed) minors of the input, so division by
-    the previous pivot is exact and growth stays polynomial in bit size.
+    Each row is reduced against the pivots found so far, always at its
+    leftmost nonzero column, until it vanishes or leads at a new pivot
+    column.  Elimination only adds columns right of the current lead, so a
+    heap of candidate columns finds the next lead.
     """
-    rows, cols = a.rows, a.cols
-    if rows == 0 or cols == 0:
-        return 0
-    m = [list(a.row(r)) for r in range(rows)]
+    _checked_prime(p)
+    pivots: Dict[int, Row] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        heap = sorted(row)
+        while heap:
+            lead = heappop(heap)
+            f = row.get(lead)
+            if f is None:  # cancelled by an earlier elimination step
+                continue
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(f, p - 2, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            for c, v in piv.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * v % p
+                    heappush(heap, c)
+                else:
+                    new = (old - f * v) % p
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+    return len(pivots)
+
+
+def rank_exact(rows: List[Row]) -> int:
+    """Rank of the sparse rows over the rationals, by fraction-free elimination.
+
+    Bareiss elimination in the dense pivot order: columns ascending, each
+    pivot the first remaining row that is nonzero there.  Intermediate
+    entries stay (signed) minors of the input, so division by the previous
+    pivot is exact and growth stays polynomial in bit size.
+    """
+    m = [{c: v for c, v in row.items() if v} for row in rows]
+    n = len(m)
     prev = 1
     rank = 0
-    for c in range(cols):
-        if rank == rows:
+    for c in sorted({c for row in m for c in row}):
+        if rank == n:
             break
-        piv = None
-        for r in range(rank, rows):
-            if m[r][c]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, n) if c in m[r]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        mr = m[rank]
-        pivot = mr[c]
-        for r in range(rank + 1, rows):
-            mrow = m[r]
-            f = mrow[c]
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][c]
+        rest = [(j, v) for j, v in m[rank].items() if j != c]
+        for r in range(rank + 1, n):
+            row = m[r]
+            f = row.pop(c, 0)
+            new = {j: pivot * v for j, v in row.items()}
             if f:
-                for j in range(c + 1, cols):
-                    mrow[j] = (pivot * mrow[j] - f * mr[j]) // prev
-            else:
-                for j in range(c + 1, cols):
-                    mrow[j] = (pivot * mrow[j]) // prev
-            mrow[c] = 0
+                for j, v in rest:
+                    new[j] = new.get(j, 0) - f * v
+            m[r] = {j: v // prev for j, v in new.items() if v}
         prev = pivot
         rank += 1
     return rank

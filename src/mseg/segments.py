@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import EmptyMultisegmentError, EmptySegmentError
 
@@ -138,11 +138,6 @@ class Segment:
     def __str__(self) -> str:
         label = "" if self.line == DEFAULT_LINE else f"{self.line}:"
         return f"{label}[{self.b},{self.e}]"
-
-
-def seg_new(line: str, b: int, e: int) -> Segment:
-    """Construct a segment, raising EmptySegmentError when b > e."""
-    return Segment(line, b, e)
 
 
 def surgery(seg: Segment, kind: str) -> Optional[Segment]:
@@ -294,34 +289,6 @@ class Multisegment:
 
 
 ZERO = Multisegment()
-
-
-def ms_new(segs: Iterable[Segment]) -> Multisegment:
-    return Multisegment(tuple(segs))
-
-
-def ms_add(m: Multisegment, m2: Multisegment) -> Multisegment:
-    return m + m2
-
-
-def supp(m: Multisegment) -> Counter:
-    return m.supp()
-
-
-def ms_dual(m: Multisegment) -> Multisegment:
-    return m.dual()
-
-
-def max_end(m: Multisegment) -> CuspidalPoint:
-    return m.max_end()
-
-
-def split_mx(m: Multisegment) -> tuple:
-    return m.split_mx()
-
-
-def is_ladder(m: Multisegment) -> bool:
-    return m.is_ladder()
 
 
 def sli_sufficient(m: Multisegment, m2: Multisegment) -> bool:

@@ -3,11 +3,12 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
-from mseg.cli import emit_json, format_mseg, parse_mseg, parse_rho, run
-from mseg.errors import EmptySegmentError, ParseError
+from mseg.cli import MAX_SEGMENTS, emit_json, format_mseg, parse_mseg, parse_rho, run
+from mseg.errors import EmptySegmentError, ParseError, TooLargeError
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 
 
@@ -27,6 +28,13 @@ class TestParse:
         assert format_mseg(parse_mseg("2*[0,0]")) == "[0,0]+[0,0]"
         assert format_mseg(parse_mseg("0*[0,0]")) == "0"
         assert format_mseg(parse_mseg("2*a:[0,1]")) == "a:[0,1]+a:[0,1]"
+
+    def test_size_guard(self):
+        assert len(parse_mseg(f"{MAX_SEGMENTS}*[0,0]")) == MAX_SEGMENTS
+        with pytest.raises(TooLargeError):
+            parse_mseg(f"{MAX_SEGMENTS + 1}*[0,0]")
+        with pytest.raises(TooLargeError):  # the running count, not one term
+            parse_mseg(f"[1,1]+{MAX_SEGMENTS}*[0,0]")
 
     def test_labels(self):
         m = parse_mseg("a:[0,1]+b:[0,1]")
@@ -82,6 +90,15 @@ class TestSubcommands:
     def test_check_gls_leclerc(self):
         code, out, _ = invoke(["check", "gls", "[1,2]+[-1,1]+[0,0]+[-2,-1]"])
         assert code == 0 and "verdict: false" in out
+
+    def test_false_bound_at_most_one(self):
+        m = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
+        _, out, _ = invoke(["check", "gls", m, "--prime", "2", "--format", "json"])
+        data = json.loads(out)
+        assert data["verdict"] is False and data["false_verdict_bound"] == "1/1"
+        _, out, _ = invoke(["check", "gls", m, "--certify", "--format", "json"])
+        data = json.loads(out)
+        assert data["verdict"] is True and data["certified"] is True
 
     def test_check_lc_false(self):
         code, out, _ = invoke(["check", "lc", "[0,0]", "[1,1]"])
@@ -157,6 +174,12 @@ class TestExitCodes:
         # reduce of the zero multisegment violates the operation's domain
         code, _, err = invoke(["reduce", "0"])
         assert code == 3 and "error" in err
+
+    def test_too_large_is_2(self):
+        start = time.perf_counter()
+        code, out, err = invoke(["check", "gls", "1000000000*[0,0]"])
+        assert code == 2 and "error" in err and not out
+        assert time.perf_counter() - start < 1.0  # refused before expanding
 
     def test_bad_rho_is_2(self):
         code, _, _ = invoke(["derivative", "--rho", "a:b", "[0,1]"])

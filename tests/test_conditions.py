@@ -5,19 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from mseg.cli import parse_mseg
 from mseg.conditions import (
     CoeffVector,
     check_gls,
     check_ig,
     check_lc,
-    gls_matrix,
     lc_matrix,
     li_for_good,
 )
 from mseg.errors import NotApplicableError, SupportMismatchError
 from mseg.linalg import MERSENNE61, RankConfig, rank_exact, sample_coeffs
 from mseg.segments import Multisegment, Segment
-from mseg.zelevinsky import pairset_x, pairset_y
+from mseg.zelevinsky import pairset_x, pairset_x_cross, pairset_y, pairset_y_cross
 
 
 def S(b, e, line="0"):
@@ -32,71 +32,120 @@ LECLERC = M(S(1, 2), S(-1, 1), S(0, 0), S(-2, -1))
 CFG = RankConfig()
 
 
-def random_ms(rng, max_segments=5, box=4, max_len=4):
+def random_ms(rng, max_segments=5, box=4, max_len=4, lines=("0",)):
     k = rng.randint(0, max_segments)
     segs = []
     for _ in range(k):
         b = rng.randint(-box, box)
-        segs.append(S(b, min(b + rng.randint(1, max_len) - 1, box)))
+        segs.append(S(b, min(b + rng.randint(1, max_len) - 1, box), rng.choice(lines)))
     return M(*segs)
 
 
+def sampled(m, seed=0):
+    xs = tuple(sorted(pairset_x(m).pairs))
+    return CoeffVector(xs, sample_coeffs(xs, MERSENNE61, seed, 1))
+
+
+def gls_reference(m, lam):
+    """The GLS rows of m for lam, dense over all of Y, from the definition.
+
+    Row (i, j) collects, for every index k, a +lam[k, j] contribution at
+    column (i, k) when (k, j) is a precedence pair and (i, k) a shifted one,
+    and a -lam[i, k] contribution at column (k, j) in the mirrored case.
+    """
+    xs = sorted(pairset_x(m).pairs)
+    xset = set(xs)
+    col = {pair: c for c, pair in enumerate(sorted(pairset_y(m).pairs))}
+    rows = []
+    for i, j in xs:
+        row = [0] * len(col)
+        for k in range(1, len(m) + 1):
+            if (k, j) in xset and (i, k) in col:
+                row[col[(i, k)]] += lam.get(k, j)
+            if (i, k) in xset and (k, j) in col:
+                row[col[(k, j)]] -= lam.get(i, k)
+        rows.append(row)
+    return rows
+
+
+def dense(m, m2, blocks):
+    """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted pairs."""
+    xs = sorted(pairset_x_cross(m, m2).pairs)
+    ys = sorted(pairset_y_cross(m, m2).pairs)
+
+    def line(pair):
+        return m.seg(pair[0]).line
+
+    lines = sorted({line(x) for x in xs})
+    assert len(blocks) == len(lines)
+    out = {x: [0] * len(ys) for x in xs}
+    for ln, block in zip(lines, blocks):
+        rows = [x for x in xs if line(x) == ln]
+        cols = [c for c, y in enumerate(ys) if line(y) == ln]
+        assert len(block) == len(rows)
+        for x, row in zip(rows, block):
+            for c, v in row.items():
+                out[x][cols[c]] = v
+    return [out[x] for x in xs]
+
+
 class TestGlsMatrix:
+    """The GLS rows are the LC(m, m) rows with one vector on both sides."""
+
     def test_single_row_example(self):
         m = M(S(1, 2), S(0, 1))
         lam = CoeffVector(((2, 1),), {(2, 1): 1})
-        g = gls_matrix(m, lam)
         # columns in sorted pair order: (1,1), (2,1), (2,2)
-        assert (g.rows, g.cols) == (1, 3)
-        assert g.entries == (-1, 0, 1)
+        assert lc_matrix(m, m, lam, lam) == [[{0: -1, 2: 1}]]
+        assert gls_reference(m, lam) == [[-1, 0, 1]]
 
     def test_zero_coefficients_zero_row(self):
         m = M(S(1, 2), S(0, 1))
-        g = gls_matrix(m, CoeffVector(((2, 1),), {}))
-        assert g.entries == (0, 0, 0)
+        lam = CoeffVector(((2, 1),), {})
+        assert dense(m, m, lc_matrix(m, m, lam, lam)) == [[0, 0, 0]]
 
     def test_single_segment_no_rows(self):
-        g = gls_matrix(M(S(0, 3)), CoeffVector((), {}))
-        assert g.rows == 0 and g.cols == 1
+        m = M(S(0, 3))
+        assert lc_matrix(m, m, CoeffVector((), {}), CoeffVector((), {})) == []
 
     def test_support_mismatch(self):
+        m = M(S(1, 2), S(0, 1))
         with pytest.raises(SupportMismatchError):
-            gls_matrix(M(S(1, 2), S(0, 1)), CoeffVector((), {}))
+            lc_matrix(m, m, CoeffVector((), {}), CoeffVector((), {}))
 
     def test_cross_line_entries_vanish(self):
         m = M(S(0, 1), S(1, 2), S(0, 1, "a"), S(1, 2, "a"))
-        xs = tuple(sorted(pairset_x(m).pairs))
-        lam = CoeffVector(xs, sample_coeffs(xs, MERSENNE61, 0, 1))
-        g = gls_matrix(m, lam)
+        lam = sampled(m)
+        ref = gls_reference(m, lam)
+        xs = sorted(pairset_x(m).pairs)
         ys = sorted(pairset_y(m).pairs)
         for r, (i, _) in enumerate(xs):
             for c, (a, _) in enumerate(ys):
                 if m.seg(i).line != m.seg(a).line:
-                    assert g.at(r, c) == 0
+                    assert ref[r][c] == 0
+        assert dense(m, m, lc_matrix(m, m, lam, lam)) == ref
 
 
 class TestLcMatrix:
     def test_one_by_zero(self):
         g = lc_matrix(M(S(0, 0)), M(S(1, 1)), CoeffVector((), {}), CoeffVector((), {}))
-        assert (g.rows, g.cols) == (1, 0)
+        assert g == [[{}]]
 
     def test_empty_rows(self):
         g = lc_matrix(M(S(0, 0)), M(S(5, 5)), CoeffVector((), {}), CoeffVector((), {}))
-        assert g.rows == 0
+        assert g == []
 
     def test_diagonal_rows_match_gls(self):
         rng = random.Random(20)
-        for _ in range(40):
-            m = random_ms(rng)
-            xs = tuple(sorted(pairset_x(m).pairs))
-            lam = CoeffVector(xs, sample_coeffs(xs, MERSENNE61, 3, 1))
-            assert gls_matrix(m, lam).entries == lc_matrix(m, m, lam, lam).entries
+        for k in range(80):
+            m = random_ms(rng, lines=("0", "a") if k % 2 else ("0",))
+            lam = sampled(m, seed=3)
+            assert dense(m, m, lc_matrix(m, m, lam, lam)) == gls_reference(m, lam)
 
     def test_leclerc_self_rows(self):
-        xs = tuple(sorted(pairset_x(LECLERC).pairs))
-        lam = CoeffVector(xs, sample_coeffs(xs, MERSENNE61, 1, 1))
+        lam = sampled(LECLERC, seed=1)
         g = lc_matrix(LECLERC, LECLERC, lam, lam)
-        assert g.rows == len(xs) == 4
+        assert sum(len(block) for block in g) == len(lam.support) == 4
 
 
 class TestCheckGls:
@@ -115,15 +164,28 @@ class TestCheckGls:
     def test_false_bound_formula(self):
         v = check_gls(LECLERC, CFG)
         xs = len(pairset_x(LECLERC).pairs)
-        assert v.false_verdict_bound == Fraction(xs, CFG.prime) ** CFG.trials
+        # coefficients are drawn from [1, p-1], so each trial misses with
+        # probability at most |X|/(p-1)
+        assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
         assert not v.certified and v.witness is None
+
+    def test_bound_at_most_one(self):
+        # at p = 2 every coefficient is 1 and |X| = 8 > p - 1: the bound is
+        # capped at 1, while the exact rank at the default prime proves TRUE
+        m = parse_mseg("[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]")
+        v = check_gls(m, RankConfig(prime=2))
+        assert v.holds is False and v.trials_run == 8
+        assert v.false_verdict_bound == 1
+        v = check_gls(m, RankConfig(certify=True))
+        assert v.holds and v.certified
 
     def test_certified_witness_has_full_exact_rank(self):
         cfg = RankConfig(certify=True)
         m = M(S(1, 2), S(0, 1))
         v = check_gls(m, cfg)
         assert v.holds and v.certified
-        assert rank_exact(gls_matrix(m, v.witness)) == len(pairset_x(m).pairs)
+        blocks = lc_matrix(m, m, v.witness, v.witness)
+        assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m).pairs)
 
     def test_multiline_conjunction(self):
         good = M(S(1, 2), S(0, 1))
@@ -184,6 +246,15 @@ class TestCheckIg:
         rev = check_lc(M(S(1, 1)), M(S(0, 0)), CFG)
         assert v.false_verdict_bound == fwd.false_verdict_bound + rev.false_verdict_bound
         assert v.trials_run == fwd.trials_run + rev.trials_run
+
+    def test_bound_capped_at_one(self):
+        # at p = 2 both sides of LC(m, m) are all ones, which is the GLS
+        # matrix of Leclerc's example: each direction fails with bound 1
+        cfg = RankConfig(prime=2, trials=1)
+        lc = check_lc(LECLERC, LECLERC, cfg)
+        assert lc.holds is False and lc.false_verdict_bound == 1
+        v = check_ig(LECLERC, LECLERC, cfg)
+        assert v.holds is False and v.false_verdict_bound == 1
 
 
 class TestLiForGood:

@@ -1,14 +1,13 @@
-"""Exact rank kernels and the deterministic sampler."""
+"""Rank routines on sparse rows and the deterministic sampler."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mseg import _modrank_py
 from mseg.linalg import (
-    KERNEL,
     MERSENNE61,
-    IntMatrix,
     RankConfig,
     rank_exact,
     rank_mod_p,
@@ -18,34 +17,43 @@ from mseg.linalg import (
 P = MERSENNE61
 
 
-def random_matrix(rng, rows, cols, lo=-9, hi=9):
-    return IntMatrix(
-        rows, cols, tuple(rng.randint(lo, hi) for _ in range(rows * cols))
-    )
+def sparse(dense):
+    """Sparse rows (column -> entry) of a dense list of rows."""
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
+def random_dense(rng, rows, cols, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def transpose(dense, cols):
+    return [[row[c] for row in dense] for c in range(cols)]
 
 
 class TestRankModP:
     def test_examples(self):
-        assert rank_mod_p(IntMatrix.from_rows([[1, 0], [0, 1]]), P) == 2
-        assert rank_mod_p(IntMatrix.from_rows([[1, 0], [0, 1]]), 97) == 2
-        assert rank_mod_p(IntMatrix.from_rows([[1, 2], [2, 4]]), P) == 1
-        assert rank_mod_p(IntMatrix(0, 7, ()), P) == 0
-        assert rank_mod_p(IntMatrix(7, 0, ()), P) == 0
+        assert rank_mod_p(sparse([[1, 0], [0, 1]]), P) == 2
+        assert rank_mod_p(sparse([[1, 0], [0, 1]]), 97) == 2
+        assert rank_mod_p(sparse([[1, 2], [2, 4]]), P) == 1
+        assert rank_mod_p([], P) == 0
+        assert rank_mod_p([{}] * 7, P) == 0
+        assert rank_mod_p([{5: 0, 9: P}], P) == 0  # explicit zeros mod p
 
     def test_requires_prime(self):
         with pytest.raises(ValueError):
-            rank_mod_p(IntMatrix.from_rows([[1]]), 91)
+            rank_mod_p(sparse([[1]]), 91)
 
     def test_negative_entries_reduced(self):
-        assert rank_mod_p(IntMatrix.from_rows([[-1, 1], [1, -1]]), P) == 1
+        assert rank_mod_p(sparse([[-1, 1], [1, -1]]), P) == 1
 
 
 class TestRankExact:
     def test_examples(self):
-        assert rank_exact(IntMatrix.from_rows([[1, 0], [0, 1]])) == 2
-        assert rank_exact(IntMatrix.from_rows([[2, 4], [3, 6]])) == 1
-        assert rank_exact(IntMatrix.from_rows([[1, 0], [0, 0]])) == 1
-        assert rank_exact(IntMatrix(0, 3, ())) == 0
+        assert rank_exact(sparse([[1, 0], [0, 1]])) == 2
+        assert rank_exact(sparse([[2, 4], [3, 6]])) == 1
+        assert rank_exact(sparse([[1, 0], [0, 0]])) == 1
+        assert rank_exact([]) == 0
+        assert rank_exact([{}, {3: 0}]) == 0
 
     def test_known_rank_by_construction(self):
         # outer-product structure: rank is the number of independent factors
@@ -54,29 +62,26 @@ class TestRankExact:
             n, k = rng.randint(1, 6), rng.randint(0, 3)
             us = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
             vs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-            entries = [
-                sum(us[t][i] * vs[t][j] for t in range(k)) for i in range(n) for j in range(n)
-            ]
-            a = IntMatrix(n, n, tuple(entries))
-            assert rank_exact(a) <= k
+            dense = [[sum(us[t][i] * vs[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+            assert rank_exact(sparse(dense)) <= k
 
 
 class TestKernelAgreement:
     def test_modular_never_exceeds_exact(self):
         rng = random.Random(2)
         for _ in range(200):
-            a = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+            a = sparse(random_dense(rng, rng.randint(0, 6), rng.randint(0, 6)))
             assert rank_mod_p(a, P) <= rank_exact(a)
 
     def test_equal_on_small_entries(self):
         # entries far below p: specialization cannot lose rank here
         rng = random.Random(3)
         for _ in range(200):
-            a = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+            a = sparse(random_dense(rng, rng.randint(0, 6), rng.randint(0, 6)))
             assert rank_mod_p(a, P) == rank_exact(a)
 
     def test_p_degenerate_case(self):
-        a = IntMatrix.from_rows([[1, 0], [0, P]])
+        a = sparse([[1, 0], [0, P]])
         assert rank_exact(a) == 2
         assert rank_mod_p(a, P) == 1
 
@@ -84,26 +89,63 @@ class TestKernelAgreement:
         rng = random.Random(4)
         for _ in range(60):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            a = random_matrix(rng, rows, cols)
+            dense = random_dense(rng, rows, cols)
             rp = list(range(rows))
             cp = list(range(cols))
             rng.shuffle(rp)
             rng.shuffle(cp)
-            b = a.submatrix(rp, cp)
-            assert rank_exact(a) == rank_exact(b) == rank_exact(a.transpose())
-            assert rank_mod_p(a, P) == rank_mod_p(b, P) == rank_mod_p(a.transpose(), P)
+            a = sparse(dense)
+            b = sparse([[dense[r][c] for c in cp] for r in rp])
+            t = sparse(transpose(dense, cols))
+            assert rank_exact(a) == rank_exact(b) == rank_exact(t)
+            assert rank_mod_p(a, P) == rank_mod_p(b, P) == rank_mod_p(t, P)
 
-    def test_compiled_matches_pure_python(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
-            a = random_matrix(rng, rows, cols)
-            reduced = [v % P for v in a.entries]
-            expect = _modrank_py.rank_mod(reduced, rows, cols, P)
-            assert rank_mod_p(a, P) == expect
 
-    def test_kernel_identifies_itself(self):
-        assert KERNEL in ("compiled", "python")
+# sparse rows over scattered column numbers, as the condition blocks have them
+def sparse_rows(entries):
+    row = st.dictionaries(st.integers(0, 40), entries, max_size=8)
+    return st.lists(row, max_size=6)
+
+
+def rational_rank(rows):
+    """Rank by Gauss-Jordan elimination over Fraction, the slow reference."""
+    cols = sorted({c for row in rows for c in row})
+    m = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestSparseRows:
+    @given(sparse_rows(st.integers(-(1 << 70), 1 << 70)), st.sampled_from([2, 3, 97, P]))
+    def test_mod_p_never_exceeds_exact(self, rows, p):
+        assert rank_mod_p(rows, p) <= rank_exact(rows)
+
+    @given(sparse_rows(st.integers(-9, 9)))
+    def test_mod_p_equals_exact_on_small_entries(self, rows):
+        # at most 6 rows with |entries| <= 9: every nonzero minor is below
+        # 9^6 * 6^3 < P in size (Hadamard), so none vanishes modulo P
+        assert rank_mod_p(rows, P) == rank_exact(rows)
+
+    @given(sparse_rows(st.integers(-(1 << 70), 1 << 70) | st.integers(-2, 2)))
+    def test_exact_matches_rational_elimination(self, rows):
+        assert rank_exact(rows) == rational_rank(rows)
+
+    @given(sparse_rows(st.integers(-9, 9)))
+    def test_inputs_untouched(self, rows):
+        before = [dict(r) for r in rows]
+        rank_mod_p(rows, 97)
+        rank_exact(rows)
+        assert rows == before
 
 
 class TestSampler:

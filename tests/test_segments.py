@@ -9,18 +9,10 @@ from mseg.segments import (
     CuspidalPoint,
     Multisegment,
     Segment,
-    is_ladder,
     linked,
-    max_end,
-    ms_add,
-    ms_dual,
     ms_filter,
-    ms_new,
     precedes,
-    seg_new,
     sli_sufficient,
-    split_mx,
-    supp,
     surgery,
     total_cmp,
 )
@@ -42,13 +34,13 @@ multisegments = st.lists(segments, max_size=6).map(lambda ss: M(*ss))
 
 class TestSegment:
     def test_construction(self):
-        s = seg_new("0", 1, 2)
+        s = Segment("0", 1, 2)
         assert (s.b, s.e) == (1, 2)
-        assert len(seg_new("0", 0, 0)) == 1
+        assert len(Segment("0", 0, 0)) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySegmentError):
-            seg_new("0", 3, 1)
+            Segment("0", 3, 1)
 
     def test_point_membership(self):
         s = S(0, 2)
@@ -115,6 +107,7 @@ class TestMultisegment:
     def test_canonical_order(self):
         m = M(S(0, 1), S(1, 2))
         assert m.segs == (S(1, 2), S(0, 1))
+        assert m - M(S(0, 1)) == M(S(1, 2))
 
     def test_supp(self):
         got = (M(S(0, 1)) + M(S(1, 2))).supp()
@@ -136,15 +129,16 @@ class TestMultisegment:
             M().max_end()
 
     def test_split_mx(self):
-        mx, nmx = split_mx(M(S(1, 2), S(0, 2), S(0, 1)))
+        mx, nmx = M(S(1, 2), S(0, 2), S(0, 1)).split_mx()
         assert mx == M(S(1, 2), S(0, 2)) and nmx == M(S(0, 1))
-        assert split_mx(M(S(0, 0))) == (M(S(0, 0)), M())
-        assert split_mx(M()) == (M(), M())
+        assert M(S(0, 0)).split_mx() == (M(S(0, 0)), M())
+        assert M().split_mx() == (M(), M())
 
     @given(multisegments)
     def test_split_reassembles(self, m):
-        mx, nmx = split_mx(m)
+        mx, nmx = m.split_mx()
         assert mx + nmx == m
+        assert m - nmx == mx
         if nmx:
             assert all(s.end_point() != m.max_end() for s in nmx)
 
@@ -158,6 +152,7 @@ class TestMultisegment:
     @given(multisegments, multisegments)
     def test_add_commutes(self, a, b):
         assert a + b == b + a
+        assert (a + b) - b == a
 
     @given(multisegments, multisegments, multisegments)
     def test_add_associates(self, a, b, c):
@@ -172,15 +167,15 @@ class TestMultisegment:
 
 class TestLadder:
     def test_examples(self):
-        assert is_ladder(M(S(1, 2), S(0, 1)))
-        assert not is_ladder(M(S(0, 1), S(0, 2)))
-        assert is_ladder(M(S(0, 0)))
-        assert is_ladder(M())
+        assert M(S(1, 2), S(0, 1)).is_ladder()
+        assert not M(S(0, 1), S(0, 2)).is_ladder()
+        assert M(S(0, 0)).is_ladder()
+        assert M().is_ladder()
 
     @given(multisegments)
     def test_dual_preserves_ladders(self, m):
-        if is_ladder(m):
-            assert is_ladder(m.dual())
+        if m.is_ladder():
+            assert m.dual().is_ladder()
 
 
 class TestSli:
@@ -203,15 +198,6 @@ class TestFilter:
 
 
 class TestFunctionalAliases:
-    def test_construction_and_arithmetic(self):
-        m = ms_new([S(0, 1), S(1, 2)])
-        assert m == M(S(0, 1), S(1, 2))
-        assert ms_add(m, M(S(0, 0))) == m + M(S(0, 0))
-        assert ms_dual(m) == m.dual()
-        assert supp(m) == m.supp()
-        assert max_end(m) == m.max_end()
-        assert (m - M(S(0, 1))) == M(S(1, 2))
-
     def test_linked_symmetric(self):
         assert linked(S(0, 1), S(1, 2)) and linked(S(1, 2), S(0, 1))
         assert not linked(S(0, 1), S(0, 1))
