@@ -56,13 +56,10 @@ from .segments import (
     ms_filter,
     precedes,
     sli_sufficient,
-    surgery,
-    total_cmp,
 )
 from .zelevinsky import (
     DerivativeResult,
     Matching,
-    PairSet,
     best_matching,
     derivative,
     enumerate_maximal_matchings,

@@ -27,6 +27,7 @@ from .conditions import (
     check_lc,
     combine_ig,
     li_for_good,
+    union_bound,
 )
 from .errors import (
     EmptySegmentError,
@@ -154,10 +155,6 @@ def parse_mseg(text: str) -> Multisegment:
         sc.expect("+")
         segs.extend(_parse_term(sc, len(segs)))
     return Multisegment(tuple(segs))
-
-
-def format_mseg(m: Multisegment) -> str:
-    return str(m)
 
 
 def parse_rho(text: str) -> CuspidalPoint:
@@ -388,7 +385,7 @@ def _run_suite(args, cfg: RankConfig) -> Tuple[dict, bool]:
         else:
             reports.append(fn(gen, cfg))
     passed = all(r.passed for r in reports)
-    bound = sum((r.accumulated_bound for r in reports), Fraction(0))
+    bound = union_bound(r.accumulated_bound for r in reports)
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],

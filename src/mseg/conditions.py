@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
 from .linalg import RankConfig, Row, rank_exact, rank_mod_p, sample_coeffs
@@ -84,17 +84,17 @@ def _notify(kind: str, inputs: Tuple, verdict: "Verdict") -> "Verdict":
 
 @lru_cache(maxsize=4096)
 def _sorted_x(m: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(pairset_x(m).sorted())
+    return tuple(sorted(pairset_x(m)))
 
 
 @lru_cache(maxsize=4096)
 def _sorted_x_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(pairset_x_cross(m, m2).sorted())
+    return tuple(sorted(pairset_x_cross(m, m2)))
 
 
 @lru_cache(maxsize=4096)
 def _sorted_y_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(pairset_y_cross(m, m2).sorted())
+    return tuple(sorted(pairset_y_cross(m, m2)))
 
 
 # One term of a symbolic row: (column, side, coefficient key, sign).  The
@@ -223,6 +223,12 @@ def check_lc(
     return _notify("lc", (m, m2), _decide(m, m2, cfg, shared=False))
 
 
+def union_bound(bounds: Iterable[Fraction]) -> Fraction:
+    """Bound on the chance that any of several FALSE verdicts is wrong: the
+    sum of their bounds (the union bound), capped at 1."""
+    return min(Fraction(1), sum(bounds, Fraction(0)))
+
+
 def combine_ig(fwd: Verdict, rev: Verdict) -> Verdict:
     """Combine the two LC verdicts of a pair into the IG verdict."""
     holds = fwd.holds and rev.holds
@@ -231,7 +237,7 @@ def combine_ig(fwd: Verdict, rev: Verdict) -> Verdict:
         fwd.certified and rev.certified,
         (fwd.witness, rev.witness) if holds else None,
         fwd.trials_run + rev.trials_run,
-        min(Fraction(1), fwd.false_verdict_bound + rev.false_verdict_bound),
+        union_bound((fwd.false_verdict_bound, rev.false_verdict_bound)),
     )
 
 

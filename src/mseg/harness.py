@@ -6,10 +6,15 @@ gap construction guarantees the hypothesis), evaluates the statement through
 the randomized condition checks, and reports violations.  Expected outcome
 on every suite: none.
 
+The statements themselves live in one table, ``CHECKS``, of single-instance
+checks keyed by the names in violation records; the six proposition suites
+run them through one driver, and ``replay_violation`` re-runs a recorded
+violation through the same table.
+
 Verdicts of the condition checks are treated as ground truth; since FALSE
 verdicts are probabilistic, every report carries the accumulated error
-bound, and each violation is flagged as possibly spurious when its evidence
-includes a probabilistic FALSE.
+bound (the union bound, capped at 1), and each violation is flagged as
+possibly spurious when its evidence includes a probabilistic FALSE.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .conditions import check_gls, check_lc
+from .conditions import Verdict, check_gls, check_lc, union_bound
 from .linalg import RankConfig, mix_stream
 from .segments import (
     DEFAULT_LINE,
@@ -133,8 +138,8 @@ class PropertyReport:
         }
 
 
-def _bound_of(*verdicts) -> Fraction:
-    return sum((v.false_verdict_bound for v in verdicts), Fraction(0))
+def _bound_of(*verdicts: Verdict) -> Fraction:
+    return union_bound(v.false_verdict_bound for v in verdicts)
 
 
 def _violation(name: str, inputs: Dict[str, str], detail: dict, bound: Fraction) -> dict:
@@ -147,210 +152,145 @@ def _violation(name: str, inputs: Dict[str, str], detail: dict, bound: Fraction)
     }
 
 
-CheckResult = Tuple[bool, Optional[dict], Fraction]
-
-
 # ---------------------------------------------------------------------------
-# single-instance checkers (also the replay targets)
+# single-instance checks, shared by the suites and by replay
 # ---------------------------------------------------------------------------
 
+# A check takes the configuration and the instance as keyword inputs, named
+# as in its violation record.  It returns None when the hypothesis fails, and
+# otherwise whether the statement held, the detail of its violation record
+# and every verdict it used.
+Outcome = Optional[Tuple[bool, dict, Tuple[Verdict, ...]]]
 
-def _check_mm_minus(m: Multisegment, m2: Multisegment, cfg: RankConfig) -> CheckResult:
+
+def _mm_minus(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
     if not m or not m2 or len(set(m.lines()) | set(m2.lines())) != 1:
-        return False, None, Fraction(0)
+        return None
     if not m.max_end() < m2.max_end():
-        return False, None, Fraction(0)
+        return None
     lhs = check_lc(m, m2, cfg)
     _, m2r = mw_step(m2)
     _, sumr = mw_step(m + m2)
-    reduction_commutes = sumr == m + m2r
+    commutes = sumr == m + m2r
     rhs = check_lc(m, m2r, cfg)
-    bound = _bound_of(lhs, rhs)
-    if lhs.holds != (rhs.holds and reduction_commutes):
-        return (
-            True,
-            _violation(
-                "mm-minus",
-                {"m": str(m), "m2": str(m2)},
-                {
-                    "lc": lhs.holds,
-                    "lc_reduced": rhs.holds,
-                    "reduction_commutes": reduction_commutes,
-                },
-                bound,
-            ),
-            bound,
-        )
-    return True, None, bound
+    detail = {"lc": lhs.holds, "lc_reduced": rhs.holds, "reduction_commutes": commutes}
+    return lhs.holds == (rhs.holds and commutes), detail, (lhs, rhs)
 
 
-def _check_splitdisj(
-    m1: Multisegment,
-    m1p: Multisegment,
-    m2: Multisegment,
-    m2p: Multisegment,
-    cfg: RankConfig,
-) -> CheckResult:
-    group1 = list(m1) + list(m1p)
+def _splitdisj(
+    cfg: RankConfig, m1: Multisegment, m1p: Multisegment, m2: Multisegment, m2p: Multisegment
+) -> Outcome:
     group2 = list(m2) + list(m2p)
-    for a in group1:
+    for a in list(m1) + list(m1p):
         for b in group2:
             if precedes(a, b) or precedes(a.shift(-1), b):
-                return False, None, Fraction(0)
+                return None
     whole = check_lc(m1 + m2, m1p + m2p, cfg)
     if not whole.holds:
-        return False, None, Fraction(0)
-    part1 = check_lc(m1, m1p, cfg)
-    part2 = check_lc(m2, m2p, cfg)
-    bound = _bound_of(whole, part1, part2)
-    if not (part1.holds and part2.holds):
-        return (
-            True,
-            _violation(
-                "splitdisj",
-                {"m1": str(m1), "m1p": str(m1p), "m2": str(m2), "m2p": str(m2p)},
-                {"part1": part1.holds, "part2": part2.holds},
-                bound,
-            ),
-            bound,
-        )
-    return True, None, bound
+        return None
+    part1, part2 = check_lc(m1, m1p, cfg), check_lc(m2, m2p, cfg)
+    detail = {"part1": part1.holds, "part2": part2.holds}
+    return part1.holds and part2.holds, detail, (whole, part1, part2)
 
 
-def _check_gedelta(
-    m: Multisegment, m2: Multisegment, d: Segment, cfg: RankConfig
-) -> CheckResult:
+def _gedelta(cfg: RankConfig, m: Multisegment, m2: Multisegment, delta: Segment) -> Outcome:
     whole = check_lc(m, m2, cfg)
     if not whole.holds:
-        return False, None, Fraction(0)
-    bad = {}
-    bound = _bound_of(whole)
-    for kind in ("ge_seg", "end_in", "begin_in"):
-        v = check_lc(ms_filter(m, kind, d), ms_filter(m2, kind, d), cfg)
-        bound += _bound_of(v)
-        if not v.holds:
-            bad[kind] = False
-    if bad:
-        return (
-            True,
-            _violation(
-                "gedelta",
-                {"m": str(m), "m2": str(m2), "delta": str(d)},
-                bad,
-                bound,
-            ),
-            bound,
-        )
-    return True, None, bound
+        return None
+    parts = {
+        kind: check_lc(ms_filter(m, kind, delta), ms_filter(m2, kind, delta), cfg)
+        for kind in ("ge_seg", "end_in", "begin_in")
+    }
+    bad = {kind: False for kind, v in parts.items() if not v.holds}
+    return not bad, bad, (whole, *parts.values())
 
 
-def _check_3ms_part(
-    part: int, m: Multisegment, m2: Multisegment, n: Multisegment, cfg: RankConfig
-) -> CheckResult:
-    inputs = {"m": str(m), "m2": str(m2), "n": str(n)}
-    if part == 2:
-        h1, h2 = check_lc(m, m2, cfg), check_lc(m + m2, n, cfg)
-        if not (h1.holds and h2.holds):
-            return False, None, Fraction(0)
-        c1, c2 = check_lc(m, m2 + n, cfg), check_lc(m, n, cfg)
-        bound = _bound_of(h1, h2, c1, c2)
-        if not (c1.holds and c2.holds):
-            return (
-                True,
-                _violation(
-                    "3ms-2", inputs, {"sum": c1.holds, "single": c2.holds}, bound
-                ),
-                bound,
-            )
-        return True, None, bound
-    if part == 3:
-        h1, h2 = check_lc(m, m2, cfg), check_lc(m, n, cfg)
-        if not (h1.holds and h2.holds):
-            return False, None, Fraction(0)
-        c = check_lc(m, m2 + n, cfg)
-        bound = _bound_of(h1, h2, c)
-        if not c.holds:
-            return True, _violation("3ms-3", inputs, {"sum": c.holds}, bound), bound
-        return True, None, bound
-    if part == 4:
-        h1, h2 = check_lc(m, n, cfg), check_lc(m2, n, cfg)
-        if not (h1.holds and h2.holds):
-            return False, None, Fraction(0)
-        c = check_lc(m + m2, n, cfg)
-        bound = _bound_of(h1, h2, c)
-        if not c.holds:
-            return True, _violation("3ms-4", inputs, {"sum": c.holds}, bound), bound
-        return True, None, bound
-    if part == 5:
-        h1, h2 = check_lc(m, m2, cfg), check_lc(m2, m, cfg)
-        if not (h1.holds and h2.holds):
-            return False, None, Fraction(0)
-        lhs = check_lc(m + m2, n, cfg)
-        r1, r2 = check_lc(m, n, cfg), check_lc(m2, n, cfg)
-        bound = _bound_of(h1, h2, lhs, r1, r2)
-        if lhs.holds != (r1.holds and r2.holds):
-            return (
-                True,
-                _violation(
-                    "3ms-5",
-                    inputs,
-                    {"sum": lhs.holds, "first": r1.holds, "second": r2.holds},
-                    bound,
-                ),
-                bound,
-            )
-        return True, None, bound
-    raise ValueError(f"no such part {part}")
+def _3ms_2(cfg: RankConfig, m: Multisegment, m2: Multisegment, n: Multisegment) -> Outcome:
+    h1, h2 = check_lc(m, m2, cfg), check_lc(m + m2, n, cfg)
+    if not (h1.holds and h2.holds):
+        return None
+    c1, c2 = check_lc(m, m2 + n, cfg), check_lc(m, n, cfg)
+    return c1.holds and c2.holds, {"sum": c1.holds, "single": c2.holds}, (h1, h2, c1, c2)
 
 
-def _check_sumofseg(m: Multisegment, m2: Multisegment, cfg: RankConfig) -> CheckResult:
+def _3ms_3(cfg: RankConfig, m: Multisegment, m2: Multisegment, n: Multisegment) -> Outcome:
+    h1, h2 = check_lc(m, m2, cfg), check_lc(m, n, cfg)
+    if not (h1.holds and h2.holds):
+        return None
+    c = check_lc(m, m2 + n, cfg)
+    return c.holds, {"sum": c.holds}, (h1, h2, c)
+
+
+def _3ms_4(cfg: RankConfig, m: Multisegment, m2: Multisegment, n: Multisegment) -> Outcome:
+    h1, h2 = check_lc(m, n, cfg), check_lc(m2, n, cfg)
+    if not (h1.holds and h2.holds):
+        return None
+    c = check_lc(m + m2, n, cfg)
+    return c.holds, {"sum": c.holds}, (h1, h2, c)
+
+
+def _3ms_5(cfg: RankConfig, m: Multisegment, m2: Multisegment, n: Multisegment) -> Outcome:
+    h1, h2 = check_lc(m, m2, cfg), check_lc(m2, m, cfg)
+    if not (h1.holds and h2.holds):
+        return None
+    lhs = check_lc(m + m2, n, cfg)
+    r1, r2 = check_lc(m, n, cfg), check_lc(m2, n, cfg)
+    detail = {"sum": lhs.holds, "first": r1.holds, "second": r2.holds}
+    return lhs.holds == (r1.holds and r2.holds), detail, (h1, h2, lhs, r1, r2)
+
+
+def _sumofseg(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
     g1, g2 = check_gls(m, cfg), check_gls(m2, cfg)
     if not (g1.holds and g2.holds):
-        return False, None, Fraction(0)
-    n = m + m2
-    l1, l2 = check_lc(m, m2, cfg), check_lc(n, m, cfg)
+        return None
+    l1, l2 = check_lc(m, m2, cfg), check_lc(m + m2, m, cfg)
     if not (l1.holds and l2.holds):
-        return False, None, Fraction(0)
-    g = check_gls(n, cfg)
-    bound = _bound_of(g1, g2, l1, l2, g)
-    if not g.holds:
-        return (
-            True,
-            _violation("sumofseg", {"m": str(m), "m2": str(m2)}, {"gls_sum": g.holds}, bound),
-            bound,
-        )
-    return True, None, bound
+        return None
+    g = check_gls(m + m2, cfg)
+    return g.holds, {"gls_sum": g.holds}, (g1, g2, l1, l2, g)
 
 
-def _check_rhoext(
-    m: Multisegment, m2: Multisegment, rho: CuspidalPoint, cfg: RankConfig
-) -> CheckResult:
-    if not m:
-        return False, None, Fraction(0)
-    if derivative(m2, rho).mu != 0:
-        return False, None, Fraction(0)
+def _rhoext(cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoint) -> Outcome:
+    if not m or derivative(m2, rho).mu != 0:
+        return None
     lhs = check_lc(m, m2, cfg)
     xt, yt = rho_frontier(m, m2, rho)
-    dm = derivative(m, rho).derived
-    rhs = check_lc(dm, m2, cfg)
+    rhs = check_lc(derivative(m, rho).derived, m2, cfg)
     counts_match = len(xt) == len(yt)
-    bound = _bound_of(lhs, rhs)
-    if lhs.holds != (rhs.holds and counts_match):
-        return (
-            True,
-            _violation(
-                "rhoext",
-                {"m": str(m), "m2": str(m2), "rho": str(rho)},
-                {
-                    "lc": lhs.holds,
-                    "lc_derived": rhs.holds,
-                    "frontier_counts_match": counts_match,
-                },
-                bound,
-            ),
-            bound,
-        )
-    return True, None, bound
+    detail = {"lc": lhs.holds, "lc_derived": rhs.holds, "frontier_counts_match": counts_match}
+    return lhs.holds == (rhs.holds and counts_match), detail, (lhs, rhs)
+
+
+CHECKS: Dict[str, Callable[..., Outcome]] = {
+    "mm-minus": _mm_minus,
+    "splitdisj": _splitdisj,
+    "gedelta": _gedelta,
+    "3ms-2": _3ms_2,
+    "3ms-3": _3ms_3,
+    "3ms-4": _3ms_4,
+    "3ms-5": _3ms_5,
+    "sumofseg": _sumofseg,
+    "rhoext": _rhoext,
+}
+
+
+def run_check(
+    name: str, cfg: RankConfig, inputs: Dict[str, object]
+) -> Optional[Tuple[Optional[dict], Fraction]]:
+    """Run the check ``name`` on one instance.
+
+    None when the hypothesis fails; otherwise the violation record (None when
+    the statement held) and the summed FALSE bound of the verdicts used.
+    """
+    outcome = CHECKS[name](cfg, **inputs)
+    if outcome is None:
+        return None
+    held, detail, verdicts = outcome
+    bound = _bound_of(*verdicts)
+    if held:
+        return None, bound
+    record = {key: str(value) for key, value in inputs.items()}
+    return _violation(name, record, detail, bound), bound
 
 
 # ---------------------------------------------------------------------------
@@ -365,30 +305,44 @@ def _drive(
     p: GenParams,
     cfg: RankConfig,
     target: int,
-    make_and_check: Callable[[int], CheckResult],
+    make: Callable[[int], Optional[Dict[str, object]]],
+    parts: Tuple[str, ...] = (),
 ) -> PropertyReport:
+    """Draw instances ``make(0)``, ``make(1)``, ... (None: rejected) until each
+    check in ``parts`` (default: the check ``name``) has met its hypothesis
+    ``target`` times.  With parts, ``details`` counts each part as
+    ``part<k>`` for the part named ``<name>-<k>``."""
+    counts = dict.fromkeys(parts or (name,), 0)
     violations: List[dict] = []
-    bound = Fraction(0)
-    satisfied = 0
+    bounds: List[Fraction] = []
     attempts = 0
-    while satisfied < target and attempts < target * _ATTEMPT_FACTOR:
-        hyp, violation, b = make_and_check(attempts)
+    while min(counts.values()) < target and attempts < target * _ATTEMPT_FACTOR:
+        inputs = make(attempts)
         attempts += 1
-        if hyp:
-            satisfied += 1
-            bound += b
+        if inputs is None:
+            continue
+        for check in counts:
+            result = run_check(check, cfg, inputs)
+            if result is None:
+                continue
+            violation, b = result
+            counts[check] += 1
+            bounds.append(b)
             if violation is not None:
                 violations.append(violation)
-    return PropertyReport(name, attempts, satisfied, violations, bound, p, cfg)
+    details = {part.replace(f"{name}-", "part"): n for part, n in counts.items()} if parts else {}
+    return PropertyReport(
+        name, attempts, sum(counts.values()), violations, union_bound(bounds), p, cfg, details
+    )
 
 
 def prop_mm_minus(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
 ) -> PropertyReport:
-    def step(i: int) -> CheckResult:
-        return _check_mm_minus(gen_ms(p, 2 * i), gen_ms(p, 2 * i + 1), cfg)
+    def make(i: int) -> Dict[str, object]:
+        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
 
-    return _drive("mm-minus", p, cfg, instances, step)
+    return _drive("mm-minus", p, cfg, instances, make)
 
 
 def prop_splitdisj(
@@ -405,82 +359,56 @@ def prop_splitdisj(
             segs.append(Segment(DEFAULT_LINE, b, e))
         return Multisegment(tuple(segs))
 
-    def step(i: int) -> CheckResult:
+    def make(i: int) -> Dict[str, object]:
         rng = _rng(p, i, 3)
-        m1 = block(rng, -r, -2)
-        m1p = block(rng, -r, -2)
-        m2 = block(rng, 2, r)
-        m2p = block(rng, 2, r)
-        return _check_splitdisj(m1, m1p, m2, m2p, cfg)
+        spans = {"m1": (-r, -2), "m1p": (-r, -2), "m2": (2, r), "m2p": (2, r)}
+        return {key: block(rng, lo, hi) for key, (lo, hi) in spans.items()}
 
-    return _drive("splitdisj", p, cfg, instances, step)
+    return _drive("splitdisj", p, cfg, instances, make)
 
 
 def prop_gedelta(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
 ) -> PropertyReport:
-    def step(i: int) -> CheckResult:
+    def make(i: int) -> Dict[str, object]:
         rng = _rng(p, i, 4)
         d = _random_segment(rng, p, -p.coord_range, p.coord_range)
-        return _check_gedelta(gen_ms(p, 2 * i), gen_ms(p, 2 * i + 1), d, cfg)
+        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1), "delta": d}
 
-    return _drive("gedelta", p, cfg, instances, step)
+    return _drive("gedelta", p, cfg, instances, make)
 
 
 def prop_3ms(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
 ) -> PropertyReport:
-    violations: List[dict] = []
-    bound = Fraction(0)
-    counts = {part: 0 for part in (2, 3, 4, 5)}
-    attempts = 0
-    while min(counts.values()) < instances and attempts < instances * _ATTEMPT_FACTOR:
-        m = gen_ms(p, 3 * attempts)
-        m2 = gen_ms(p, 3 * attempts + 1)
-        n = gen_ms(p, 3 * attempts + 2)
-        attempts += 1
-        for part in (2, 3, 4, 5):
-            hyp, violation, b = _check_3ms_part(part, m, m2, n, cfg)
-            if hyp:
-                counts[part] += 1
-                bound += b
-                if violation is not None:
-                    violations.append(violation)
-    report = PropertyReport(
-        "3ms",
-        attempts,
-        sum(counts.values()),
-        violations,
-        bound,
-        p,
-        cfg,
-        {f"part{k}": v for k, v in counts.items()},
-    )
-    return report
+    def make(i: int) -> Dict[str, object]:
+        return {"m": gen_ms(p, 3 * i), "m2": gen_ms(p, 3 * i + 1), "n": gen_ms(p, 3 * i + 2)}
+
+    parts = ("3ms-2", "3ms-3", "3ms-4", "3ms-5")
+    return _drive("3ms", p, cfg, instances, make, parts)
 
 
 def prop_sumofseg_geom(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
 ) -> PropertyReport:
-    def step(i: int) -> CheckResult:
-        return _check_sumofseg(gen_ms(p, 2 * i), gen_ms(p, 2 * i + 1), cfg)
+    def make(i: int) -> Dict[str, object]:
+        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
 
-    return _drive("sumofseg", p, cfg, instances, step)
+    return _drive("sumofseg", p, cfg, instances, make)
 
 
 def prop_rhoext_geom(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
 ) -> PropertyReport:
-    def step(i: int) -> CheckResult:
+    def make(i: int) -> Optional[Dict[str, object]]:
         m = gen_ms(p, 2 * i)
         m2 = gen_ms(p, 2 * i + 1)
         if not m:
-            return False, None, Fraction(0)
+            return None
         rng = _rng(p, i, 5)
-        rho = rng.choice(sorted(m.supp()))
-        return _check_rhoext(m, m2, rho, cfg)
+        return {"m": m, "m2": m2, "rho": rng.choice(sorted(m.supp()))}
 
-    return _drive("rhoext", p, cfg, instances, step)
+    return _drive("rhoext", p, cfg, instances, make)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +427,11 @@ def suite_invariances(
     """Randomized checks of the structural identities behind the other suites:
     involution properties, pair-set bookkeeping, matchings, dualities."""
     violations: List[dict] = []
-    bound = Fraction(0)
+    bounds: List[Fraction] = []
     details: Dict[str, int] = {}
 
     def note(name: str, ok: bool, inputs: Dict[str, str], detail: dict, b: Fraction):
-        nonlocal bound
-        bound += b
+        bounds.append(b)
         details[name] = details.get(name, 0) + 1
         if not ok:
             violations.append(_violation(f"invariances/{name}", inputs, detail, b))
@@ -588,7 +515,7 @@ def suite_invariances(
                 "frontier-map",
                 injective
                 and monotone
-                and set(image) <= set(xt.pairs)
+                and set(image) <= xt
                 and (onto == commutes)
                 and (len(xt) > len(yt) or onto),
                 {"m": sm, "m2": str(m2)},
@@ -690,7 +617,7 @@ def suite_invariances(
         instances,
         instances,
         violations,
-        bound,
+        union_bound(bounds),
         p,
         cfg,
         details,
@@ -708,36 +635,16 @@ SUITES: Dict[str, Callable[..., PropertyReport]] = {
 }
 
 
-_REPLAY: Dict[str, Callable[..., CheckResult]] = {
-    "mm-minus": lambda inp, cfg: _check_mm_minus(inp["m"], inp["m2"], cfg),
-    "splitdisj": lambda inp, cfg: _check_splitdisj(
-        inp["m1"], inp["m1p"], inp["m2"], inp["m2p"], cfg
-    ),
-    "gedelta": lambda inp, cfg: _check_gedelta(inp["m"], inp["m2"], inp["delta"], cfg),
-    "3ms-2": lambda inp, cfg: _check_3ms_part(2, inp["m"], inp["m2"], inp["n"], cfg),
-    "3ms-3": lambda inp, cfg: _check_3ms_part(3, inp["m"], inp["m2"], inp["n"], cfg),
-    "3ms-4": lambda inp, cfg: _check_3ms_part(4, inp["m"], inp["m2"], inp["n"], cfg),
-    "3ms-5": lambda inp, cfg: _check_3ms_part(5, inp["m"], inp["m2"], inp["n"], cfg),
-    "sumofseg": lambda inp, cfg: _check_sumofseg(inp["m"], inp["m2"], cfg),
-    "rhoext": lambda inp, cfg: _check_rhoext(inp["m"], inp["m2"], inp["rho"], cfg),
-}
-
-
 def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
     """Re-run a recorded violation in isolation; True when it reproduces."""
     from .cli import parse_mseg, parse_rho
 
     name = violation["property"]
-    if name not in _REPLAY:
+    if name not in CHECKS:
         raise ValueError(f"no replay available for {name!r}")
-    parsed = {}
-    for key, text in violation["inputs"].items():
-        if key == "rho":
-            parsed[key] = parse_rho(text)
-        elif key == "delta":
-            only = parse_mseg(text)
-            parsed[key] = only.seg(1)
-        else:
-            parsed[key] = parse_mseg(text)
-    hyp, again, _ = _REPLAY[name](parsed, cfg)
-    return hyp and again is not None
+    parsers = {"rho": parse_rho, "delta": lambda text: parse_mseg(text).seg(1)}
+    inputs = {
+        key: parsers.get(key, parse_mseg)(text) for key, text in violation["inputs"].items()
+    }
+    result = run_check(name, cfg, inputs)
+    return result is not None and result[0] is not None

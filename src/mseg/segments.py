@@ -22,16 +22,6 @@ from .errors import EmptyMultisegmentError, EmptySegmentError
 
 DEFAULT_LINE = "0"
 
-SURGERY_KINDS = (
-    "right_trunc",
-    "left_trunc",
-    "right_ext",
-    "left_ext",
-    "shift_right",
-    "shift_left",
-    "dual",
-)
-
 
 @dataclass(frozen=True, order=True)
 class CuspidalPoint:
@@ -140,29 +130,6 @@ class Segment:
         return f"{label}[{self.b},{self.e}]"
 
 
-def surgery(seg: Segment, kind: str) -> Optional[Segment]:
-    """Apply one of the elementary segment operations by name.
-
-    Truncations return None when they empty a singleton; every other kind
-    always yields a segment.
-    """
-    if kind == "right_trunc":
-        return seg.drop_last()
-    if kind == "left_trunc":
-        return seg.drop_first()
-    if kind == "right_ext":
-        return seg.extend_right()
-    if kind == "left_ext":
-        return seg.extend_left()
-    if kind == "shift_right":
-        return seg.shift(1)
-    if kind == "shift_left":
-        return seg.shift(-1)
-    if kind == "dual":
-        return seg.dual()
-    raise ValueError(f"unknown surgery kind {kind!r}")
-
-
 def precedes(d: Segment, d2: Segment) -> bool:
     """The linking relation: d starts strictly before d2, d2 ends strictly
     after d, and d2 begins no later than one past the end of d.
@@ -174,16 +141,6 @@ def precedes(d: Segment, d2: Segment) -> bool:
 
 def linked(d: Segment, d2: Segment) -> bool:
     return precedes(d, d2) or precedes(d2, d)
-
-
-def total_cmp(d: Segment, d2: Segment) -> int:
-    """Three-way comparison in the total order; -1, 0 or 1."""
-    k1, k2 = d.sort_key(), d2.sort_key()
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -286,9 +243,6 @@ class Multisegment:
             precedes(self.segs[i + 1], self.segs[i])
             for i in range(len(self.segs) - 1)
         )
-
-
-ZERO = Multisegment()
 
 
 def sli_sufficient(m: Multisegment, m2: Multisegment) -> bool:

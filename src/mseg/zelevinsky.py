@@ -22,29 +22,8 @@ from .errors import (
 from .segments import CuspidalPoint, Multisegment, Segment, precedes
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """A set of (i, j) index pairs together with where each side points.
-
-    ``row_source`` / ``col_source`` name the multisegment the first / second
-    coordinate indexes ("m" or "m2").
-    """
-
-    pairs: FrozenSet[Tuple[int, int]]
-    row_source: str = "m"
-    col_source: str = "m"
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def sorted(self) -> List[Tuple[int, int]]:
-        return sorted(self.pairs)
+# A set of (i, j) index pairs; i indexes the first multisegment, j the second.
+Pairs = FrozenSet[Tuple[int, int]]
 
 
 def _shifted_precedes(d: Segment, d2: Segment) -> bool:
@@ -52,51 +31,37 @@ def _shifted_precedes(d: Segment, d2: Segment) -> bool:
     return d.line == d2.line and d.b <= d2.b <= d.e <= d2.e
 
 
-def pairset_x(m: Multisegment) -> PairSet:
-    """Pairs (i, j) with segment i preceding segment j."""
-    pairs = frozenset(
-        (i, j)
-        for i in range(1, len(m) + 1)
-        for j in range(1, len(m) + 1)
-        if i != j and precedes(m.seg(i), m.seg(j))
-    )
-    return PairSet(pairs, "m", "m")
+def pairset_x(m: Multisegment) -> Pairs:
+    """Pairs (i, j) with segment i preceding segment j (never i = j)."""
+    return pairset_x_cross(m, m)
 
 
-def pairset_y(m: Multisegment) -> PairSet:
+def pairset_y(m: Multisegment) -> Pairs:
     """Pairs (i, j) with segment i preceding the right shift of segment j.
 
     Unfolds to b_i <= b_j <= e_i <= e_j on a common line, so the diagonal is
     always contained.
     """
-    pairs = frozenset(
-        (i, j)
-        for i in range(1, len(m) + 1)
-        for j in range(1, len(m) + 1)
-        if _shifted_precedes(m.seg(i), m.seg(j))
-    )
-    return PairSet(pairs, "m", "m")
+    return pairset_y_cross(m, m)
 
 
-def pairset_x_cross(m: Multisegment, m2: Multisegment) -> PairSet:
+def pairset_x_cross(m: Multisegment, m2: Multisegment) -> Pairs:
     """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding seg_j."""
-    pairs = frozenset(
+    return frozenset(
         (i, j)
         for i in range(1, len(m) + 1)
         for j in range(1, len(m2) + 1)
         if precedes(m.seg(i), m2.seg(j))
     )
-    return PairSet(pairs, "m", "m2")
 
 
-def pairset_y_cross(m: Multisegment, m2: Multisegment) -> PairSet:
-    pairs = frozenset(
+def pairset_y_cross(m: Multisegment, m2: Multisegment) -> Pairs:
+    return frozenset(
         (i, j)
         for i in range(1, len(m) + 1)
         for j in range(1, len(m2) + 1)
         if _shifted_precedes(m.seg(i), m2.seg(j))
     )
-    return PairSet(pairs, "m", "m2")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +143,7 @@ def mw_dual(m: Multisegment) -> Multisegment:
 
 def mw_frontier(
     m: Multisegment, m2: Multisegment
-) -> Tuple[PairSet, PairSet, Dict[Tuple[int, int], Tuple[int, int]]]:
+) -> Tuple[Pairs, Pairs, Dict[Tuple[int, int], Tuple[int, int]]]:
     """Frontier pairs created by reducing m2, and the shift-down map f.
 
     Requires both multisegments nonzero on one common line with
@@ -216,11 +181,7 @@ def mw_frontier(
             if pos >= 1 and (i, idx) in y_cross and m.seg(i).e == end:
                 yt.add((i, idx))
                 f[(i, idx)] = (i, chain[pos - 1])
-    return (
-        PairSet(frozenset(xt), "m", "m2"),
-        PairSet(frozenset(yt), "m", "m2"),
-        f,
-    )
+    return frozenset(xt), frozenset(yt), f
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +369,7 @@ def soc_cuspidal(m: Multisegment, rho: CuspidalPoint) -> Multisegment:
 
 def rho_frontier(
     m: Multisegment, m2: Multisegment, rho: CuspidalPoint
-) -> Tuple[PairSet, PairSet]:
+) -> Tuple[Pairs, Pairs]:
     """Cross pairs whose first index is truncated by the derivative at rho
     and whose second index sits on the matching side of m2."""
     a = derivative(m, rho).a_set
@@ -419,4 +380,4 @@ def rho_frontier(
     yt = frozenset(
         (i, j) for (i, j) in pairset_y_cross(m, m2) if i in a and j in y2
     )
-    return PairSet(xt, "m", "m2"), PairSet(yt, "m", "m2")
+    return xt, yt

@@ -4,10 +4,11 @@ import io
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from mseg.cli import MAX_SEGMENTS, emit_json, format_mseg, parse_mseg, parse_rho, run
+from mseg.cli import MAX_SEGMENTS, emit_json, parse_mseg, parse_rho, run
 from mseg.errors import EmptySegmentError, ParseError, TooLargeError
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 
@@ -22,12 +23,12 @@ class TestParse:
     def test_leclerc_expression(self):
         m = parse_mseg("[1,2]+[-1,1]+[0,0]+[-2,-1]")
         assert len(m) == 4
-        assert format_mseg(m) == "[1,2]+[-1,1]+[0,0]+[-2,-1]"
+        assert str(m) == "[1,2]+[-1,1]+[0,0]+[-2,-1]"
 
     def test_multiplicity(self):
-        assert format_mseg(parse_mseg("2*[0,0]")) == "[0,0]+[0,0]"
-        assert format_mseg(parse_mseg("0*[0,0]")) == "0"
-        assert format_mseg(parse_mseg("2*a:[0,1]")) == "a:[0,1]+a:[0,1]"
+        assert str(parse_mseg("2*[0,0]")) == "[0,0]+[0,0]"
+        assert str(parse_mseg("0*[0,0]")) == "0"
+        assert str(parse_mseg("2*a:[0,1]")) == "a:[0,1]+a:[0,1]"
 
     def test_size_guard(self):
         assert len(parse_mseg(f"{MAX_SEGMENTS}*[0,0]")) == MAX_SEGMENTS
@@ -44,7 +45,7 @@ class TestParse:
     def test_zero(self):
         assert parse_mseg("0") == Multisegment()
         assert parse_mseg(" 0 ") == Multisegment()
-        assert format_mseg(Multisegment()) == "0"
+        assert str(Multisegment()) == "0"
 
     def test_whitespace_and_unicode_minus(self):
         assert parse_mseg(" [ 1 , 2 ] + [0,1] ") == parse_mseg("[1,2]+[0,1]")
@@ -53,7 +54,7 @@ class TestParse:
     def test_digit_label(self):
         m = parse_mseg("0:[1,2]")
         assert m.seg(1) == Segment("0", 1, 2)
-        assert format_mseg(m) == "[1,2]"
+        assert str(m) == "[1,2]"
 
     def test_errors_carry_positions(self):
         for text, pos in [("[1,2", 4), ("[x,2]", 1), ("[1,2]++[0,1]", 6), ("", 0)]:
@@ -76,7 +77,7 @@ class TestParse:
                 b = rng.randint(-9, 9)
                 segs.append(Segment(line, b, b + rng.randint(0, 5)))
             m = Multisegment(tuple(segs))
-            assert parse_mseg(format_mseg(m)) == m
+            assert parse_mseg(str(m)) == m
 
     def test_parse_rho(self):
         assert parse_rho("0") == CuspidalPoint("0", 0)
@@ -145,6 +146,17 @@ class TestSubcommands:
         data = json.loads(out)
         assert code == 0 and data["verdict"] is True
         assert data["outputs"]["suites"][0]["hypothesis_satisfied"] == 15
+
+    def test_suite_bounds_at_most_one(self):
+        # at p = 2 every probabilistic FALSE has bound 1; their sums are capped
+        argv = ["suite", "all", "--prime", "2", "--seed", "3", "--trials", "20"]
+        _, out, _ = invoke(argv + ["--format", "json"])
+        data = json.loads(out)
+        bounds = [data["false_verdict_bound"]]
+        bounds += [s["accumulated_bound"] for s in data["outputs"]["suites"]]
+        bounds += [v["false_verdict_bound"] for v in data["outputs"]["violations"]]
+        assert data["false_verdict_bound"] == "1/1" and len(bounds) > 8
+        assert all(Fraction(b) <= 1 for b in bounds)
 
     def test_check_wrong_arity(self):
         code, _, err = invoke(["check", "gls", "[0,0]", "[1,1]"])

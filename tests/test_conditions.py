@@ -42,7 +42,7 @@ def random_ms(rng, max_segments=5, box=4, max_len=4, lines=("0",)):
 
 
 def sampled(m, seed=0):
-    xs = tuple(sorted(pairset_x(m).pairs))
+    xs = tuple(sorted(pairset_x(m)))
     return CoeffVector(xs, sample_coeffs(xs, MERSENNE61, seed, 1))
 
 
@@ -53,9 +53,9 @@ def gls_reference(m, lam):
     column (i, k) when (k, j) is a precedence pair and (i, k) a shifted one,
     and a -lam[i, k] contribution at column (k, j) in the mirrored case.
     """
-    xs = sorted(pairset_x(m).pairs)
+    xs = sorted(pairset_x(m))
     xset = set(xs)
-    col = {pair: c for c, pair in enumerate(sorted(pairset_y(m).pairs))}
+    col = {pair: c for c, pair in enumerate(sorted(pairset_y(m)))}
     rows = []
     for i, j in xs:
         row = [0] * len(col)
@@ -70,8 +70,8 @@ def gls_reference(m, lam):
 
 def dense(m, m2, blocks):
     """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted pairs."""
-    xs = sorted(pairset_x_cross(m, m2).pairs)
-    ys = sorted(pairset_y_cross(m, m2).pairs)
+    xs = sorted(pairset_x_cross(m, m2))
+    ys = sorted(pairset_y_cross(m, m2))
 
     def line(pair):
         return m.seg(pair[0]).line
@@ -117,8 +117,8 @@ class TestGlsMatrix:
         m = M(S(0, 1), S(1, 2), S(0, 1, "a"), S(1, 2, "a"))
         lam = sampled(m)
         ref = gls_reference(m, lam)
-        xs = sorted(pairset_x(m).pairs)
-        ys = sorted(pairset_y(m).pairs)
+        xs = sorted(pairset_x(m))
+        ys = sorted(pairset_y(m))
         for r, (i, _) in enumerate(xs):
             for c, (a, _) in enumerate(ys):
                 if m.seg(i).line != m.seg(a).line:
@@ -163,7 +163,7 @@ class TestCheckGls:
 
     def test_false_bound_formula(self):
         v = check_gls(LECLERC, CFG)
-        xs = len(pairset_x(LECLERC).pairs)
+        xs = len(pairset_x(LECLERC))
         # coefficients are drawn from [1, p-1], so each trial misses with
         # probability at most |X|/(p-1)
         assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
@@ -185,7 +185,7 @@ class TestCheckGls:
         v = check_gls(m, cfg)
         assert v.holds and v.certified
         blocks = lc_matrix(m, m, v.witness, v.witness)
-        assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m).pairs)
+        assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m))
 
     def test_multiline_conjunction(self):
         good = M(S(1, 2), S(0, 1))

@@ -1,8 +1,12 @@
 """Generators and property suites: determinism, passing runs, replay."""
 
+import dataclasses
+import zlib
 from fractions import Fraction
 
+import mseg.harness
 from mseg.harness import (
+    CHECKS,
     SUITES,
     GenParams,
     gen_ladder,
@@ -14,10 +18,8 @@ from mseg.harness import (
     prop_splitdisj,
     prop_sumofseg_geom,
     replay_violation,
+    run_check,
     suite_invariances,
-    _check_mm_minus,
-    _check_rhoext,
-    _check_sumofseg,
     _violation,
 )
 from mseg.linalg import RankConfig
@@ -35,38 +37,36 @@ def M(*segs):
     return Multisegment(tuple(segs))
 
 
+def holds(name, **inputs):
+    """The check met its hypothesis and the statement held."""
+    result = run_check(name, CFG, inputs)
+    return result is not None and result[0] is None
+
+
 class TestHandTracedInstances:
     def test_mm_minus_inconsistent_pair_is_consistent(self):
         # LC false, and the reduction fails to commute: both sides agree
-        hyp, violation, _ = _check_mm_minus(M(S(0, 0)), M(S(1, 1)), CFG)
-        assert hyp and violation is None
+        assert holds("mm-minus", m=M(S(0, 0)), m2=M(S(1, 1)))
 
     def test_mm_minus_consistent_pair(self):
         # LC vacuously true; reduced comparison also true
-        hyp, violation, _ = _check_mm_minus(M(S(0, 0)), M(S(0, 1)), CFG)
-        assert hyp and violation is None
+        assert holds("mm-minus", m=M(S(0, 0)), m2=M(S(0, 1)))
 
     def test_mm_minus_hypothesis_rejects_equal_max(self):
-        hyp, _, _ = _check_mm_minus(M(S(0, 1)), M(S(1, 1)), CFG)
-        assert not hyp
+        assert run_check("mm-minus", CFG, {"m": M(S(0, 1)), "m2": M(S(1, 1))}) is None
 
     def test_sumofseg_doubled_segment(self):
         # n = 2 copies of one segment: X sets stay empty, all conditions hold
-        hyp, violation, _ = _check_sumofseg(M(S(0, 0)), M(S(0, 0)), CFG)
-        assert hyp and violation is None
+        assert holds("sumofseg", m=M(S(0, 0)), m2=M(S(0, 0)))
 
     def test_rhoext_frontier_example(self):
-        hyp, violation, _ = _check_rhoext(
-            M(S(0, 2)), M(S(0, 0), S(1, 1)), CuspidalPoint("0", 0), CFG
-        )
-        assert hyp and violation is None
+        assert holds("rhoext", m=M(S(0, 2)), m2=M(S(0, 0), S(1, 1)), rho=CuspidalPoint("0", 0))
 
     def test_rhoext_trivial_when_derivative_fixes_m(self):
         # no unmatched beginnings at rho: derivative leaves m unchanged
-        hyp, violation, _ = _check_rhoext(
-            M(S(0, 1), S(1, 2)), M(S(5, 6)), CuspidalPoint("0", 0), CFG
+        assert holds(
+            "rhoext", m=M(S(0, 1), S(1, 2)), m2=M(S(5, 6)), rho=CuspidalPoint("0", 0)
         )
-        assert hyp and violation is None
 
 
 class TestGenerators:
@@ -159,14 +159,8 @@ class TestDeterminismAndReports:
 
 class TestReplay:
     def test_real_violations_replay(self):
-        # fabricate a violation by flipping the reduction-equality clause:
-        # find an instance where lhs holds and verify the record round-trips
-        hyp, violation, _ = _check_mm_minus(
-            Multisegment((Segment("0", 0, 0),)),
-            Multisegment((Segment("0", 1, 1),)),
-            CFG,
-        )
-        assert hyp and violation is None  # statement holds here
+        # the statement holds on this instance
+        assert holds("mm-minus", m=M(S(0, 0)), m2=M(S(1, 1)))
 
         # a synthetic record replays through the parser and reports False
         fake = _violation(
@@ -182,3 +176,28 @@ class TestReplay:
 
         with pytest.raises(ValueError):
             replay_violation({"property": "nope", "inputs": {}}, CFG)
+
+    def test_every_check_replays_its_violations(self, monkeypatch):
+        # flip the verdicts of a fixed fifth of the inputs, so that every
+        # check reports violations, then replay each record by itself
+        def flipping(check):
+            def fake(*args):
+                v = check(*args)
+                key = " ".join(str(m) for m in args[:-1])
+                if zlib.crc32(key.encode()) % 5 == 0:
+                    return dataclasses.replace(v, holds=not v.holds)
+                return v
+
+            return fake
+
+        monkeypatch.setattr(mseg.harness, "check_gls", flipping(mseg.harness.check_gls))
+        monkeypatch.setattr(mseg.harness, "check_lc", flipping(mseg.harness.check_lc))
+        gen = GenParams(seed=11)
+        violations = [
+            v
+            for name, suite in SUITES.items()
+            if name != "invariances"
+            for v in suite(gen, CFG, instances=40).violations
+        ]
+        assert {v["property"] for v in violations} == set(CHECKS)
+        assert all(replay_violation(v, CFG) for v in violations)

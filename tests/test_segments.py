@@ -13,8 +13,6 @@ from mseg.segments import (
     ms_filter,
     precedes,
     sli_sufficient,
-    surgery,
-    total_cmp,
 )
 
 
@@ -49,18 +47,14 @@ class TestSegment:
         assert not s.contains(CuspidalPoint("a", 1))
 
     def test_surgeries(self):
-        assert surgery(S(0, 2), "right_trunc") == S(0, 1)
-        assert surgery(S(0, 0), "left_trunc") is None
-        assert surgery(S(0, 0), "right_trunc") is None
-        assert surgery(S(1, 2), "dual") == S(-2, -1)
-        assert surgery(S(0, 1), "right_ext") == S(0, 2)
-        assert surgery(S(0, 1), "left_ext") == S(-1, 1)
-        assert surgery(S(0, 1), "shift_right") == S(1, 2)
-        assert surgery(S(0, 1), "shift_left") == S(-1, 0)
-
-    def test_unknown_surgery(self):
-        with pytest.raises(ValueError):
-            surgery(S(0, 1), "nope")
+        assert S(0, 2).drop_last() == S(0, 1)
+        assert S(0, 0).drop_first() is None
+        assert S(0, 0).drop_last() is None
+        assert S(1, 2).dual() == S(-2, -1)
+        assert S(0, 1).extend_right() == S(0, 2)
+        assert S(0, 1).extend_left() == S(-1, 1)
+        assert S(0, 1).shift(1) == S(1, 2)
+        assert S(0, 1).shift(-1) == S(-1, 0)
 
 
 class TestPrecedes:
@@ -76,7 +70,7 @@ class TestPrecedes:
     @given(segments, segments)
     def test_precedes_implies_less(self, d, d2):
         if precedes(d, d2):
-            assert total_cmp(d, d2) == -1
+            assert d.sort_key() < d2.sort_key()
 
     def test_shift_equivalences_exhaustive(self):
         # both shifted forms agree with the containment form on a small box
@@ -91,9 +85,9 @@ class TestPrecedes:
 
 class TestTotalOrder:
     def test_examples(self):
-        assert total_cmp(S(0, 1), S(1, 1)) == -1  # superset with equal ends
-        assert total_cmp(S(0, 1), S(1, 2)) == -1
-        assert total_cmp(S(0, 1), S(0, 1)) == 0
+        assert S(0, 1).sort_key() < S(1, 1).sort_key()  # superset with equal ends
+        assert S(0, 1).sort_key() < S(1, 2).sort_key()
+        assert S(0, 1).sort_key() == S(0, 1).sort_key()
 
     def test_equal_end_containment(self):
         # with equal ends, smaller means containing

@@ -230,7 +230,7 @@ class TestFrontier:
             pos = {idx: k for k, idx in enumerate(chain)}
             # injective and into xt
             assert len(set(f.values())) == len(f)
-            assert set(f.values()) <= set(xt.pairs)
+            assert set(f.values()) <= xt
             # strictly monotone for (first index, chain position)
             keys = sorted(f, key=lambda pr: (pr[0], pos[pr[1]]))
             for a, b in zip(keys, keys[1:]):
