@@ -332,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cfg_from(args) -> RankConfig:
     if args.command == "suite":
         # the suite-local --trials/--seed steer generation, not the rank checks
+        if args.trials is not None and args.trials < 1:
+            raise ValueError("trials must be positive")
         return RankConfig(prime=args.prime, certify=args.certify)
     return RankConfig(
         prime=args.prime, trials=args.trials, seed=args.seed, certify=args.certify
@@ -380,7 +382,7 @@ def _run_suite(args, cfg: RankConfig) -> Tuple[dict, bool]:
     reports: List[PropertyReport] = []
     for name in names:
         fn = SUITES[name]
-        if args.trials:
+        if args.trials is not None:
             reports.append(fn(gen, cfg, instances=args.trials))
         else:
             reports.append(fn(gen, cfg))

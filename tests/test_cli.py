@@ -193,6 +193,13 @@ class TestExitCodes:
         assert code == 2 and "error" in err and not out
         assert time.perf_counter() - start < 1.0  # refused before expanding
 
+    def test_nonpositive_trials_is_2(self):
+        for command in (["check", "gls", "[0,0]"], ["suite", "gedelta"]):
+            for trials in ("0", "-3"):
+                code, out, err = invoke(command + ["--trials", trials, "--format", "json"])
+                assert code == 2 and not out
+                assert err == "error: trials must be positive\n"
+
     def test_bad_rho_is_2(self):
         code, _, _ = invoke(["derivative", "--rho", "a:b", "[0,1]"])
         assert code == 2

@@ -187,6 +187,23 @@ class TestCheckGls:
         blocks = lc_matrix(m, m, v.witness, v.witness)
         assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m))
 
+    def test_certify_long_ladder(self):
+        # 126 segments give one block of 166 rows and 418 nonzeros, the size
+        # of the benchmark's certified ladder
+        rng = random.Random(0)
+        segs = [S(0, 2)]
+        while len(segs) < 126:
+            s = segs[-1]
+            b = rng.randint(s.b + 1, s.e + 1)
+            segs.append(S(b, rng.randint(s.e + 1, s.e + 4)))
+        m = M(*segs)
+        assert m.is_ladder()
+        v = check_gls(m, RankConfig(certify=True))
+        assert v.holds and v.certified
+        blocks = lc_matrix(m, m, v.witness, v.witness)
+        assert [len(rows) for rows in blocks] == [166]
+        assert all(rank_exact(rows) == len(rows) for rows in blocks)
+
     def test_multiline_conjunction(self):
         good = M(S(1, 2), S(0, 1))
         two_lines = Multisegment(

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mseg.conditions import CoeffVector, lc_matrix
+from mseg.harness import GenParams, gen_ms
 from mseg.linalg import (
     MERSENNE61,
     RankConfig,
@@ -13,6 +15,7 @@ from mseg.linalg import (
     rank_mod_p,
     sample_coeffs,
 )
+from mseg.zelevinsky import pairset_x
 
 P = MERSENNE61
 
@@ -125,6 +128,26 @@ def rational_rank(rows):
     return rank
 
 
+HUGE_OR_UNIT = st.integers(-(1 << 70), 1 << 70) | st.sampled_from([-1, 1])
+
+
+@st.composite
+def deficient_rows(draw):
+    """8-24 sparse rows over scattered columns, some of them integer
+    combinations of others, in shuffled order."""
+    row = st.dictionaries(st.integers(0, 60), HUGE_OR_UNIT, min_size=1, max_size=6)
+    base = draw(st.lists(row, min_size=4, max_size=16))
+    rows = list(base)
+    for _ in range(draw(st.integers(4, 8))):
+        combo = {}
+        for r in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            f = draw(st.integers(-3, 3).filter(bool))
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + f * v
+        rows.append({c: v for c, v in combo.items() if v})
+    return draw(st.permutations(rows))
+
+
 class TestSparseRows:
     @given(sparse_rows(st.integers(-(1 << 70), 1 << 70)), st.sampled_from([2, 3, 97, P]))
     def test_mod_p_never_exceeds_exact(self, rows, p):
@@ -139,6 +162,30 @@ class TestSparseRows:
     @given(sparse_rows(st.integers(-(1 << 70), 1 << 70) | st.integers(-2, 2)))
     def test_exact_matches_rational_elimination(self, rows):
         assert rank_exact(rows) == rational_rank(rows)
+
+    @settings(deadline=None)
+    @given(deficient_rows())
+    def test_exact_matches_rational_elimination_with_deficits(self, rows):
+        assert rank_exact(rows) == rational_rank(rows)
+
+    def test_exact_matches_rational_elimination_on_condition_blocks(self):
+        # GLS(m) and LC(m, m2) blocks of one- and two-line multisegments;
+        # coefficients at p = 3 are 1 or 2, which makes deficits common
+        deficient = 0
+        for lines in (1, 2):
+            gen = GenParams(max_segments=8, lines=lines, seed=lines)
+            for index in range(40):
+                m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
+                xs, xs2 = tuple(pairset_x(m)), tuple(pairset_x(m2))
+                for p in (3, P):
+                    lam = CoeffVector(xs, sample_coeffs(xs, p, index, 1))
+                    lam2 = CoeffVector(xs2, sample_coeffs(xs2, p, index, 1, stream=1))
+                    for blocks in (lc_matrix(m, m, lam, lam), lc_matrix(m, m2, lam, lam2)):
+                        for rows in blocks:
+                            rank = rank_exact(rows)
+                            assert rank == rational_rank(rows)
+                            deficient += rank < len(rows)
+        assert deficient >= 20
 
     @given(sparse_rows(st.integers(-9, 9)))
     def test_inputs_untouched(self, rows):
