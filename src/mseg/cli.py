@@ -37,7 +37,7 @@ from .errors import (
     TooLargeError,
 )
 from .harness import SUITES, GenParams, PropertyReport
-from .linalg import MERSENNE61, RankConfig
+from .linalg import MAX_TRIALS, MERSENNE61, RankConfig
 from .segments import CuspidalPoint, Multisegment, Segment, sli_sufficient
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
 
@@ -334,6 +334,8 @@ def _cfg_from(args) -> RankConfig:
         # the suite-local --trials/--seed steer generation, not the rank checks
         if args.trials is not None and args.trials < 1:
             raise ValueError("trials must be positive")
+        if args.trials is not None and args.trials > MAX_TRIALS:
+            raise TooLargeError(f"more than {MAX_TRIALS} trials")
         return RankConfig(prime=args.prime, certify=args.certify)
     return RankConfig(
         prime=args.prime, trials=args.trials, seed=args.seed, certify=args.certify

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .conditions import Verdict, check_gls, check_lc, union_bound
+from .errors import NotApplicableError
 from .linalg import RankConfig, mix_stream
 from .segments import (
     DEFAULT_LINE,
@@ -261,6 +262,25 @@ def _rhoext(cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoi
     return lhs.holds == (rhs.holds and counts_match), detail, (lhs, rhs)
 
 
+def _gls_involution_invariance(cfg: RankConfig, m: Multisegment) -> Outcome:
+    g, gd, gmw = check_gls(m, cfg), check_gls(m.dual(), cfg), check_gls(mw_dual(m), cfg)
+    detail = {"gls": g.holds, "dual": gd.holds, "mw": gmw.holds}
+    return g.holds == gd.holds == gmw.holds, detail, (g, gd, gmw)
+
+
+def _lc_dual_symmetry(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
+    lc, lcd = check_lc(m, m2, cfg), check_lc(m2.dual(), m.dual(), cfg)
+    return lc.holds == lcd.holds, {"lc": lc.holds, "dual": lcd.holds}, (lc, lcd)
+
+
+def _gls_implies_lc_self(cfg: RankConfig, m: Multisegment) -> Outcome:
+    g = check_gls(m, cfg)
+    if not g.holds:
+        return None
+    lcself = check_lc(m, m, cfg)
+    return lcself.holds, {"lc_self": lcself.holds}, (g, lcself)
+
+
 CHECKS: Dict[str, Callable[..., Outcome]] = {
     "mm-minus": _mm_minus,
     "splitdisj": _splitdisj,
@@ -271,6 +291,9 @@ CHECKS: Dict[str, Callable[..., Outcome]] = {
     "3ms-5": _3ms_5,
     "sumofseg": _sumofseg,
     "rhoext": _rhoext,
+    "invariances/gls-involution-invariance": _gls_involution_invariance,
+    "invariances/lc-dual-symmetry": _lc_dual_symmetry,
+    "invariances/gls-implies-lc-self": _gls_implies_lc_self,
 }
 
 
@@ -300,6 +323,24 @@ def run_check(
 _ATTEMPT_FACTOR = 200
 
 
+def _tally(
+    key: str,
+    result: Optional[Tuple[Optional[dict], Fraction]],
+    counts: Dict[str, int],
+    bounds: List[Fraction],
+    violations: List[dict],
+) -> None:
+    """Add one ``run_check`` result under ``key`` to a suite's counts, bounds
+    and violations; a failed hypothesis (None) adds nothing."""
+    if result is None:
+        return
+    violation, b = result
+    counts[key] = counts.get(key, 0) + 1
+    bounds.append(b)
+    if violation is not None:
+        violations.append(violation)
+
+
 def _drive(
     name: str,
     p: GenParams,
@@ -322,14 +363,7 @@ def _drive(
         if inputs is None:
             continue
         for check in counts:
-            result = run_check(check, cfg, inputs)
-            if result is None:
-                continue
-            violation, b = result
-            counts[check] += 1
-            bounds.append(b)
-            if violation is not None:
-                violations.append(violation)
+            _tally(check, run_check(check, cfg, inputs), counts, bounds, violations)
     details = {part.replace(f"{name}-", "part"): n for part, n in counts.items()} if parts else {}
     return PropertyReport(
         name, attempts, sum(counts.values()), violations, union_bound(bounds), p, cfg, details
@@ -425,16 +459,19 @@ def suite_invariances(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
 ) -> PropertyReport:
     """Randomized checks of the structural identities behind the other suites:
-    involution properties, pair-set bookkeeping, matchings, dualities."""
+    involution properties, pair-set bookkeeping, matchings, dualities.  The
+    identities of the condition checks themselves are the ``invariances/``
+    entries of ``CHECKS``, so their violations replay."""
     violations: List[dict] = []
     bounds: List[Fraction] = []
     details: Dict[str, int] = {}
 
     def note(name: str, ok: bool, inputs: Dict[str, str], detail: dict, b: Fraction):
-        bounds.append(b)
-        details[name] = details.get(name, 0) + 1
-        if not ok:
-            violations.append(_violation(f"invariances/{name}", inputs, detail, b))
+        violation = None if ok else _violation(f"invariances/{name}", inputs, detail, b)
+        _tally(name, (violation, b), details, bounds, violations)
+
+    def check(name: str, inputs: Dict[str, object]):
+        _tally(name, run_check(f"invariances/{name}", cfg, inputs), details, bounds, violations)
 
     for i in range(instances):
         m = gen_ms(p, i)
@@ -581,36 +618,9 @@ def suite_invariances(
                     )
 
         # condition-level invariances
-        g = check_gls(m, cfg)
-        gd = check_gls(m.dual(), cfg)
-        gmw = check_gls(mw_dual(m), cfg)
-        note(
-            "gls-involution-invariance",
-            g.holds == gd.holds == gmw.holds,
-            {"m": sm},
-            {"gls": g.holds, "dual": gd.holds, "mw": gmw.holds},
-            _bound_of(g, gd, gmw),
-        )
-
-        lc = check_lc(m, m2, cfg)
-        lcd = check_lc(m2.dual(), m.dual(), cfg)
-        note(
-            "lc-dual-symmetry",
-            lc.holds == lcd.holds,
-            {"m": sm, "m2": str(m2)},
-            {"lc": lc.holds, "dual": lcd.holds},
-            _bound_of(lc, lcd),
-        )
-
-        if g.holds:
-            lcself = check_lc(m, m, cfg)
-            note(
-                "gls-implies-lc-self",
-                lcself.holds,
-                {"m": sm},
-                {"lc_self": lcself.holds},
-                _bound_of(g, lcself),
-            )
+        check("gls-involution-invariance", {"m": m})
+        check("lc-dual-symmetry", {"m": m, "m2": m2})
+        check("gls-implies-lc-self", {"m": m})
 
     return PropertyReport(
         "invariances",
@@ -641,6 +651,8 @@ def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
 
     name = violation["property"]
     if name not in CHECKS:
+        if name.startswith("invariances/"):
+            raise NotApplicableError(f"{name!r} is a structural identity with no verdict to replay")
         raise ValueError(f"no replay available for {name!r}")
     parsers = {"rho": parse_rho, "delta": lambda text: parse_mseg(text).seg(1)}
     inputs = {

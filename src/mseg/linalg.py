@@ -27,10 +27,19 @@ from heapq import heappop, heappush
 from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
+from .errors import TooLargeError
+
 Row = Dict[int, int]
 
 MERSENNE61 = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
+
+# Largest trial count of a RankConfig, and largest instance target of a
+# suite.  A FALSE check runs every trial and a suite draws up to 200
+# candidates per instance, so the work of one call stays within 1,250 times
+# that of the default 8 trials, or 50 times that of a suite's default target
+# of 200 to 300 instances.
+MAX_TRIALS = 10_000
 
 
 def _is_prime(n: int) -> bool:
@@ -77,6 +86,8 @@ class RankConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials > MAX_TRIALS:
+            raise TooLargeError(f"more than {MAX_TRIALS} trials")
         if not 2 <= self.prime < (1 << 64):
             raise ValueError("prime must fit in 64 bits")
         _checked_prime(self.prime)
@@ -88,7 +99,9 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
     Each row is reduced against the pivots found so far, always at its
     leftmost nonzero column, until it vanishes or leads at a new pivot
     column.  Elimination only adds columns right of the current lead, so a
-    heap of candidate columns finds the next lead.
+    heap of candidate columns finds the next lead.  A new pivot row is
+    scaled by the inverse of its lead, ``pow(f, -1, p)`` (extended Euclid;
+    p is checked prime, so it equals Fermat's ``f ** (p - 2)``).
     """
     _checked_prime(p)
     pivots: Dict[int, Row] = {}
@@ -102,7 +115,7 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
                 continue
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(f, p - 2, p)
+                inv = pow(f, -1, p)
                 pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
             for c, v in piv.items():

@@ -15,7 +15,7 @@ exists solely to make maxima well defined.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import EmptyMultisegmentError, EmptySegmentError
@@ -23,7 +23,7 @@ from .errors import EmptyMultisegmentError, EmptySegmentError
 DEFAULT_LINE = "0"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CuspidalPoint:
     """A point on a labeled line: the exponent of a twist on that line.
 
@@ -46,7 +46,7 @@ class CuspidalPoint:
         return f"{self.line}:{self.pos}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A nonempty integer interval ``[b, e]`` on a labeled line."""
 
@@ -143,7 +143,7 @@ def linked(d: Segment, d2: Segment) -> bool:
     return precedes(d, d2) or precedes(d2, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multisegment:
     """A finite multiset of segments in canonical descending order.
 
@@ -152,15 +152,28 @@ class Multisegment:
     position i does not precede the one at position j, which is the
     enumeration convention every downstream construction relies on.
     Positions are 1-based.
+
+    Multisegments key every cache of the condition checks, so the hash of
+    the canonical tuple is computed once, at construction.
     """
 
     segs: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(
             sorted(self.segs, key=Segment.sort_key, reverse=True)
         )
         object.__setattr__(self, "segs", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between
+        # processes, so the cached hash must not travel with a pickle
+        return Multisegment, (self.segs,)
 
     # -- container behaviour -------------------------------------------------
 

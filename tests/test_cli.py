@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from mseg.cli import MAX_SEGMENTS, emit_json, parse_mseg, parse_rho, run
+import mseg.cli
+from mseg.cli import MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
 from mseg.errors import EmptySegmentError, ParseError, TooLargeError
+from mseg.linalg import MAX_TRIALS
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 
 
@@ -199,6 +201,22 @@ class TestExitCodes:
                 code, out, err = invoke(command + ["--trials", trials, "--format", "json"])
                 assert code == 2 and not out
                 assert err == "error: trials must be positive\n"
+
+    def test_trials_above_cap_is_2(self, monkeypatch):
+        # refused before any check or suite runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(mseg.cli, "check_gls", refuse)
+        monkeypatch.setitem(SUITES, "gedelta", refuse)
+        for command in (["check", "gls", "[0,0]"], ["suite", "gedelta"]):
+            code, out, err = invoke(command + ["--trials", str(MAX_TRIALS + 1), "--format", "json"])
+            assert code == 2 and not out
+            assert err == f"error: more than {MAX_TRIALS} trials\n"
+
+    def test_trials_at_cap_accepted(self):
+        code, out, _ = invoke(["check", "gls", "[0,0]", "--trials", str(MAX_TRIALS), "--format", "json"])
+        assert code == 0 and json.loads(out)["verdict"] is True
 
     def test_bad_rho_is_2(self):
         code, _, _ = invoke(["derivative", "--rho", "a:b", "[0,1]"])

@@ -1,20 +1,27 @@
 """Condition matrices and the randomized verdict protocol."""
 
+import io
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from mseg.cli import parse_mseg
+from mseg import conditions
+from mseg.cli import parse_mseg, run
 from mseg.conditions import (
     CoeffVector,
+    add_verdict_observer,
     check_gls,
     check_ig,
     check_lc,
     lc_matrix,
     li_for_good,
+    remove_verdict_observer,
 )
 from mseg.errors import NotApplicableError, SupportMismatchError
+from mseg.harness import GenParams, gen_ms
 from mseg.linalg import MERSENNE61, RankConfig, rank_exact, sample_coeffs
 from mseg.segments import Multisegment, Segment
 from mseg.zelevinsky import pairset_x, pairset_x_cross, pairset_y, pairset_y_cross
@@ -307,3 +314,86 @@ class TestDeterminism:
                 assert check_gls(m, cfg).holds == check_gls(m, CFG).holds
             for m, m2 in pairs:
                 assert check_lc(m, m2, cfg).holds == check_lc(m, m2, CFG).holds
+
+
+class TestVerdictMemo:
+    """The verdict memo against recomputation from scratch."""
+
+    def test_hit_equals_recomputed_verdict(self):
+        # 200 one- and two-line pairs; at p = 3 many verdicts are FALSE with
+        # a bound, at the default prime most are TRUE with a witness
+        for cfg in (CFG, RankConfig(prime=3, certify=True)):
+            for lines in (1, 2):
+                gen = GenParams(max_segments=6, lines=lines, seed=lines)
+                for index in range(100):
+                    m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
+                    for check, args in ((check_gls, (m,)), (check_lc, (m, m2))):
+                        first = check(*args, cfg)
+                        hits = conditions._decide.cache_info().hits
+                        hit = check(*args, cfg)
+                        assert hit is first
+                        assert conditions._decide.cache_info().hits == hits + 1
+                        conditions._decide.cache_clear()
+                        fresh = check(*args, cfg)
+                        # compares every field, the witness's values included
+                        assert fresh is not hit and fresh == hit
+
+    def test_suite_json_same_cold_and_warm(self):
+        def suite_json():
+            out = io.StringIO()
+            assert run(["suite", "all", "--seed", "0", "--format", "json"], out=out) == 0
+            return out.getvalue()
+
+        conditions._decide.cache_clear()
+        cold = suite_json()
+        assert conditions._decide.cache_info().currsize > 0
+        assert suite_json() == cold
+
+    def test_observer_sees_every_call_hits_included(self):
+        m2 = M(S(0, 1), S(-1, 0))
+        seen = []
+
+        def observe(kind, inputs, verdict):
+            seen.append((kind, inputs, verdict))
+
+        conditions._decide.cache_clear()
+        add_verdict_observer(observe)
+        try:
+            made = []
+            for _ in range(3):
+                made.append(("gls", (LECLERC,), check_gls(LECLERC, CFG)))
+                made.append(("lc", (LECLERC, m2), check_lc(LECLERC, m2, CFG)))
+        finally:
+            remove_verdict_observer(observe)
+        assert conditions._decide.cache_info().hits == 4
+        assert seen == made
+        assert all(a[2] is b[2] for a, b in zip(seen, made))
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores and more distinct checks than memo
+        # entries, so hits, misses and evictions interleave
+        gen = GenParams(max_segments=5, seed=5)
+        corpus = [(gen_ms(gen, 2 * i), gen_ms(gen, 2 * i + 1)) for i in range(150)]
+        conditions._decide.cache_clear()
+        want = [(check_gls(m, CFG), check_lc(m, m2, CFG)) for m, m2 in corpus]
+        conditions._decide.cache_clear()
+        got = {}
+
+        def work(k):
+            got[k] = [(check_gls(m, CFG), check_lc(m, m2, CFG)) for m, m2 in corpus[k:] + corpus[:k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in (0, 37, 74, 111)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, results in got.items():
+            assert results == want[k:] + want[:k]
+        info = conditions._decide.cache_info()
+        assert info.hits + info.misses == 4 * 2 * len(corpus)

@@ -4,7 +4,10 @@ import dataclasses
 import zlib
 from fractions import Fraction
 
+import pytest
+
 import mseg.harness
+from mseg.errors import NotApplicableError
 from mseg.harness import (
     CHECKS,
     SUITES,
@@ -172,8 +175,6 @@ class TestReplay:
         assert replay_violation(fake, CFG) is False
 
     def test_replay_unknown_property(self):
-        import pytest
-
         with pytest.raises(ValueError):
             replay_violation({"property": "nope", "inputs": {}}, CFG)
 
@@ -194,10 +195,12 @@ class TestReplay:
         monkeypatch.setattr(mseg.harness, "check_lc", flipping(mseg.harness.check_lc))
         gen = GenParams(seed=11)
         violations = [
-            v
-            for name, suite in SUITES.items()
-            if name != "invariances"
-            for v in suite(gen, CFG, instances=40).violations
+            v for suite in SUITES.values() for v in suite(gen, CFG, instances=40).violations
         ]
         assert {v["property"] for v in violations} == set(CHECKS)
         assert all(replay_violation(v, CFG) for v in violations)
+
+    def test_structural_invariances_have_no_replay(self):
+        record = _violation("invariances/mw-involution", {"m": "[0,1]"}, {}, Fraction(0))
+        with pytest.raises(NotApplicableError, match="invariances/mw-involution"):
+            replay_violation(record, CFG)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mseg.conditions import CoeffVector, lc_matrix
+from mseg.errors import TooLargeError
 from mseg.harness import GenParams, gen_ms
 from mseg.linalg import (
+    MAX_TRIALS,
     MERSENNE61,
     RankConfig,
     rank_exact,
@@ -128,6 +130,27 @@ def rational_rank(rows):
     return rank
 
 
+def field_rank(rows, p):
+    """Rank over GF(p) by dense Gauss-Jordan elimination with Fermat
+    inverses, the slow reference."""
+    cols = sorted({c for row in rows for c in row})
+    m = [[row.get(c, 0) % p for c in cols] for row in rows]
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 HUGE_OR_UNIT = st.integers(-(1 << 70), 1 << 70) | st.sampled_from([-1, 1])
 
 
@@ -187,6 +210,18 @@ class TestSparseRows:
                             deficient += rank < len(rows)
         assert deficient >= 20
 
+    @given(
+        st.lists(st.dictionaries(st.integers(0, 12), st.integers(-30, 30), max_size=6), max_size=12),
+        st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_mod_p_matches_field_elimination_at_tiny_primes(self, rows, p):
+        # dependencies mod p are common here, so many pivots are inverted
+        # and many rows cancel; reducing the rows mod p first changes nothing
+        reduced = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+        rank = rank_mod_p(rows, p)
+        assert rank == rank_mod_p(reduced, p) == field_rank(rows, p)
+        assert rank <= rank_exact(rows)
+
     @given(sparse_rows(st.integers(-9, 9)))
     def test_inputs_untouched(self, rows):
         before = [dict(r) for r in rows]
@@ -233,3 +268,8 @@ class TestRankConfig:
             RankConfig(trials=0)
         with pytest.raises(ValueError):
             RankConfig(prime=91)
+
+    def test_trials_capped(self):
+        assert RankConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+        with pytest.raises(TooLargeError):
+            RankConfig(trials=MAX_TRIALS + 1)

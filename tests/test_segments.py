@@ -1,9 +1,17 @@
 """Segment and multisegment basics: construction, orders, surgeries, filters."""
 
-import pytest
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+
+import pytest
 from hypothesis import given, strategies as st
 
+import mseg
 from mseg.errors import EmptyMultisegmentError, EmptySegmentError
 from mseg.segments import (
     CuspidalPoint,
@@ -195,3 +203,40 @@ class TestFunctionalAliases:
     def test_linked_symmetric(self):
         assert linked(S(0, 1), S(1, 2)) and linked(S(1, 2), S(0, 1))
         assert not linked(S(0, 1), S(0, 1))
+
+
+class TestValueTypes:
+    @given(
+        st.lists(segments, max_size=6).flatmap(
+            lambda ss: st.tuples(st.just(ss), st.permutations(ss))
+        )
+    )
+    def test_permuted_segments_equal_and_hash_equal(self, pair):
+        segs, shuffled = pair
+        a, b = M(*segs), M(*shuffled)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == f"Multisegment(segs={a.segs!r})"
+
+    def test_frozen_and_slotted(self):
+        for value, attr in ((S(0, 1), "b"), (M(S(0, 1)), "segs"), (CuspidalPoint("0", 1), "pos")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, attr, None)
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(value, "extra", 1)
+
+    def test_pickle_rebuilds_the_hash(self):
+        # string hashes differ between processes, so an unpickled
+        # multisegment must hash its segments afresh
+        m = M(S(0, 2, "a"), S(1, 3, "b"), S(1, 3, "b"))
+        assert pickle.loads(pickle.dumps(m)) == m
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="1",
+            PYTHONPATH=str(Path(mseg.__file__).resolve().parents[1]),
+        )
+        code = "import pickle, sys; m = pickle.load(sys.stdin.buffer); print(hash(m) == hash(m.segs))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(m), env=env, capture_output=True, check=True
+        )
+        assert out.stdout == b"True\n"
