@@ -37,7 +37,7 @@ from .errors import (
     TooLargeError,
 )
 from .harness import SUITES, GenParams, PropertyReport
-from .linalg import MAX_TRIALS, MERSENNE61, RankConfig
+from .linalg import MERSENNE61, RankConfig
 from .segments import CuspidalPoint, Multisegment, Segment, sli_sufficient
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
 
@@ -49,6 +49,11 @@ EXIT_INTERNAL = 3
 # Largest multisegment an expression may denote; far above the 128-segment
 # inputs that still decide in seconds, far below what exhausts memory.
 MAX_SEGMENTS = 4096
+
+# Largest instance target of `suite --trials`.  A suite draws up to 200
+# candidates per instance, so its work stays within 50 times that of its
+# default target of 200 to 300 instances.
+MAX_INSTANCES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +339,8 @@ def _cfg_from(args) -> RankConfig:
         # the suite-local --trials/--seed steer generation, not the rank checks
         if args.trials is not None and args.trials < 1:
             raise ValueError("trials must be positive")
-        if args.trials is not None and args.trials > MAX_TRIALS:
-            raise TooLargeError(f"more than {MAX_TRIALS} trials")
+        if args.trials is not None and args.trials > MAX_INSTANCES:
+            raise TooLargeError(f"more than {MAX_INSTANCES} trials")
         return RankConfig(prime=args.prime, certify=args.certify)
     return RankConfig(
         prime=args.prime, trials=args.trials, seed=args.seed, certify=args.certify

@@ -63,25 +63,6 @@ class Verdict:
     false_verdict_bound: Fraction
 
 
-# observers receive (kind, inputs, verdict) for every decided condition;
-# used by the acceptance suite to re-certify every TRUE verdict exactly
-_OBSERVERS: List = []
-
-
-def add_verdict_observer(fn) -> None:
-    _OBSERVERS.append(fn)
-
-
-def remove_verdict_observer(fn) -> None:
-    _OBSERVERS.remove(fn)
-
-
-def _notify(kind: str, inputs: Tuple, verdict: "Verdict") -> "Verdict":
-    for fn in _OBSERVERS:
-        fn(kind, inputs, verdict)
-    return verdict
-
-
 @lru_cache(maxsize=4096)
 def _sorted_x(m: Multisegment) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(pairset_x(m)))
@@ -220,7 +201,7 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
 def check_gls(m: Multisegment, cfg: RankConfig = RankConfig()) -> Verdict:
     """Decide GLS(m) by randomized full-rank testing of LC(m, m) with one
     coefficient vector on both sides."""
-    return _notify("gls", (m,), _decide(m, m, cfg, shared=True))
+    return _decide(m, m, cfg, shared=True)
 
 
 def check_lc(
@@ -228,7 +209,7 @@ def check_lc(
 ) -> Verdict:
     """Decide LC(m, m2); the two coefficient vectors are sampled on
     independent streams so the diagonal case m2 = m stays generic."""
-    return _notify("lc", (m, m2), _decide(m, m2, cfg, shared=False))
+    return _decide(m, m2, cfg, shared=False)
 
 
 def union_bound(bounds: Iterable[Fraction]) -> Fraction:

@@ -6,10 +6,11 @@ gap construction guarantees the hypothesis), evaluates the statement through
 the randomized condition checks, and reports violations.  Expected outcome
 on every suite: none.
 
-The statements themselves live in one table, ``CHECKS``, of single-instance
-checks keyed by the names in violation records; the six proposition suites
-run them through one driver, and ``replay_violation`` re-runs a recorded
-violation through the same table.
+Every statement a suite tests lives in one table, ``CHECKS``, of
+single-instance checks keyed by the names in violation records: the
+proposition statements, run through one driver, and the ``invariances/``
+identities, run by the invariance bundle.  ``replay_violation`` re-runs any
+recorded violation through the same table.
 
 Verdicts of the condition checks are treated as ground truth; since FALSE
 verdicts are probabilistic, every report carries the accumulated error
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .conditions import Verdict, check_gls, check_lc, union_bound
-from .errors import NotApplicableError
 from .linalg import RankConfig, mix_stream
 from .segments import (
     DEFAULT_LINE,
@@ -164,10 +164,16 @@ def _violation(name: str, inputs: Dict[str, str], detail: dict, bound: Fraction)
 Outcome = Optional[Tuple[bool, dict, Tuple[Verdict, ...]]]
 
 
-def _mm_minus(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
+def _frontier_defined(m: Multisegment, m2: Multisegment) -> bool:
+    """The hypothesis of ``mw_frontier``: m and m2 nonzero on one common
+    line, with the max end of m below that of m2."""
     if not m or not m2 or len(set(m.lines()) | set(m2.lines())) != 1:
-        return None
-    if not m.max_end() < m2.max_end():
+        return False
+    return m.max_end() < m2.max_end()
+
+
+def _mm_minus(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
+    if not _frontier_defined(m, m2):
         return None
     lhs = check_lc(m, m2, cfg)
     _, m2r = mw_step(m2)
@@ -262,6 +268,114 @@ def _rhoext(cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoi
     return lhs.holds == (rhs.holds and counts_match), detail, (lhs, rhs)
 
 
+def _pair_multiset(m: Multisegment, pairs, m2: Optional[Multisegment] = None) -> Counter:
+    other = m if m2 is None else m2
+    return Counter((m.seg(i), other.seg(j)) for (i, j) in pairs)
+
+
+# The structural invariances use no verdict: each returns the verdicts ().
+
+
+def _mw_involution(cfg: RankConfig, m: Multisegment) -> Outcome:
+    # the involution squares to the identity and keeps point multiplicities
+    md = mw_dual(m)
+    return mw_dual(md) == m and md.supp() == m.supp(), {"dual": str(md)}, ()
+
+
+def _mw_delta_minimal(cfg: RankConfig, m: Multisegment) -> Outcome:
+    if not m:
+        return None
+    delta, _ = mw_step(m)
+    cands = [s for s in mw_dual(m) if s.end_point() == m.max_end()]
+    return bool(cands) and min(cands) == delta, {"delta": str(delta)}, ()
+
+
+def _y_diagonal(cfg: RankConfig, m: Multisegment) -> Outcome:
+    ys = pairset_y(m)
+    return all((i, i) in ys for i in range(1, len(m) + 1)), {}, ()
+
+
+def _pairset_decomposition(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
+    # the X and Y pairs of m + m2 are those within m, within m2 and across
+    total = m + m2
+    held = all(
+        _pair_multiset(total, whole(total))
+        == _pair_multiset(m, whole(m))
+        + _pair_multiset(m2, whole(m2))
+        + _pair_multiset(m, cross(m, m2), m2)
+        + _pair_multiset(m2, cross(m2, m), m)
+        for whole, cross in ((pairset_x, pairset_x_cross), (pairset_y, pairset_y_cross))
+    )
+    return held, {}, ()
+
+
+def _frontier_map(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
+    if not _frontier_defined(m, m2):
+        return None
+    xt, yt, f = mw_frontier(m, m2)
+    pos = {idx: k for k, idx in enumerate(leading_indices(m2))}
+
+    def rank(pair: Tuple[int, int]) -> Tuple[int, int]:
+        return pair[0], pos[pair[1]]
+
+    keys = sorted(f, key=rank)
+    monotone = all(rank(a) < rank(b) and rank(f[a]) < rank(f[b]) for a, b in zip(keys, keys[1:]))
+    image = set(f.values())
+    injective = len(image) == len(f)
+    onto = len(f) == len(xt)
+    _, sumr = mw_step(m + m2)
+    _, m2r = mw_step(m2)
+    commutes = sumr == m + m2r
+    held = (
+        injective and monotone and image <= xt and onto == commutes
+        and (len(xt) > len(yt) or onto)
+    )
+    detail = {"xt": len(xt), "yt": len(yt), "onto": onto, "commutes": commutes}
+    return held, detail, ()
+
+
+def _best_matching_maximal(cfg: RankConfig, m: Multisegment, rho: CuspidalPoint) -> Outcome:
+    r = best_matching(m, rho)
+    crossing = any(
+        m.seg(i1) < m.seg(i2) and precedes(m.seg(i2), m.seg(j1)) and m.seg(j1) < m.seg(j2)
+        for (i1, j1) in r.pairs
+        for (i2, j2) in r.pairs
+    )
+    return is_maximal_matching(m, rho, r) and not crossing, {}, ()
+
+
+def _matching_unmatched_equivalence(
+    cfg: RankConfig, m: Multisegment, rho: CuspidalPoint
+) -> Outcome:
+    xr, yr = rho_sets(m, rho)
+    if len(xr) + len(yr) > 10:
+        return None
+    r = best_matching(m, rho)
+    others = enumerate_maximal_matchings(m, rho)
+    held = all(
+        matching_equivalent(m, r.a_set, o.a_set) and matching_equivalent(m, r.b_set, o.b_set)
+        for o in others
+    )
+    return held, {"maximal_count": len(others)}, ()
+
+
+def _derivative_soc_supp(cfg: RankConfig, m: Multisegment, rho: CuspidalPoint) -> Outcome:
+    dv = derivative(m, rho)
+    back = dv.derived
+    for _ in range(dv.mu):
+        back = soc_cuspidal(back, rho)
+    return back.supp() == m.supp(), {"mu": dv.mu}, ()
+
+
+def _frontier_inequality(
+    cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoint
+) -> Outcome:
+    if not m2 or derivative(m2, rho).mu != 0:
+        return None
+    xt, yt = rho_frontier(m, m2, rho)
+    return len(xt) >= len(yt), {"xt": len(xt), "yt": len(yt)}, ()
+
+
 def _gls_involution_invariance(cfg: RankConfig, m: Multisegment) -> Outcome:
     g, gd, gmw = check_gls(m, cfg), check_gls(m.dual(), cfg), check_gls(mw_dual(m), cfg)
     detail = {"gls": g.holds, "dual": gd.holds, "mw": gmw.holds}
@@ -291,6 +405,15 @@ CHECKS: Dict[str, Callable[..., Outcome]] = {
     "3ms-5": _3ms_5,
     "sumofseg": _sumofseg,
     "rhoext": _rhoext,
+    "invariances/mw-involution": _mw_involution,
+    "invariances/mw-delta-minimal": _mw_delta_minimal,
+    "invariances/y-diagonal": _y_diagonal,
+    "invariances/pairset-decomposition": _pairset_decomposition,
+    "invariances/frontier-map": _frontier_map,
+    "invariances/best-matching-maximal": _best_matching_maximal,
+    "invariances/matching-unmatched-equivalence": _matching_unmatched_equivalence,
+    "invariances/derivative-soc-supp": _derivative_soc_supp,
+    "invariances/frontier-inequality": _frontier_inequality,
     "invariances/gls-involution-invariance": _gls_involution_invariance,
     "invariances/lc-dual-symmetry": _lc_dual_symmetry,
     "invariances/gls-implies-lc-self": _gls_implies_lc_self,
@@ -449,188 +572,48 @@ def prop_rhoext_geom(
 # invariance bundle
 # ---------------------------------------------------------------------------
 
-
-def _pair_multiset(m: Multisegment, pairs, m2: Optional[Multisegment] = None) -> Counter:
-    other = m if m2 is None else m2
-    return Counter((m.seg(i), other.seg(j)) for (i, j) in pairs)
+# The inputs of each ``invariances/<name>`` check, named and ordered as in
+# its violation record; the suite runs the checks in this order.
+_INVARIANCE_INPUTS: Dict[str, Tuple[str, ...]] = {
+    "mw-involution": ("m",),
+    "mw-delta-minimal": ("m",),
+    "y-diagonal": ("m",),
+    "pairset-decomposition": ("m", "m2"),
+    "frontier-map": ("m", "m2"),
+    "best-matching-maximal": ("m", "rho"),
+    "matching-unmatched-equivalence": ("m", "rho"),
+    "derivative-soc-supp": ("m", "rho"),
+    "frontier-inequality": ("m", "m2", "rho"),
+    "gls-involution-invariance": ("m",),
+    "lc-dual-symmetry": ("m", "m2"),
+    "gls-implies-lc-self": ("m",),
+}
 
 
 def suite_invariances(
     p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
 ) -> PropertyReport:
-    """Randomized checks of the structural identities behind the other suites:
-    involution properties, pair-set bookkeeping, matchings, dualities.  The
-    identities of the condition checks themselves are the ``invariances/``
-    entries of ``CHECKS``, so their violations replay."""
+    """Randomized checks of the identities behind the other suites: involution
+    properties, pair-set bookkeeping, matchings, derivatives, frontier maps
+    and dualities of the condition checks.  Each is an ``invariances/`` entry
+    of ``CHECKS``, so its violations replay.  Instance i is m = gen_ms(i),
+    m2 = gen_ms(instances + i) and, when m is nonzero, a point rho of its
+    support; a check whose inputs include rho runs only when rho is drawn."""
     violations: List[dict] = []
     bounds: List[Fraction] = []
     details: Dict[str, int] = {}
-
-    def note(name: str, ok: bool, inputs: Dict[str, str], detail: dict, b: Fraction):
-        violation = None if ok else _violation(f"invariances/{name}", inputs, detail, b)
-        _tally(name, (violation, b), details, bounds, violations)
-
-    def check(name: str, inputs: Dict[str, object]):
-        _tally(name, run_check(f"invariances/{name}", cfg, inputs), details, bounds, violations)
-
     for i in range(instances):
         m = gen_ms(p, i)
-        sm = str(m)
-
-        # involution squares to the identity and preserves point multiplicities
-        md = mw_dual(m)
-        note(
-            "mw-involution",
-            mw_dual(md) == m and md.supp() == m.supp(),
-            {"m": sm},
-            {"dual": str(md)},
-            Fraction(0),
-        )
-
+        drawn: Dict[str, object] = {"m": m, "m2": gen_ms(p, instances + i)}
         if m:
-            delta, _ = mw_step(m)
-            cands = [s for s in md if s.end_point() == m.max_end()]
-            note(
-                "mw-delta-minimal",
-                bool(cands) and min(cands) == delta,
-                {"m": sm},
-                {"delta": str(delta)},
-                Fraction(0),
-            )
-
-        ys = pairset_y(m)
-        note(
-            "y-diagonal",
-            all((i_, i_) in ys for i_ in range(1, len(m) + 1)),
-            {"m": sm},
-            {},
-            Fraction(0),
-        )
-
-        m2 = gen_ms(p, instances + i)
-        total = m + m2
-        got_x = _pair_multiset(total, pairset_x(total))
-        want_x = (
-            _pair_multiset(m, pairset_x(m))
-            + _pair_multiset(m2, pairset_x(m2))
-            + _pair_multiset(m, pairset_x_cross(m, m2), m2)
-            + _pair_multiset(m2, pairset_x_cross(m2, m), m)
-        )
-        got_y = _pair_multiset(total, pairset_y(total))
-        want_y = (
-            _pair_multiset(m, pairset_y(m))
-            + _pair_multiset(m2, pairset_y(m2))
-            + _pair_multiset(m, pairset_y_cross(m, m2), m2)
-            + _pair_multiset(m2, pairset_y_cross(m2, m), m)
-        )
-        note(
-            "pairset-decomposition",
-            got_x == want_x and got_y == want_y,
-            {"m": sm, "m2": str(m2)},
-            {},
-            Fraction(0),
-        )
-
-        if m and m2 and m.max_end() < m2.max_end():
-            xt, yt, f = mw_frontier(m, m2)
-            chain = leading_indices(m2)
-            pos = {idx: k for k, idx in enumerate(chain)}
-            image = sorted(f.values())
-            keys = sorted(f, key=lambda pr: (pr[0], pos[pr[1]]))
-            monotone = all(
-                (keys[a][0], pos[keys[a][1]]) < (keys[a + 1][0], pos[keys[a + 1][1]])
-                and (f[keys[a]][0], pos[f[keys[a]][1]])
-                < (f[keys[a + 1]][0], pos[f[keys[a + 1]][1]])
-                for a in range(len(keys) - 1)
-            )
-            injective = len(set(f.values())) == len(f)
-            onto = len(f) == len(xt)
-            _, sumr = mw_step(m + m2)
-            _, m2r = mw_step(m2)
-            commutes = sumr == m + m2r
-            note(
-                "frontier-map",
-                injective
-                and monotone
-                and set(image) <= xt
-                and (onto == commutes)
-                and (len(xt) > len(yt) or onto),
-                {"m": sm, "m2": str(m2)},
-                {"xt": len(xt), "yt": len(yt), "onto": onto, "commutes": commutes},
-                Fraction(0),
-            )
-
-        if m:
-            rng = _rng(p, i, 6)
-            rho = rng.choice(sorted(m.supp()))
-            r = best_matching(m, rho)
-            crossing = any(
-                m.seg(i1) < m.seg(i2)
-                and precedes(m.seg(i2), m.seg(j1))
-                and m.seg(j1) < m.seg(j2)
-                for (i1, j1) in r.pairs
-                for (i2, j2) in r.pairs
-            )
-            note(
-                "best-matching-maximal",
-                is_maximal_matching(m, rho, r) and not crossing,
-                {"m": sm, "rho": str(rho)},
-                {},
-                Fraction(0),
-            )
-
-            xr, yr = rho_sets(m, rho)
-            if len(xr) + len(yr) <= 10:
-                others = enumerate_maximal_matchings(m, rho)
-                note(
-                    "matching-unmatched-equivalence",
-                    all(
-                        matching_equivalent(m, r.a_set, o.a_set)
-                        and matching_equivalent(m, r.b_set, o.b_set)
-                        for o in others
-                    ),
-                    {"m": sm, "rho": str(rho)},
-                    {"maximal_count": len(others)},
-                    Fraction(0),
-                )
-
-            dv = derivative(m, rho)
-            back = dv.derived
-            for _ in range(dv.mu):
-                back = soc_cuspidal(back, rho)
-            note(
-                "derivative-soc-supp",
-                back.supp() == m.supp(),
-                {"m": sm, "rho": str(rho)},
-                {"mu": dv.mu},
-                Fraction(0),
-            )
-
-            if m2:
-                if derivative(m2, rho).mu == 0:
-                    xt2, yt2 = rho_frontier(m, m2, rho)
-                    note(
-                        "frontier-inequality",
-                        len(xt2) >= len(yt2),
-                        {"m": sm, "m2": str(m2), "rho": str(rho)},
-                        {"xt": len(xt2), "yt": len(yt2)},
-                        Fraction(0),
-                    )
-
-        # condition-level invariances
-        check("gls-involution-invariance", {"m": m})
-        check("lc-dual-symmetry", {"m": m, "m2": m2})
-        check("gls-implies-lc-self", {"m": m})
-
+            drawn["rho"] = _rng(p, i, 6).choice(sorted(m.supp()))
+        for name, keys in _INVARIANCE_INPUTS.items():
+            if all(key in drawn for key in keys):
+                inputs = {key: drawn[key] for key in keys}
+                result = run_check(f"invariances/{name}", cfg, inputs)
+                _tally(name, result, details, bounds, violations)
     return PropertyReport(
-        "invariances",
-        instances,
-        instances,
-        violations,
-        union_bound(bounds),
-        p,
-        cfg,
-        details,
+        "invariances", instances, instances, violations, union_bound(bounds), p, cfg, details
     )
 
 
@@ -651,8 +634,6 @@ def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
 
     name = violation["property"]
     if name not in CHECKS:
-        if name.startswith("invariances/"):
-            raise NotApplicableError(f"{name!r} is a structural identity with no verdict to replay")
         raise ValueError(f"no replay available for {name!r}")
     parsers = {"rho": parse_rho, "delta": lambda text: parse_mseg(text).seg(1)}
     inputs = {

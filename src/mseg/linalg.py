@@ -34,12 +34,13 @@ Row = Dict[int, int]
 MERSENNE61 = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
 
-# Largest trial count of a RankConfig, and largest instance target of a
-# suite.  A FALSE check runs every trial and a suite draws up to 200
-# candidates per instance, so the work of one call stays within 1,250 times
-# that of the default 8 trials, or 50 times that of a suite's default target
-# of 200 to 300 instances.
-MAX_TRIALS = 10_000
+# Largest trial count of a RankConfig.  A probabilistic FALSE prints its
+# exact bound (|X|/(p-1))^trials, whose denominator divides (p-1)^trials; at
+# 200 trials and p < 2^64 that is at most 200 * 19.27 < 3,854 digits, under
+# Python's 4,300-digit limit on int-to-str conversion, for a sum of two such
+# bounds too.  A FALSE check runs every trial, so its work stays within 25
+# times that of the default 8 trials.
+MAX_TRIALS = 200
 
 
 def _is_prime(n: int) -> bool:

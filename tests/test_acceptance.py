@@ -1,20 +1,19 @@
 """Acceptance criteria: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  A verdict observer records every TRUE verdict produced
+lines and timings.  A module fixture records every TRUE verdict produced
 during criteria 1-6 (including those inside the property suites); criterion
 9 re-runs each with exact certification.
 """
 
+import sys
 import time
 from itertools import combinations_with_replacement
 
-from mseg.conditions import (
-    add_verdict_observer,
-    check_gls,
-    check_lc,
-    remove_verdict_observer,
-)
+import pytest
+
+import mseg.harness
+from mseg.conditions import check_gls, check_lc
 from mseg.harness import (
     GenParams,
     gen_ladder,
@@ -55,12 +54,29 @@ _TRUE_VERDICTS: dict = {}
 _RECORDING = True
 
 
-def _observer(kind, inputs, verdict):
+def _record(key, verdict):
     if _RECORDING and verdict.holds:
-        _TRUE_VERDICTS[(kind,) + inputs] = None
+        _TRUE_VERDICTS[key] = None
+    return verdict
 
 
-add_verdict_observer(_observer)
+@pytest.fixture(scope="module", autouse=True)
+def _recording_checks():
+    """Wrap check_gls and check_lc where this module and the suites look
+    them up, so every TRUE verdict they return is recorded."""
+    gls, lc = check_gls, check_lc
+
+    def recording_gls(m, cfg=DEFAULT):
+        return _record(("gls", m), gls(m, cfg))
+
+    def recording_lc(m, m2, cfg=DEFAULT):
+        return _record(("lc", m, m2), lc(m, m2, cfg))
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (mseg.harness, sys.modules[__name__]):
+            mp.setattr(module, "check_gls", recording_gls)
+            mp.setattr(module, "check_lc", recording_lc)
+        yield
 
 
 def _report(num: int, ok: bool, elapsed: float, detail: str):
@@ -227,7 +243,6 @@ def test_criterion_9_exact_rank_cross_check():
         if not (v.holds and v.certified):
             disagreements += 1
     dt = time.perf_counter() - t0
-    remove_verdict_observer(_observer)
     ok = disagreements == 0
     _report(
         9,

@@ -2,17 +2,35 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import mseg
 import mseg.cli
-from mseg.cli import MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
+from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
 from mseg.errors import EmptySegmentError, ParseError, TooLargeError
-from mseg.linalg import MAX_TRIALS
+from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
+
+
+# labels as the grammar spells them; "0" is the default line, printed bare
+LABELS = st.just("0") | st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)
+LABELLED_MULTISEGMENTS = st.lists(
+    st.builds(
+        lambda line, b, length: Segment(line, b, b + length),
+        LABELS,
+        st.integers(-20, 20),
+        st.integers(0, 6),
+    ),
+    max_size=6,
+).map(lambda segs: Multisegment(tuple(segs)))
 
 
 def invoke(argv):
@@ -80,6 +98,10 @@ class TestParse:
                 segs.append(Segment(line, b, b + rng.randint(0, 5)))
             m = Multisegment(tuple(segs))
             assert parse_mseg(str(m)) == m
+
+    @given(LABELLED_MULTISEGMENTS)
+    def test_round_trip_generated(self, m):
+        assert parse_mseg(str(m)) == m
 
     def test_parse_rho(self):
         assert parse_rho("0") == CuspidalPoint("0", 0)
@@ -209,14 +231,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(mseg.cli, "check_gls", refuse)
         monkeypatch.setitem(SUITES, "gedelta", refuse)
-        for command in (["check", "gls", "[0,0]"], ["suite", "gedelta"]):
-            code, out, err = invoke(command + ["--trials", str(MAX_TRIALS + 1), "--format", "json"])
+        caps = {("check", "gls", "[0,0]"): MAX_TRIALS, ("suite", "gedelta"): MAX_INSTANCES}
+        for command, cap in caps.items():
+            code, out, err = invoke([*command, "--trials", str(cap + 1), "--format", "json"])
             assert code == 2 and not out
-            assert err == f"error: more than {MAX_TRIALS} trials\n"
+            assert err == f"error: more than {cap} trials\n"
 
     def test_trials_at_cap_accepted(self):
         code, out, _ = invoke(["check", "gls", "[0,0]", "--trials", str(MAX_TRIALS), "--format", "json"])
         assert code == 0 and json.loads(out)["verdict"] is True
+
+    def test_false_bound_printed_at_trial_cap(self):
+        # (|X|/(p-1))^trials in full, |X| = 4 here: about 18.4 digits a
+        # trial at the default prime, within Python's int-to-str limit
+        leclerc = "[1,2]+[-1,1]+[0,0]+[-2,-1]"
+        code, out, err = invoke(["check", "gls", leclerc, "--trials", str(MAX_TRIALS), "--format", "json"])
+        assert code == 0 and not err
+        data = json.loads(out)
+        assert data["verdict"] is False and data["trials"] == MAX_TRIALS
+        num, den = map(int, data["false_verdict_bound"].split("/"))
+        assert Fraction(num, den) == Fraction(4, MERSENNE61 - 1) ** MAX_TRIALS
 
     def test_bad_rho_is_2(self):
         code, _, _ = invoke(["derivative", "--rho", "a:b", "[0,1]"])
@@ -224,6 +258,25 @@ class TestExitCodes:
 
 
 class TestJson:
+    def test_bytes_independent_of_hash_seed(self):
+        # string hashes differ between processes; no output may depend on them
+        src = os.path.dirname(os.path.dirname(mseg.__file__))
+        commands = [
+            ["suite", "invariances", "--trials", "60", "--format", "json"],
+            ["check", "lc", "[1,2]+[0,1]+a:[1,2]+a:[0,1]+a:[2,3]",
+             "[0,1]+[1,2]+[2,3]+a:[0,0]+a:[1,2]", "--format", "json"],
+        ]
+        for argv in commands:
+            outs = set()
+            for hash_seed in ("0", "987654"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+                done = subprocess.run(
+                    [sys.executable, "-m", "mseg.cli", *argv],
+                    env=env, capture_output=True, check=True,
+                )
+                outs.add(done.stdout)
+            assert len(outs) == 1 and outs.pop()
+
     def test_schema_fields_in_order(self):
         _, out, _ = invoke(["check", "gls", "[1,2]+[0,1]", "--format", "json"])
         data = json.loads(out)

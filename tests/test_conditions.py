@@ -12,13 +12,11 @@ from mseg import conditions
 from mseg.cli import parse_mseg, run
 from mseg.conditions import (
     CoeffVector,
-    add_verdict_observer,
     check_gls,
     check_ig,
     check_lc,
     lc_matrix,
     li_for_good,
-    remove_verdict_observer,
 )
 from mseg.errors import NotApplicableError, SupportMismatchError
 from mseg.harness import GenParams, gen_ms
@@ -348,26 +346,6 @@ class TestVerdictMemo:
         cold = suite_json()
         assert conditions._decide.cache_info().currsize > 0
         assert suite_json() == cold
-
-    def test_observer_sees_every_call_hits_included(self):
-        m2 = M(S(0, 1), S(-1, 0))
-        seen = []
-
-        def observe(kind, inputs, verdict):
-            seen.append((kind, inputs, verdict))
-
-        conditions._decide.cache_clear()
-        add_verdict_observer(observe)
-        try:
-            made = []
-            for _ in range(3):
-                made.append(("gls", (LECLERC,), check_gls(LECLERC, CFG)))
-                made.append(("lc", (LECLERC, m2), check_lc(LECLERC, m2, CFG)))
-        finally:
-            remove_verdict_observer(observe)
-        assert conditions._decide.cache_info().hits == 4
-        assert seen == made
-        assert all(a[2] is b[2] for a, b in zip(seen, made))
 
     def test_threads_share_the_memo(self):
         # more threads than cores and more distinct checks than memo

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import mseg.harness
-from mseg.errors import NotApplicableError
 from mseg.harness import (
     CHECKS,
     SUITES,
@@ -153,6 +152,25 @@ class TestDeterminismAndReports:
         assert d["passed"] is True and d["violations"] == []
         assert isinstance(d["accumulated_bound"], str)
 
+    def test_invariance_hypothesis_counts(self):
+        # each guard of an invariance check decides how often the check runs;
+        # pinned at seed 0, so a changed guard shows here
+        rep = suite_invariances(GenParams(seed=0), CFG)
+        assert rep.details == {
+            "mw-involution": 200,
+            "mw-delta-minimal": 161,
+            "y-diagonal": 200,
+            "pairset-decomposition": 200,
+            "frontier-map": 40,
+            "best-matching-maximal": 161,
+            "matching-unmatched-equivalence": 161,
+            "derivative-soc-supp": 161,
+            "frontier-inequality": 104,
+            "gls-involution-invariance": 200,
+            "lc-dual-symmetry": 200,
+            "gls-implies-lc-self": 200,
+        }
+
     def test_bound_accumulates(self):
         rep = prop_mm_minus(P, CFG, instances=40)
         # instances with false verdicts contribute a positive, tiny bound
@@ -179,28 +197,51 @@ class TestReplay:
             replay_violation({"property": "nope", "inputs": {}}, CFG)
 
     def test_every_check_replays_its_violations(self, monkeypatch):
-        # flip the verdicts of a fixed fifth of the inputs, so that every
-        # check reports violations, then replay each record by itself
+        # flip the verdicts, and the outcomes of the checks that use no
+        # verdict, on a fixed fifth of the inputs, so that every check
+        # reports violations; then replay each record by itself
+        def flipped(*values):
+            return zlib.crc32(" ".join(str(v) for v in values).encode()) % 5 == 0
+
         def flipping(check):
             def fake(*args):
                 v = check(*args)
-                key = " ".join(str(m) for m in args[:-1])
-                if zlib.crc32(key.encode()) % 5 == 0:
+                if flipped(*args[:-1]):
                     return dataclasses.replace(v, holds=not v.holds)
                 return v
 
             return fake
 
+        def flipping_outcome(check):
+            def fake(cfg, **inputs):
+                outcome = check(cfg, **inputs)
+                if outcome is None or outcome[2] or not flipped(*inputs.values()):
+                    return outcome
+                held, detail, verdicts = outcome
+                return not held, detail, verdicts
+
+            return fake
+
         monkeypatch.setattr(mseg.harness, "check_gls", flipping(mseg.harness.check_gls))
         monkeypatch.setattr(mseg.harness, "check_lc", flipping(mseg.harness.check_lc))
+        for name, check in list(CHECKS.items()):
+            monkeypatch.setitem(CHECKS, name, flipping_outcome(check))
         gen = GenParams(seed=11)
         violations = [
             v for suite in SUITES.values() for v in suite(gen, CFG, instances=40).violations
         ]
+        assert len(CHECKS) == 21
         assert {v["property"] for v in violations} == set(CHECKS)
         assert all(replay_violation(v, CFG) for v in violations)
 
-    def test_structural_invariances_have_no_replay(self):
+    def test_held_identity_replays_false(self):
         record = _violation("invariances/mw-involution", {"m": "[0,1]"}, {}, Fraction(0))
-        with pytest.raises(NotApplicableError, match="invariances/mw-involution"):
-            replay_violation(record, CFG)
+        assert replay_violation(record, CFG) is False
+
+    def test_planted_involution_fault_is_reported_and_replays(self, monkeypatch):
+        # the plain dual is not the Moeglin-Waldspurger involution
+        monkeypatch.setattr(mseg.harness, "mw_dual", Multisegment.dual)
+        rep = suite_invariances(P, CFG, instances=40)
+        found = [v for v in rep.violations if v["property"] == "invariances/mw-involution"]
+        assert found and not rep.passed
+        assert all(replay_violation(v, CFG) for v in found)

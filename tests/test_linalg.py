@@ -273,3 +273,6 @@ class TestRankConfig:
         assert RankConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
         with pytest.raises(TooLargeError):
             RankConfig(trials=MAX_TRIALS + 1)
+        # a bound printed at the cap has a denominator dividing (p-1)^trials,
+        # within Python's default limit of 4,300 digits for every p < 2^64
+        assert len(str((2**64 - 2) ** MAX_TRIALS)) < 4300
