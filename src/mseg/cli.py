@@ -247,6 +247,7 @@ def _result(
 
 
 def _from_verdict(command: str, inputs: List[str], cfg: RankConfig, v: Verdict, outputs=None) -> dict:
+    # only a TRUE witness (coefficients) is printed; a FALSE prints null
     return _result(
         command,
         inputs,
@@ -255,7 +256,7 @@ def _from_verdict(command: str, inputs: List[str], cfg: RankConfig, v: Verdict, 
         certified=v.certified,
         trials=v.trials_run,
         bound=v.false_verdict_bound,
-        witness=v.witness,
+        witness=v.witness if v.holds else None,
         outputs=outputs,
     )
 

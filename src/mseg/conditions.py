@@ -2,11 +2,13 @@
 
 Each condition asks whether a family of coefficient-dependent row vectors is
 linearly independent for some choice of coefficients.  Since independence is
-an open condition, a single random evaluation of full rank proves it; failure
-across independent trials refutes it with an explicit Schwartz-Zippel style
-error bound.  Verdicts are therefore asymmetric: TRUE comes with a witness
-(optionally certified by an exact rational rank), FALSE with a probability
-bound.
+an open condition, a single random evaluation of full rank proves it.  TRUE
+therefore comes with a witness, optionally certified by an exact rational
+rank.  FALSE is proved when it can be cheaply: by pigeonhole (a line block
+with more rows than columns), or, once the first trial has failed, by
+structural rank (a Hall violator: rows of one block whose terms cover fewer
+columns than there are rows).  Otherwise failure across independent trials
+refutes it with an explicit Schwartz-Zippel style error bound.
 
 Rows are indexed by cross precedence pairs (an X set), columns by cross
 shifted precedence pairs (a Y set), both in canonical sorted pair order.
@@ -23,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
-from .linalg import RankConfig, Row, rank_exact, rank_mod_p, sample_coeffs
+from .linalg import RankConfig, Row, hall_violator, rank_exact, rank_mod_p, sample_coeffs
 from .segments import Multisegment
 from .zelevinsky import pairset_x, pairset_x_cross, pairset_y_cross
 
@@ -51,9 +53,14 @@ class Verdict:
 
     ``certified`` means the verdict does not rest on a random evaluation:
     either an exact rational rank confirmed the witness, or the falsity was
-    forced deterministically (pigeonhole).  ``false_verdict_bound`` bounds
-    the probability that a reported FALSE is wrong; it is 0 for TRUE and for
-    deterministic FALSE.
+    forced deterministically (pigeonhole or structural rank).
+    ``false_verdict_bound`` bounds the probability that a reported FALSE is
+    wrong; it is 0 for TRUE and for deterministic FALSE.
+
+    The witness of TRUE is the coefficient vector (GLS) or pair (LC).  The
+    witness of a structural FALSE is ``(block, rows)``: the index of a line
+    block and a set of its row indices whose terms cover fewer columns than
+    there are rows, a Hall violator.  Other FALSE verdicts carry None.
     """
 
     holds: bool
@@ -153,6 +160,20 @@ def _full_row_rank(blocks: List[List[Row]], p: Optional[int]) -> bool:
     return True
 
 
+def _structural_deficit(blocks: Tuple[Block, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The first block with a Hall violator and the violator's rows, or None.
+
+    Every entry of a symbolic block is one monomial, so a block whose rows
+    cannot be matched to distinct columns has no nonzero maximal minor for
+    any coefficients: its rank is deficient everywhere.
+    """
+    for index, (cols, rows) in enumerate(blocks):
+        hall = hall_violator([[term[0] for term in terms] for terms in rows], cols)
+        if hall is not None:
+            return index, hall
+    return None
+
+
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
 # many times: of the 13,029 checks of `mseg suite all` at seed 0, 7,784
 # repeat an earlier one.  An LRU memo of 16 entries catches 5,732 of those
@@ -167,7 +188,12 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     With ``shared`` (and m2 = m) one stream-0 vector stands on both sides and
     is itself the witness; otherwise the sides draw from streams 0 and 1 and
     the witness is the pair.  Deterministic shortcuts: no rows is trivially
-    independent; a line block with more rows than columns never is.
+    independent; a line block with more rows than columns never is (checked
+    before any trial).  When trial 1 fails, every block is tested for a
+    Hall violator before trial 2: one proves FALSE after that single trial,
+    with the violator as witness.  Blocks whose rows can be matched to
+    distinct columns (TRUE, or FALSE only through cancelling terms) go on
+    to the remaining trials.
     """
     x1 = _sorted_x(m)
     x2 = x1 if shared else _sorted_x(m2)
@@ -190,6 +216,10 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
         if _full_row_rank(mat, cfg.prime):
             certified = cfg.certify and _full_row_rank(mat, None)
             return Verdict(True, certified, witness(lam, lam2), t, Fraction(0))
+        if t == 1:
+            hall = _structural_deficit(blocks)
+            if hall is not None:
+                return Verdict(False, True, hall, 1, Fraction(0))
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.

@@ -12,10 +12,12 @@ proposition statements, run through one driver, and the ``invariances/``
 identities, run by the invariance bundle.  ``replay_violation`` re-runs any
 recorded violation through the same table.
 
-Verdicts of the condition checks are treated as ground truth; since FALSE
-verdicts are probabilistic, every report carries the accumulated error
-bound (the union bound, capped at 1), and each violation is flagged as
-possibly spurious when its evidence includes a probabilistic FALSE.
+Verdicts of the condition checks are treated as ground truth.  A FALSE
+verdict is certified when pigeonhole or a Hall violator (structural rank,
+found after the first failed trial) proves it, and probabilistic otherwise;
+so every report carries the accumulated error bound (the union bound, capped
+at 1), and each violation is flagged as possibly spurious when its evidence
+includes a probabilistic FALSE.
 """
 
 from __future__ import annotations

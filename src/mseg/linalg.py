@@ -7,6 +7,9 @@ row; absent columns are zero and column numbers only need to be comparable.
 * :func:`rank_exact` -- sparse elimination over arbitrary-precision integers
   (shortest row first, every row kept primitive), used to certify witnesses
   exactly.
+* :func:`hall_violator` -- structural (term) rank: whether the rows can be
+  matched to distinct columns of their pattern, and a Hall violator when
+  they cannot.
 
 Coefficient sampling is a fixed, documented 64-bit mixing generator
 (splitmix64 finalizer chain) so verdicts reproduce across platforms:
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
 
@@ -180,6 +183,54 @@ def rank_exact(rows: List[Row]) -> int:
             kept.append(row)
         live = kept
     return rank
+
+
+def hall_violator(rows: Sequence[Iterable[int]], ncols: int) -> Optional[Tuple[int, ...]]:
+    """None when the rows can be matched to distinct columns, else a Hall
+    violator: row indices R whose columns N(R) number fewer than R.
+
+    Each row lists the columns of its pattern, numbered from 0 to ncols - 1.
+    Rows are matched in order, each by a breadth-first augmenting-path
+    search (no recursion, so large blocks need no raised recursion limit).
+    When the search from a row reaches no free column, the rows it reached
+    are returned: their columns are exactly the columns reached, each
+    matched to one of those rows other than the start, so |N(R)| = |R| - 1.
+    No matching then covers every row, every maximal minor of a matrix with
+    this pattern has an empty Leibniz expansion, and the rows are dependent
+    whatever the entries (Edmonds 1967; Hall's theorem).
+
+    The search state is kept in lists indexed by column and shared by all
+    searches: a per-search table raised the peak memory of a 382-row block.
+    """
+    owner = [-1] * ncols  # column -> the row matched to it, -1 when free
+    matched = [-1] * len(rows)  # row -> its column
+    search = [-1] * ncols  # column -> the last search that reached it
+    via = [0] * ncols  # column -> the row that search reached it from
+    for start in range(len(rows)):
+        reached = [start]
+        free = -1
+        for u in reached:  # the list grows while it is walked: a queue
+            for c in rows[u]:
+                if search[c] == start:
+                    continue
+                search[c] = start
+                via[c] = u
+                if owner[c] < 0:
+                    free = c
+                    break
+                reached.append(owner[c])
+            if free >= 0:
+                break
+        if free < 0:
+            return tuple(sorted(reached))
+        c = free
+        while c >= 0:  # flip the path back to the start, which was unmatched
+            u = via[c]
+            prev = matched[u]
+            owner[c] = u
+            matched[u] = c
+            c = prev
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ segments beginning one step to its right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import (
@@ -125,6 +126,11 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
     return delta, Multisegment(tuple(reduced))
 
 
+# The invariance suite asks for the dual of one m in several checks; the
+# result is immutable, so callers may share it.  At `mseg suite all` seed 0,
+# 8 entries catch 444 of the 761 calls and 64 entries 479, but 64 raised the
+# suite's peak RSS by about 0.15 MB with the cache below.
+@lru_cache(maxsize=8)
 def mw_dual(m: Multisegment) -> Multisegment:
     """The Moeglin-Waldspurger involution, by repeated end-chain stripping.
 
@@ -240,6 +246,10 @@ def make_matching(
     return Matching(pairs, y - frozenset(dom), x - frozenset(img))
 
 
+# Two invariance checks ask for the matching of one (m, rho); a Matching
+# is immutable, so callers may share it.  At `mseg suite all` seed 0, 8
+# entries catch 738 of the 1,754 calls and 64 entries 803.
+@lru_cache(maxsize=8)
 def best_matching(m: Multisegment, rho: CuspidalPoint) -> Matching:
     """The greedy crossing-free maximal matching.
 

@@ -129,6 +129,23 @@ class TestSubcommands:
         code, out, _ = invoke(["check", "lc", "[0,0]", "[1,1]"])
         assert code == 0 and "verdict: false" in out
 
+    def test_false_witness_null(self):
+        # structural (Hall violator after one trial), pigeonhole and
+        # probabilistic FALSE all print a null witness
+        cases = {
+            ("lc", "[1,3]+[0,1]+[0,0]", "[1,3]"): (True, 1, "0/1"),
+            ("lc", "[0,0]", "[1,1]"): (True, 0, "0/1"),
+            ("gls", "[1,2]+[-1,1]+[0,0]+[-2,-1]"): (False, 8, None),
+        }
+        for argv, (certified, trials, bound) in cases.items():
+            _, out, _ = invoke(["check", *argv, "--format", "json"])
+            data = json.loads(out)
+            assert data["verdict"] is False and data["witness"] is None
+            assert data["certified"] is certified and data["trials"] == trials
+            assert bound is None or data["false_verdict_bound"] == bound
+        _, out, _ = invoke(["check", "lc", "[1,3]+[0,1]+[0,0]", "[1,3]"])
+        assert "certified: true\ntrials: 1\nfalse_verdict_bound: 0/1" in out
+
     def test_check_ig_outputs(self):
         code, out, _ = invoke(["check", "ig", "[0,0]", "[1,1]", "--format", "json"])
         data = json.loads(out)

@@ -1,10 +1,12 @@
 """Condition matrices and the randomized verdict protocol."""
 
 import io
+import json
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -172,7 +174,9 @@ class TestCheckGls:
         # coefficients are drawn from [1, p-1], so each trial misses with
         # probability at most |X|/(p-1)
         assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
-        assert not v.certified and v.witness is None
+        # its one block is structurally full (rank 3 by cancelling terms),
+        # so every trial runs and the FALSE stays probabilistic
+        assert not v.certified and v.witness is None and v.trials_run == CFG.trials
 
     def test_bound_at_most_one(self):
         # at p = 2 every coefficient is 1 and |X| = 8 > p - 1: the bound is
@@ -248,6 +252,68 @@ class TestCheckLc:
             m = random_ms(rng, 4)
             if check_gls(m, CFG).holds:
                 assert check_lc(m, m, CFG).holds
+
+
+LARGE = Path(__file__).resolve().parents[1] / "msegbench" / "large.json"
+
+
+def is_hall_violator(m, m2, witness):
+    """The witness (block, rows) names rows of that symbolic block of
+    LC(m, m2) whose terms lie in fewer columns than there are rows."""
+    block, rows = witness
+    _, terms = conditions._symbolic_blocks(m, m2)[block]
+    return len({term[0] for r in rows for term in terms[r]}) < len(rows)
+
+
+class TestStructuralFalse:
+    """FALSE certified by a Hall violator once trial 1 has failed."""
+
+    def test_same_verdicts_as_the_trials_alone(self, monkeypatch):
+        # 300 one- and two-line instances each for GLS and LC, against the
+        # protocol with the structural step disabled: every trial, as before
+        cases = []
+        for lines in (1, 2):
+            gen = GenParams(max_segments=8, coord_range=3, lines=lines, seed=10 + lines)
+            for index in range(150):
+                m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
+                cases += [(check_gls, (m,), (m, m)), (check_lc, (m, m2), (m, m2))]
+
+        def verdicts():
+            conditions._decide.cache_clear()
+            return [check(*args, CFG) for check, args, _ in cases]
+
+        new = verdicts()
+        with monkeypatch.context() as patched:
+            patched.setattr(conditions, "hall_violator", lambda rows, ncols: None)
+            old = verdicts()
+        conditions._decide.cache_clear()
+        structural = 0
+        for (_, _, pair), v, ref in zip(cases, new, old):
+            assert v.holds == ref.holds
+            if v.holds or not v.certified or v.trials_run == 0:
+                assert v == ref  # TRUE, pigeonhole and structurally full FALSE
+                continue
+            structural += 1
+            assert v.trials_run == 1 and v.false_verdict_bound == 0
+            assert not ref.certified and ref.trials_run == CFG.trials
+            assert is_hall_violator(*pair, v.witness)
+        assert structural >= 50
+
+    def test_large_benchmark_falses_certified(self):
+        trials = []
+        for instances in json.loads(LARGE.read_text()).values():
+            for inst in instances:
+                ms = [parse_mseg(text) for text in inst["inputs"]]
+                v = (check_gls if inst["kind"] == "gls" else check_lc)(*ms, CFG)
+                assert v.holds == inst["holds"]
+                if v.holds:
+                    continue
+                assert v.certified and v.false_verdict_bound == 0
+                trials.append(v.trials_run)
+                if v.trials_run:
+                    assert is_hall_violator(ms[0], ms[-1], v.witness)
+        # one lc_n64 pair is FALSE by pigeonhole, before any trial
+        assert sorted(trials) == [0, 1, 1, 1, 1, 1, 1]
 
 
 class TestCheckIg:

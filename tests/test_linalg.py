@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from mseg.linalg import (
     MAX_TRIALS,
     MERSENNE61,
     RankConfig,
+    hall_violator,
     rank_exact,
     rank_mod_p,
     sample_coeffs,
@@ -228,6 +230,80 @@ class TestSparseRows:
         rank_mod_p(rows, 97)
         rank_exact(rows)
         assert rows == before
+
+
+def neighbours(rows, subset):
+    return set().union(*(rows[r] for r in subset))
+
+
+def hall_deficiency(rows):
+    """max(0, max over row sets S of |S| - |N(S)|), by trying every S: the
+    number of rows no matching can cover (Koenig-Ore), so 0 exactly when a
+    matching covers every row (Hall's theorem)."""
+    return max(
+        [0]
+        + [
+            k - len(neighbours(rows, subset))
+            for k in range(1, len(rows) + 1)
+            for subset in combinations(range(len(rows)), k)
+        ]
+    )
+
+
+@st.composite
+def planted_patterns(draw):
+    """0-8 rows of column sets in [0, 8); sometimes a planted Hall violator:
+    a set of rows whose columns all lie in fewer columns than it has rows."""
+    ncols = draw(st.integers(0, 8))
+    cols = st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols)
+    rows = draw(st.lists(cols, max_size=8))
+    if rows and draw(st.booleans()):
+        planted = draw(st.sets(st.sampled_from(range(len(rows))), min_size=1))
+        room = draw(st.sets(st.integers(0, 7), max_size=len(planted) - 1))
+        for r in planted:
+            rows[r] = {c for c in rows[r] if c in room}
+    return rows
+
+
+class TestHallViolator:
+    def test_examples(self):
+        assert hall_violator([], 0) is None
+        assert hall_violator([[0, 1], [0]], 2) is None  # needs one augmenting step
+        assert hall_violator([[0], [0]], 1) == (0, 1)
+        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]], 3) == (0, 1, 2, 3)
+        assert hall_violator([[5], []], 6) == (1,)
+
+    def test_long_augmenting_paths_without_recursion(self):
+        # row k holds columns k and k+1 and takes column k; a final row [0]
+        # then shifts all 2,000 rows along one path, deeper than the default
+        # recursion limit.  Row 2,000 now holds column 0, so a second [0]
+        # row is blocked by it alone
+        chain = [[k, k + 1] for k in range(2000)] + [[0]]
+        assert hall_violator(chain, 2001) is None
+        assert hall_violator(chain + [[0]], 2001) == (2000, 2001)
+
+    @settings(deadline=None, max_examples=300)
+    @given(planted_patterns())
+    def test_violator_exactly_when_no_covering_matching(self, rows):
+        found = hall_violator(rows, 9)
+        deficiency = hall_deficiency(rows)
+        assert (found is None) == (deficiency == 0)
+        if found is None:
+            return
+        assert len(neighbours(rows, found)) < len(found)
+        # a violator makes every matrix with this pattern rank deficient
+        entries = random.Random(len(rows))
+        matrix = [{c: entries.randint(1, 9) for c in row} for row in rows]
+        assert rank_exact(matrix) < len(rows)
+        # one entry at a new column, in a row of the violator, covers it
+        fresh = 8  # planted_patterns draws columns from 0 to 7
+        covered = [set(row) for row in rows]
+        covered[found[-1]].add(fresh)
+        assert len(neighbours(covered, found)) >= len(found)
+        again = hall_violator(covered, 9)
+        assert again != found
+        if deficiency == 1:
+            assert again is None
 
 
 class TestSampler:
