@@ -24,8 +24,8 @@ from .conditions import (
     CoeffVector,
     Verdict,
     check_gls,
+    check_ig,
     check_lc,
-    combine_ig,
     li_for_good,
     union_bound,
 )
@@ -360,9 +360,7 @@ def _run_check(args, cfg: RankConfig) -> dict:
     if cond == "lc":
         return _from_verdict("check lc", inputs, cfg, check_lc(msegs[0], msegs[1], cfg))
     if cond == "ig":
-        fwd = check_lc(msegs[0], msegs[1], cfg)
-        rev = check_lc(msegs[1], msegs[0], cfg)
-        v = combine_ig(fwd, rev)
+        v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
         outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
         res = _from_verdict("check ig", inputs, cfg, v, outputs)
         res["witness"] = None

@@ -106,10 +106,11 @@ def _symbolic_blocks(m: Multisegment, m2: Multisegment) -> Tuple[Block, ...]:
     rows and columns follow sorted pair order, columns numbered from 0 per
     line.  Lines with columns but no rows are left out.
     """
+    segs = m.segs
     col: Dict[Tuple[int, int], int] = {}
     width: Dict[str, int] = {}
     for pair in _sorted_y_cross(m, m2):
-        line = m.seg(pair[0]).line
+        line = segs[pair[0] - 1].line
         col[pair] = width.get(line, 0)
         width[line] = col[pair] + 1
     into: Dict[int, List[Tuple[int, int]]] = {}  # j -> the pairs (s, j) of X(m2)
@@ -122,7 +123,7 @@ def _symbolic_blocks(m: Multisegment, m2: Multisegment) -> Tuple[Block, ...]:
     for i, j in _sorted_x_cross(m, m2):
         terms = [(col[i, key[0]], 1, key, 1) for key in into.get(j, ()) if (i, key[0]) in col]
         terms += [(col[key[1], j], 0, key, -1) for key in out.get(i, ()) if (key[1], j) in col]
-        rows.setdefault(m.seg(i).line, []).append(tuple(terms))
+        rows.setdefault(segs[i - 1].line, []).append(tuple(terms))
     return tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
 
 
@@ -248,23 +249,25 @@ def union_bound(bounds: Iterable[Fraction]) -> Fraction:
     return min(Fraction(1), sum(bounds, Fraction(0)))
 
 
-def combine_ig(fwd: Verdict, rev: Verdict) -> Verdict:
-    """Combine the two LC verdicts of a pair into the IG verdict."""
+def check_ig(
+    m: Multisegment, m2: Multisegment, cfg: RankConfig = RankConfig()
+) -> Tuple[Verdict, Verdict, Verdict]:
+    """IG(m, m2): the conjunction of LC both ways; bounds add, capped at 1.
+
+    Returns the IG verdict with the two LC verdicts it combines:
+    ``(IG(m, m2), LC(m, m2), LC(m2, m))``.  The IG witness is the pair of
+    LC witnesses when both hold, else None.
+    """
+    fwd, rev = check_lc(m, m2, cfg), check_lc(m2, m, cfg)
     holds = fwd.holds and rev.holds
-    return Verdict(
+    ig = Verdict(
         holds,
         fwd.certified and rev.certified,
         (fwd.witness, rev.witness) if holds else None,
         fwd.trials_run + rev.trials_run,
         union_bound((fwd.false_verdict_bound, rev.false_verdict_bound)),
     )
-
-
-def check_ig(
-    m: Multisegment, m2: Multisegment, cfg: RankConfig = RankConfig()
-) -> Verdict:
-    """IG(m, m2): the conjunction of LC both ways; bounds add, capped at 1."""
-    return combine_ig(check_lc(m, m2, cfg), check_lc(m2, m, cfg))
+    return ig, fwd, rev
 
 
 def li_for_good(

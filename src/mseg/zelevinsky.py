@@ -6,13 +6,19 @@ Everything here works with the 1-based canonical indices fixed by
 indexed segments; the involution repeatedly strips the chain of ends found
 by the leading-index scan; matchings pair segments beginning at a point with
 segments beginning one step to its right.
+
+The kernels walk the canonical segment tuple ``m.segs`` once, numbering it
+as they go, instead of looking segments up by index.  The involution strips
+plain re-sorted lists and builds one multisegment at the end, and the
+matching oracle computes the rho index sets once per call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import (
     EmptyMultisegmentError,
@@ -50,18 +56,18 @@ def pairset_x_cross(m: Multisegment, m2: Multisegment) -> Pairs:
     """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding seg_j."""
     return frozenset(
         (i, j)
-        for i in range(1, len(m) + 1)
-        for j in range(1, len(m2) + 1)
-        if precedes(m.seg(i), m2.seg(j))
+        for i, d in enumerate(m.segs, 1)
+        for j, d2 in enumerate(m2.segs, 1)
+        if precedes(d, d2)
     )
 
 
 def pairset_y_cross(m: Multisegment, m2: Multisegment) -> Pairs:
     return frozenset(
         (i, j)
-        for i in range(1, len(m) + 1)
-        for j in range(1, len(m2) + 1)
-        if _shifted_precedes(m.seg(i), m2.seg(j))
+        for i, d in enumerate(m.segs, 1)
+        for j, d2 in enumerate(m2.segs, 1)
+        if _shifted_precedes(d, d2)
     )
 
 
@@ -70,37 +76,51 @@ def pairset_y_cross(m: Multisegment, m2: Multisegment) -> Pairs:
 # ---------------------------------------------------------------------------
 
 
+def _chain(segs) -> List[int]:
+    """0-based positions of the leading chain of canonically ordered segments.
+
+    One forward walk from position 0: every chain segment sorts below its
+    predecessor, and the candidates for the next one (same line, end one
+    step earlier) follow it contiguously, so the walk stops at the first
+    segment on another line or ending further down.
+    """
+    if not segs:
+        raise EmptyMultisegmentError("leading indices need a nonzero multisegment")
+    chain = [0]
+    cur = segs[0]
+    for k in range(1, len(segs)):
+        s = segs[k]
+        if s.line != cur.line or s.e < cur.e - 1:
+            break
+        if s.e == cur.e - 1 and precedes(s, cur):
+            chain.append(k)
+            cur = s
+    return chain
+
+
+def _strip(segs) -> Tuple[Segment, List[Segment]]:
+    """One involution step on canonically ordered segments: the stripped
+    segment and the remaining segments, not re-sorted."""
+    chain = _chain(segs)
+    first, last = segs[chain[0]], segs[chain[-1]]
+    rest = list(segs)
+    for k in chain:
+        rest[k] = segs[k].drop_last()
+    return Segment(first.line, last.e, first.e), [s for s in rest if s is not None]
+
+
 def leading_indices(m: Multisegment) -> List[int]:
     """The chain of indices stripped by one involution step.
 
     The first index carries the maximal end; each next one precedes the
     current segment and ends exactly one step earlier, maximal in the total
     order among candidates.  Ties between equal segments go to the smallest
-    canonical index.  The canonical descending order makes both maximality
-    rules a first-match scan.
+    canonical index.  The chain always starts at index 1: the canonical
+    order is descending in (line, end, begin), so the first segment lies on
+    the largest line with the largest end there, which is the maximal end.
+    The same descending order makes the next-link rule a first-match scan.
     """
-    if not m:
-        raise EmptyMultisegmentError("leading indices need a nonzero multisegment")
-    top = m.max_end()
-    chain: List[int] = []
-    cur: Optional[Segment] = None
-    for i in range(1, len(m) + 1):
-        if m.seg(i).end_point() == top:
-            chain.append(i)
-            cur = m.seg(i)
-            break
-    assert cur is not None
-    while True:
-        nxt = None
-        for i in range(1, len(m) + 1):
-            s = m.seg(i)
-            if s.line == cur.line and s.e == cur.e - 1 and precedes(s, cur):
-                nxt = i
-                break
-        if nxt is None:
-            return chain
-        chain.append(nxt)
-        cur = m.seg(nxt)
+    return [k + 1 for k in _chain(m.segs)]
 
 
 def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
@@ -110,20 +130,8 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
     reduction right-truncates exactly the chain segments, discarding any
     that empty.  Point multiplicities are preserved between the two parts.
     """
-    chain = leading_indices(m)
-    ends = [m.seg(i).e for i in chain]
-    line = m.seg(chain[0]).line
-    delta = Segment(line, min(ends), max(ends))
-    chain_set = set(chain)
-    reduced: List[Segment] = []
-    for i in range(1, len(m) + 1):
-        if i in chain_set:
-            t = m.seg(i).drop_last()
-            if t is not None:
-                reduced.append(t)
-        else:
-            reduced.append(m.seg(i))
-    return delta, Multisegment(tuple(reduced))
+    delta, rest = _strip(m.segs)
+    return delta, Multisegment(tuple(rest))
 
 
 # The invariance suite asks for the dual of one m in several checks; the
@@ -136,13 +144,15 @@ def mw_dual(m: Multisegment) -> Multisegment:
 
     Lines are processed independently and the results summed; all chain
     conditions are intra-line so this agrees with stripping the global
-    maximum first.
+    maximum first.  Each line is stripped on a plain list, re-sorted into
+    canonical order after every step.
     """
     out: List[Segment] = []
     for line in m.lines():
-        sub = m.restrict_line(line)
+        sub = [s for s in m.segs if s.line == line]
         while sub:
-            delta, sub = mw_step(sub)
+            delta, sub = _strip(sub)
+            sub.sort(key=Segment.sort_key, reverse=True)
             out.append(delta)
     return Multisegment(tuple(out))
 
@@ -180,11 +190,11 @@ def mw_frontier(
     yt = set()
     f: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for pos, idx in enumerate(chain):
-        end = m2.seg(idx).e
-        for i in range(1, len(m) + 1):
-            if (i, idx) in x_cross and m.seg(i).e == end - 1:
+        end = m2.segs[idx - 1].e
+        for i, d in enumerate(m.segs, 1):
+            if (i, idx) in x_cross and d.e == end - 1:
                 xt.add((i, idx))
-            if pos >= 1 and (i, idx) in y_cross and m.seg(i).e == end:
+            if pos >= 1 and (i, idx) in y_cross and d.e == end:
                 yt.add((i, idx))
                 f[(i, idx)] = (i, chain[pos - 1])
     return frozenset(xt), frozenset(yt), f
@@ -197,20 +207,18 @@ def mw_frontier(
 
 def rho_sets(m: Multisegment, rho: CuspidalPoint) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """Indices beginning one past rho (x side) and at rho (y side)."""
-    x = frozenset(
-        i
-        for i in range(1, len(m) + 1)
-        if m.seg(i).line == rho.line and m.seg(i).b == rho.pos + 1
-    )
-    y = frozenset(
-        i
-        for i in range(1, len(m) + 1)
-        if m.seg(i).line == rho.line and m.seg(i).b == rho.pos
-    )
-    return x, y
+    x: List[int] = []
+    y: List[int] = []
+    for i, s in enumerate(m.segs, 1):
+        if s.line == rho.line:
+            if s.b == rho.pos + 1:
+                x.append(i)
+            elif s.b == rho.pos:
+                y.append(i)
+    return frozenset(x), frozenset(y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """A partial bijection from y-side to x-side indices along precedence.
 
@@ -228,22 +236,53 @@ class Matching:
         return {j: i for i, j in self.pairs}
 
 
+def _validated(m: Multisegment, x: FrozenSet[int], y: FrozenSet[int], pairs) -> Matching:
+    """Validate pairs against the rho sets (x, y) of m and build the matching."""
+    pairs = frozenset(pairs)
+    dom = {i for i, _ in pairs}
+    img = {j for _, j in pairs}
+    if len(dom) != len(pairs) or len(img) != len(pairs):
+        raise InvalidMatchingError("relation is not one-to-one")
+    segs = m.segs
+    for i, j in pairs:
+        if i not in y or j not in x:
+            raise InvalidMatchingError(f"pair ({i},{j}) outside the index sets")
+        if not precedes(segs[i - 1], segs[j - 1]):
+            raise InvalidMatchingError(f"pair ({i},{j}) violates precedence")
+    return Matching(pairs, y - dom, x - img)
+
+
+def _is_maximal(m: Multisegment, x: FrozenSet[int], y: FrozenSet[int], r: Matching) -> bool:
+    """Maximality of a validated matching r against the rho sets (x, y) of m."""
+    segs = m.segs
+    fwd = r.forward()
+    bwd = r.backward()
+    for i in y:
+        d = segs[i - 1]
+        for j in x:
+            d2 = segs[j - 1]
+            if not precedes(d, d2):
+                continue
+            if i in fwd and j in bwd:
+                continue
+            if i in fwd and j not in bwd:
+                if d2 >= segs[fwd[i] - 1]:
+                    continue
+                return False
+            if i not in fwd and j in bwd:
+                if d <= segs[bwd[j] - 1]:
+                    continue
+                return False
+            return False
+    return True
+
+
 def make_matching(
     m: Multisegment, rho: CuspidalPoint, pairs
 ) -> Matching:
     """Validate and build a matching for (m, rho), caching unmatched sets."""
     x, y = rho_sets(m, rho)
-    pairs = frozenset(pairs)
-    dom = [i for i, _ in pairs]
-    img = [j for _, j in pairs]
-    if len(set(dom)) != len(pairs) or len(set(img)) != len(pairs):
-        raise InvalidMatchingError("relation is not one-to-one")
-    for i, j in pairs:
-        if i not in y or j not in x:
-            raise InvalidMatchingError(f"pair ({i},{j}) outside the index sets")
-        if not precedes(m.seg(i), m.seg(j)):
-            raise InvalidMatchingError(f"pair ({i},{j}) violates precedence")
-    return Matching(pairs, y - frozenset(dom), x - frozenset(img))
+    return _validated(m, x, y, pairs)
 
 
 # Two invariance checks ask for the matching of one (m, rho); a Matching
@@ -260,66 +299,51 @@ def best_matching(m: Multisegment, rho: CuspidalPoint) -> Matching:
     validates both claims on small instances.
     """
     x, y = rho_sets(m, rho)
-    xs = sorted(x, key=lambda j: (m.seg(j).sort_key(), j))
+    segs = m.segs
+    xs = sorted(x, key=lambda j: (segs[j - 1].sort_key(), j))
     unmatched = set(y)
     pairs = []
     for j in xs:
-        cands = [i for i in unmatched if precedes(m.seg(i), m.seg(j))]
+        cands = [i for i in unmatched if precedes(segs[i - 1], segs[j - 1])]
         if not cands:
             continue
-        best = max(cands, key=lambda i: (m.seg(i).sort_key(), -i))
+        best = max(cands, key=lambda i: (segs[i - 1].sort_key(), -i))
         pairs.append((best, j))
         unmatched.discard(best)
-    return make_matching(m, rho, pairs)
+    return _validated(m, x, y, pairs)
 
 
 def is_maximal_matching(m: Multisegment, rho: CuspidalPoint, r: Matching) -> bool:
     """Maximality test: every linked (y, x) pair must be fully matched, or
     blocked on the matched side by a partner at least as good."""
     x, y = rho_sets(m, rho)
-    r = make_matching(m, rho, r.pairs)
-    fwd = r.forward()
-    bwd = r.backward()
-    for i in y:
-        for j in x:
-            if not precedes(m.seg(i), m.seg(j)):
-                continue
-            if i in fwd and j in bwd:
-                continue
-            if i in fwd and j not in bwd:
-                if m.seg(j) >= m.seg(fwd[i]):
-                    continue
-                return False
-            if i not in fwd and j in bwd:
-                if m.seg(i) <= m.seg(bwd[j]):
-                    continue
-                return False
-            return False
-    return True
+    return _is_maximal(m, x, y, _validated(m, x, y, r.pairs))
 
 
 def enumerate_maximal_matchings(m: Multisegment, rho: CuspidalPoint) -> List[Matching]:
     """All maximal matchings, by exhaustive search; a test oracle.
 
     Also the ground truth for the claim that unmatched sets agree across
-    maximal matchings up to segment values.
+    maximal matchings up to segment values.  Every leaf goes through the
+    same validation and maximality test as :func:`is_maximal_matching`.
     """
     x, y = rho_sets(m, rho)
     if len(x) + len(y) > 12:
         raise TooLargeError("enumeration oracle capped at 12 indices")
+    segs = m.segs
     xs = sorted(x)
     results: List[Matching] = []
 
     def extend(k: int, used: FrozenSet[int], pairs: Tuple[Tuple[int, int], ...]):
         if k == len(xs):
-            cand = make_matching(m, rho, pairs)
-            if is_maximal_matching(m, rho, cand):
+            cand = _validated(m, x, y, pairs)
+            if _is_maximal(m, x, y, cand):
                 results.append(cand)
             return
         j = xs[k]
         extend(k + 1, used, pairs)
         for i in sorted(y - used):
-            if precedes(m.seg(i), m.seg(j)):
+            if precedes(segs[i - 1], segs[j - 1]):
                 extend(k + 1, used | {i}, pairs + ((i, j),))
 
     extend(0, frozenset(), ())
@@ -328,9 +352,8 @@ def enumerate_maximal_matchings(m: Multisegment, rho: CuspidalPoint) -> List[Mat
 
 def matching_equivalent(m: Multisegment, a: FrozenSet[int], b: FrozenSet[int]) -> bool:
     """Index sets are equivalent when they carry the same segment multiset."""
-    from collections import Counter
-
-    return Counter(m.seg(i) for i in a) == Counter(m.seg(i) for i in b)
+    segs = m.segs
+    return Counter(segs[i - 1] for i in a) == Counter(segs[i - 1] for i in b)
 
 
 @dataclass(frozen=True)
@@ -351,13 +374,13 @@ def derivative(m: Multisegment, rho: CuspidalPoint) -> DerivativeResult:
     """
     r = best_matching(m, rho)
     derived: List[Segment] = []
-    for i in range(1, len(m) + 1):
+    for i, s in enumerate(m.segs, 1):
         if i in r.a_set:
-            t = m.seg(i).drop_first()
+            t = s.drop_first()
             if t is not None:
                 derived.append(t)
         else:
-            derived.append(m.seg(i))
+            derived.append(s)
     return DerivativeResult(len(r.a_set), Multisegment(tuple(derived)), r.a_set, r.b_set)
 
 
@@ -371,8 +394,8 @@ def soc_cuspidal(m: Multisegment, rho: CuspidalPoint) -> Multisegment:
     r = best_matching(m, rho)
     if not r.b_set:
         return m + Multisegment((Segment(rho.line, rho.pos, rho.pos),))
-    i0 = max(r.b_set, key=lambda i: (m.seg(i).sort_key(), -i))
     segs = list(m.segs)
+    i0 = max(r.b_set, key=lambda i: (segs[i - 1].sort_key(), -i))
     segs[i0 - 1] = segs[i0 - 1].extend_left()
     return Multisegment(tuple(segs))
 

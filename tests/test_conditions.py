@@ -318,20 +318,19 @@ class TestStructuralFalse:
 
 class TestCheckIg:
     def test_examples(self):
-        assert check_ig(M(S(0, 0)), M(S(1, 1)), CFG).holds is False
-        assert check_ig(M(S(1, 2)), M(S(5, 6)), CFG).holds is True
+        assert check_ig(M(S(0, 0)), M(S(1, 1)), CFG)[0].holds is False
+        assert check_ig(M(S(1, 2)), M(S(5, 6)), CFG)[0].holds is True
 
     def test_is_conjunction(self):
         rng = random.Random(23)
         for _ in range(40):
             m, m2 = random_ms(rng, 4), random_ms(rng, 4)
-            both = check_lc(m, m2, CFG).holds and check_lc(m2, m, CFG).holds
-            assert check_ig(m, m2, CFG).holds == both
+            v, fwd, rev = check_ig(m, m2, CFG)
+            assert fwd == check_lc(m, m2, CFG) and rev == check_lc(m2, m, CFG)
+            assert v.holds == (fwd.holds and rev.holds)
 
     def test_bounds_add(self):
-        v = check_ig(M(S(0, 0)), M(S(1, 1)), CFG)
-        fwd = check_lc(M(S(0, 0)), M(S(1, 1)), CFG)
-        rev = check_lc(M(S(1, 1)), M(S(0, 0)), CFG)
+        v, fwd, rev = check_ig(M(S(0, 0)), M(S(1, 1)), CFG)
         assert v.false_verdict_bound == fwd.false_verdict_bound + rev.false_verdict_bound
         assert v.trials_run == fwd.trials_run + rev.trials_run
 
@@ -341,7 +340,7 @@ class TestCheckIg:
         cfg = RankConfig(prime=2, trials=1)
         lc = check_lc(LECLERC, LECLERC, cfg)
         assert lc.holds is False and lc.false_verdict_bound == 1
-        v = check_ig(LECLERC, LECLERC, cfg)
+        v, _, _ = check_ig(LECLERC, LECLERC, cfg)
         assert v.holds is False and v.false_verdict_bound == 1
 
 

@@ -1,9 +1,11 @@
 """Pair sets, the involution, frontiers, matchings and derivatives."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mseg.errors import (
     EmptyMultisegmentError,
@@ -13,6 +15,7 @@ from mseg.errors import (
 )
 from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
 from mseg.zelevinsky import (
+    Matching,
     best_matching,
     derivative,
     enumerate_maximal_matchings,
@@ -282,6 +285,14 @@ class TestMatching:
         with pytest.raises(InvalidMatchingError):
             make_matching(big, RHO, [(3, 1), (3, 2)])  # not one-to-one
 
+    def test_frozen_and_slotted(self):
+        r = best_matching(M(S(0, 1), S(1, 2)), RHO)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.pairs = frozenset()
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(r, "extra", 1)
+
     def test_enumeration_examples(self):
         assert len(enumerate_maximal_matchings(M(S(0, 1), S(1, 2)), RHO)) == 1
         only = enumerate_maximal_matchings(M(S(0, 1), S(0, 2)), RHO)
@@ -364,3 +375,233 @@ class TestRhoFrontier:
             done += 1
             xt, yt = rho_frontier(m, m2, rho)
             assert len(xt) >= len(yt)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the segment-walking kernels against index-loop
+# references that look every segment up by its 1-based position
+# ---------------------------------------------------------------------------
+
+
+def ref_pairset_x_cross(m, m2):
+    return frozenset(
+        (i, j)
+        for i in range(1, len(m) + 1)
+        for j in range(1, len(m2) + 1)
+        if precedes(m.seg(i), m2.seg(j))
+    )
+
+
+def ref_pairset_y_cross(m, m2):
+    def shifted(d, d2):
+        return d.line == d2.line and d.b <= d2.b <= d.e <= d2.e
+
+    return frozenset(
+        (i, j)
+        for i in range(1, len(m) + 1)
+        for j in range(1, len(m2) + 1)
+        if shifted(m.seg(i), m2.seg(j))
+    )
+
+
+def ref_rho_sets(m, rho):
+    x = frozenset(
+        i
+        for i in range(1, len(m) + 1)
+        if m.seg(i).line == rho.line and m.seg(i).b == rho.pos + 1
+    )
+    y = frozenset(
+        i
+        for i in range(1, len(m) + 1)
+        if m.seg(i).line == rho.line and m.seg(i).b == rho.pos
+    )
+    return x, y
+
+
+def ref_leading_indices(m):
+    top = m.max_end()
+    chain, cur = [], None
+    for i in range(1, len(m) + 1):
+        if m.seg(i).end_point() == top:
+            chain.append(i)
+            cur = m.seg(i)
+            break
+    while True:
+        nxt = None
+        for i in range(1, len(m) + 1):
+            s = m.seg(i)
+            if s.line == cur.line and s.e == cur.e - 1 and precedes(s, cur):
+                nxt = i
+                break
+        if nxt is None:
+            return chain
+        chain.append(nxt)
+        cur = m.seg(nxt)
+
+
+def ref_mw_step(m):
+    chain = ref_leading_indices(m)
+    ends = [m.seg(i).e for i in chain]
+    delta = Segment(m.seg(chain[0]).line, min(ends), max(ends))
+    reduced = []
+    for i in range(1, len(m) + 1):
+        if i in chain:
+            t = m.seg(i).drop_last()
+            if t is not None:
+                reduced.append(t)
+        else:
+            reduced.append(m.seg(i))
+    return delta, Multisegment(tuple(reduced))
+
+
+def ref_mw_dual(m):
+    out = []
+    for line in m.lines():
+        sub = m.restrict_line(line)
+        while sub:
+            delta, sub = ref_mw_step(sub)
+            out.append(delta)
+    return Multisegment(tuple(out))
+
+
+def ref_make_matching(m, rho, pairs):
+    x, y = ref_rho_sets(m, rho)
+    pairs = frozenset(pairs)
+    dom = [i for i, _ in pairs]
+    img = [j for _, j in pairs]
+    if len(set(dom)) != len(pairs) or len(set(img)) != len(pairs):
+        raise InvalidMatchingError("relation is not one-to-one")
+    for i, j in pairs:
+        if i not in y or j not in x:
+            raise InvalidMatchingError(f"pair ({i},{j}) outside the index sets")
+        if not precedes(m.seg(i), m.seg(j)):
+            raise InvalidMatchingError(f"pair ({i},{j}) violates precedence")
+    return Matching(pairs, y - frozenset(dom), x - frozenset(img))
+
+
+def ref_is_maximal(m, rho, r):
+    x, y = ref_rho_sets(m, rho)
+    r = ref_make_matching(m, rho, r.pairs)
+    fwd, bwd = r.forward(), r.backward()
+    for i in y:
+        for j in x:
+            if not precedes(m.seg(i), m.seg(j)):
+                continue
+            if i in fwd and j in bwd:
+                continue
+            if i in fwd and j not in bwd:
+                if m.seg(j) >= m.seg(fwd[i]):
+                    continue
+                return False
+            if i not in fwd and j in bwd:
+                if m.seg(i) <= m.seg(bwd[j]):
+                    continue
+                return False
+            return False
+    return True
+
+
+def ref_enumerate(m, rho):
+    x, y = ref_rho_sets(m, rho)
+    if len(x) + len(y) > 12:
+        raise TooLargeError("enumeration oracle capped at 12 indices")
+    xs, results = sorted(x), []
+
+    def extend(k, used, pairs):
+        if k == len(xs):
+            cand = ref_make_matching(m, rho, pairs)
+            if ref_is_maximal(m, rho, cand):
+                results.append(cand)
+            return
+        extend(k + 1, used, pairs)
+        for i in sorted(y - used):
+            if precedes(m.seg(i), m.seg(xs[k])):
+                extend(k + 1, used | {i}, pairs + ((i, xs[k]),))
+
+    extend(0, frozenset(), ())
+    return results
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (InvalidMatchingError, TooLargeError) as e:
+        return type(e), str(e)
+
+
+# two lines and small coordinates, so segments link often; every drawn
+# segment appears one to three times
+line_segments = st.builds(
+    lambda line, b, n: S(b, b + n, line),
+    st.sampled_from(["0", "a"]),
+    st.integers(-2, 3),
+    st.integers(0, 3),
+)
+repeated_ms = st.lists(st.tuples(line_segments, st.integers(1, 3)), max_size=4).map(
+    lambda drawn: M(*[s for s, copies in drawn for _ in range(copies)])
+)
+# (m, rho) with at least one extra segment beginning at rho = 0 and one
+# beginning one step right of it, so that both rho sets fill and matchings
+# have choices
+matching_cases = st.builds(
+    lambda m, ys, xs, line: (
+        m + M(*[S(0, n, line) for n in ys], *[S(1, 1 + n, line) for n in xs]),
+        CuspidalPoint(line, 0),
+    ),
+    repeated_ms,
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.sampled_from(["0", "a"]),
+)
+
+
+# the references are slow by design; no example may fail on time alone
+no_deadline = settings(deadline=None)
+
+
+class TestAgainstIndexLoops:
+    @no_deadline
+    @given(repeated_ms, repeated_ms)
+    def test_pair_sets(self, m, m2):
+        assert pairset_x_cross(m, m2) == ref_pairset_x_cross(m, m2)
+        assert pairset_y_cross(m, m2) == ref_pairset_y_cross(m, m2)
+
+    @no_deadline
+    @given(matching_cases)
+    def test_rho_sets(self, case):
+        m, rho = case
+        assert rho_sets(m, rho) == ref_rho_sets(m, rho)
+
+    @no_deadline
+    @given(repeated_ms)
+    def test_involution(self, m):
+        if not m:
+            with pytest.raises(EmptyMultisegmentError):
+                mw_step(m)
+            assert mw_dual(m) == M()
+            return
+        chain = leading_indices(m)
+        assert chain == ref_leading_indices(m)
+        assert chain[0] == 1
+        assert mw_step(m) == ref_mw_step(m)
+        assert mw_dual(m) == ref_mw_dual(m)
+
+    @no_deadline
+    @given(matching_cases)
+    def test_enumeration(self, case):
+        m, rho = case
+        assert outcome(enumerate_maximal_matchings, m, rho) == outcome(ref_enumerate, m, rho)
+
+    @no_deadline
+    @given(matching_cases, st.data())
+    def test_validation_and_maximality(self, case, data):
+        m, rho = case
+        # pairs drawn from y x x: some violate precedence, some repeat an index
+        x, y = ref_rho_sets(m, rho)
+        candidates = sorted((i, j) for i in y for j in x)
+        pairs = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
+        got, want = outcome(make_matching, m, rho, pairs), outcome(ref_make_matching, m, rho, pairs)
+        assert got == want
+        if isinstance(want, Matching):
+            assert is_maximal_matching(m, rho, got) == ref_is_maximal(m, rho, want)
