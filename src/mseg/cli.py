@@ -283,42 +283,44 @@ def _print_text(result: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_cfg_flags(ap: argparse.ArgumentParser):
-    ap.add_argument("--prime", type=int, default=MERSENNE61)
-    ap.add_argument("--trials", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--certify", action="store_true")
-    ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--exit-code-verdict", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mseg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def with_cfg(name: str, **kw) -> argparse.ArgumentParser:
+    def command(name: str, rank=False, verdict=False, **kw) -> argparse.ArgumentParser:
+        # only `check` runs rank checks, and only a command with a verdict
+        # can turn it into the exit code
         child = sub.add_parser(name, **kw)
-        _add_cfg_flags(child)
+        if rank:
+            child.add_argument("--prime", type=int, default=MERSENNE61)
+            child.add_argument("--trials", type=int, default=8)
+            child.add_argument("--seed", type=int, default=0)
+            child.add_argument("--certify", action="store_true")
+        child.add_argument("--format", choices=("text", "json"), default="text")
+        if verdict:
+            child.add_argument("--exit-code-verdict", action="store_true")
         return child
 
-    chk = with_cfg("check", help="decide a condition on one or two multisegments")
+    chk = command(
+        "check", rank=True, verdict=True, help="decide a condition on one or two multisegments"
+    )
     chk.add_argument("condition", choices=("gls", "lc", "ig", "li"))
     chk.add_argument("mseg", nargs="+")
 
-    mw = with_cfg("mw", help="apply the involution")
+    mw = command("mw", help="apply the involution")
     mw.add_argument("mseg")
 
-    red = with_cfg("reduce", help="one involution step: reduction and stripped segment")
+    red = command("reduce", help="one involution step: reduction and stripped segment")
     red.add_argument("mseg")
 
-    der = with_cfg("derivative", help="left derivative and socle at a point")
+    der = command("derivative", help="left derivative and socle at a point")
     der.add_argument("--rho", required=True, help="point as LABEL:INT (label elidable)")
     der.add_argument("mseg")
 
-    lad = with_cfg("ladder", help="is the multisegment a ladder?")
+    lad = command("ladder", verdict=True, help="is the multisegment a ladder?")
     lad.add_argument("mseg")
 
-    sli = with_cfg("sli", help="simple sufficient independence test for a pair")
+    sli = command("sli", verdict=True, help="simple sufficient independence test for a pair")
     sli.add_argument("mseg", nargs=2)
 
     ste = sub.add_parser("suite", help="run a property suite")
@@ -343,6 +345,9 @@ def _cfg_from(args) -> RankConfig:
         if args.trials is not None and args.trials > MAX_INSTANCES:
             raise TooLargeError(f"more than {MAX_INSTANCES} trials")
         return RankConfig(prime=args.prime, certify=args.certify)
+    if args.command != "check":
+        # no rank check runs; the output still reports the default prime and seed
+        return RankConfig()
     return RankConfig(
         prime=args.prime, trials=args.trials, seed=args.seed, certify=args.certify
     )
@@ -485,7 +490,7 @@ def run(argv: List[str], out=None, err=None) -> int:
     else:
         _print_text(result, out)
 
-    if args.exit_code_verdict:
+    if getattr(args, "exit_code_verdict", False):
         return EXIT_OK if result["verdict"] is True else EXIT_FALSE
     return EXIT_OK
 

@@ -70,61 +70,55 @@ class Verdict:
     false_verdict_bound: Fraction
 
 
-@lru_cache(maxsize=4096)
-def _sorted_x(m: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(pairset_x(m)))
-
-
-@lru_cache(maxsize=4096)
-def _sorted_x_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(pairset_x_cross(m, m2)))
-
-
-@lru_cache(maxsize=4096)
-def _sorted_y_cross(m: Multisegment, m2: Multisegment) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(pairset_y_cross(m, m2)))
-
-
 # One term of a symbolic row: (column, side, coefficient key, sign).  The
 # entry at the column is sign * lam[key] on side 0 and sign * lam2[key] on
 # side 1; the columns of one row are distinct.
 Term = Tuple[int, int, Tuple[int, int], int]
 # A line block: its column count and its rows, each a tuple of terms.
 Block = Tuple[int, Tuple[Tuple[Term, ...], ...]]
+# Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
+Layout = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[Block, ...]]
 
 
-# A few entries suffice: every trial of a check asks for the same blocks.  A
-# cache as large as the pair-set caches would hold many blocks of terms
-# alive across a suite and raise its peak memory by several percent.
+# A check reads its layout once in _decide and once per trial in lc_matrix,
+# and a check of the same inputs under another configuration (certify) reads
+# it again; repeated checks stop at the verdict memo below, so a few entries
+# suffice.  At seed 0, `mseg suite all` hits 2,061 of 8,595 calls, the
+# acceptance workload 5,990 of 16,926, and the large benchmark instances 9
+# of 17, one of them the certify check of the 126-segment ladder.
 @lru_cache(maxsize=16)
-def _symbolic_blocks(m: Multisegment, m2: Multisegment) -> Tuple[Block, ...]:
-    """The line blocks of LC(m, m2) with rows, in line order.
+def _layout(m: Multisegment, m2: Multisegment) -> Layout:
+    """Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
 
-    Row (i, j) holds +lam2[s, j] at column (i, s) for every precedence pair
-    (s, j) of m2, and -lam[i, r] at column (r, j) for every precedence pair
-    (i, r) of m, wherever that column is a cross shifted pair.  A block's
-    rows and columns follow sorted pair order, columns numbered from 0 per
-    line.  Lines with columns but no rows are left out.
+    Row (i, j) of a block holds +lam2[s, j] at column (i, s) for every
+    precedence pair (s, j) of m2, and -lam[i, r] at column (r, j) for every
+    precedence pair (i, r) of m, wherever that column is a cross shifted
+    pair.  Blocks come in line order; a block's rows and columns follow
+    sorted pair order, columns numbered from 0 per line.  Lines with
+    columns but no rows are left out.
     """
+    x1 = tuple(sorted(pairset_x(m)))
+    x2 = x1 if m2 is m else tuple(sorted(pairset_x(m2)))
     segs = m.segs
     col: Dict[Tuple[int, int], int] = {}
     width: Dict[str, int] = {}
-    for pair in _sorted_y_cross(m, m2):
+    for pair in sorted(pairset_y_cross(m, m2)):
         line = segs[pair[0] - 1].line
         col[pair] = width.get(line, 0)
         width[line] = col[pair] + 1
     into: Dict[int, List[Tuple[int, int]]] = {}  # j -> the pairs (s, j) of X(m2)
-    for key in _sorted_x(m2):
+    for key in x2:
         into.setdefault(key[1], []).append(key)
     out: Dict[int, List[Tuple[int, int]]] = {}  # i -> the pairs (i, r) of X(m)
-    for key in _sorted_x(m):
+    for key in x1:
         out.setdefault(key[0], []).append(key)
     rows: Dict[str, List[Tuple[Term, ...]]] = {}
-    for i, j in _sorted_x_cross(m, m2):
+    for i, j in sorted(pairset_x_cross(m, m2)):
         terms = [(col[i, key[0]], 1, key, 1) for key in into.get(j, ()) if (i, key[0]) in col]
         terms += [(col[key[1], j], 0, key, -1) for key in out.get(i, ()) if (key[1], j) in col]
         rows.setdefault(segs[i - 1].line, []).append(tuple(terms))
-    return tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
+    blocks = tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
+    return x1, x2, blocks
 
 
 def lc_matrix(
@@ -136,14 +130,15 @@ def lc_matrix(
     rows (column within the line -> entry).  With m2 = m and lam2 = lam the
     rows are those of the GLS condition for lam.
     """
-    if set(lam.support) != set(_sorted_x(m)):
+    x1, x2, blocks = _layout(m, m2)
+    if set(lam.support) != set(x1):
         raise SupportMismatchError("first support must equal the X set of m")
-    if set(lam2.support) != set(_sorted_x(m2)):
+    if set(lam2.support) != set(x2):
         raise SupportMismatchError("second support must equal the X set of m2")
     sides = (lam.values, lam2.values)
     return [
         [{c: sign * sides[side].get(key, 0) for c, side, key, sign in terms} for terms in block]
-        for _, block in _symbolic_blocks(m, m2)
+        for _, block in blocks
     ]
 
 
@@ -196,13 +191,11 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     distinct columns (TRUE, or FALSE only through cancelling terms) go on
     to the remaining trials.
     """
-    x1 = _sorted_x(m)
-    x2 = x1 if shared else _sorted_x(m2)
+    x1, x2, blocks = _layout(m, m2)
 
     def witness(lam: CoeffVector, lam2: CoeffVector):
         return lam if shared else (lam, lam2)
 
-    blocks = _symbolic_blocks(m, m2)
     if not blocks:
         empty = witness(CoeffVector(x1, {}), CoeffVector(x2, {}))
         return Verdict(True, True, empty, 0, Fraction(0))

@@ -34,12 +34,6 @@ class CuspidalPoint:
     line: str
     pos: int
 
-    def succ(self) -> "CuspidalPoint":
-        return CuspidalPoint(self.line, self.pos + 1)
-
-    def pred(self) -> "CuspidalPoint":
-        return CuspidalPoint(self.line, self.pos - 1)
-
     def __str__(self) -> str:
         if self.line == DEFAULT_LINE:
             return str(self.pos)
@@ -192,12 +186,6 @@ class Multisegment:
 
     def __add__(self, other: "Multisegment") -> "Multisegment":
         return Multisegment(self.segs + other.segs)
-
-    def __sub__(self, other: "Multisegment") -> "Multisegment":
-        remainder = list(self.segs)
-        for s in other.segs:
-            remainder.remove(s)
-        return Multisegment(tuple(remainder))
 
     def __str__(self) -> str:
         if not self.segs:

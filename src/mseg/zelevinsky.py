@@ -333,20 +333,24 @@ def enumerate_maximal_matchings(m: Multisegment, rho: CuspidalPoint) -> List[Mat
     segs = m.segs
     xs = sorted(x)
     results: List[Matching] = []
-
-    def extend(k: int, used: FrozenSet[int], pairs: Tuple[Tuple[int, int], ...]):
+    # Depth-first over (next x position, used y indices, pairs so far); each
+    # x index stays unmatched first, then takes its partners in index order.
+    stack: List[Tuple[int, FrozenSet[int], Tuple[Tuple[int, int], ...]]] = [(0, frozenset(), ())]
+    while stack:
+        k, used, pairs = stack.pop()
         if k == len(xs):
             cand = _validated(m, x, y, pairs)
             if _is_maximal(m, x, y, cand):
                 results.append(cand)
-            return
+            continue
         j = xs[k]
-        extend(k + 1, used, pairs)
-        for i in sorted(y - used):
-            if precedes(segs[i - 1], segs[j - 1]):
-                extend(k + 1, used | {i}, pairs + ((i, j),))
-
-    extend(0, frozenset(), ())
+        nexts = [(k + 1, used, pairs)]
+        nexts += [
+            (k + 1, used | {i}, pairs + ((i, j),))
+            for i in sorted(y - used)
+            if precedes(segs[i - 1], segs[j - 1])
+        ]
+        stack.extend(reversed(nexts))
     return results
 
 

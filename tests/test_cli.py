@@ -219,6 +219,28 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_flags_a_command_does_not_read_are_2(self):
+        # only `check` runs rank checks; only `ladder` and `sli` of these
+        # commands have a verdict to turn into the exit code
+        commands = {
+            ("mw", "[0,0]"): True,
+            ("reduce", "[1,2]+[0,1]"): True,
+            ("derivative", "--rho", "0", "[0,1]"): True,
+            ("ladder", "[1,2]+[0,1]"): False,
+            ("sli", "[1,2]", "[0,1]"): False,
+        }
+        for command, no_verdict in commands.items():
+            removed = [["--prime", "4"], ["--trials", "0"], ["--seed", "1"], ["--certify"]]
+            if no_verdict:
+                removed.append(["--exit-code-verdict"])
+            for flags in removed:
+                code, out, _ = invoke([*command, *flags])
+                assert code == 2 and not out
+            code, out, _ = invoke([*command, "--format", "json"])
+            assert code == 0 and json.loads(out)["prime"] == MERSENNE61
+        assert invoke(["ladder", "[1,2]+[0,1]", "--exit-code-verdict"])[0] == 0
+        assert invoke(["sli", "[0,1]", "[1,2]", "--exit-code-verdict"])[0] == 1
+
     def test_unknown_command(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 2

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mseg import conditions
 from mseg.cli import parse_mseg, run
@@ -73,6 +74,43 @@ def gls_reference(m, lam):
                 row[col[(k, j)]] -= lam.get(i, k)
         rows.append(row)
     return rows
+
+
+def lc_reference(m, m2, lam, lam2):
+    """The LC(m, m2) rows for (lam, lam2), dense over all of Y(m, m2), from
+    the definition.
+
+    Row (i, j), a cross precedence pair, collects for every index k of m2 a
+    +lam2[k, j] contribution at column (i, k) when (k, j) is a precedence
+    pair of m2 and (i, k) a cross shifted one, and for every index k of m a
+    -lam[i, k] contribution at column (k, j) when (i, k) is a precedence
+    pair of m and (k, j) a cross shifted one.
+    """
+    x1, x2 = set(pairset_x(m)), set(pairset_x(m2))
+    col = {pair: c for c, pair in enumerate(sorted(pairset_y_cross(m, m2)))}
+    rows = []
+    for i, j in sorted(pairset_x_cross(m, m2)):
+        row = [0] * len(col)
+        for k in range(1, len(m2) + 1):
+            if (k, j) in x2 and (i, k) in col:
+                row[col[(i, k)]] += lam2.get(k, j)
+        for k in range(1, len(m) + 1):
+            if (i, k) in x1 and (k, j) in col:
+                row[col[(k, j)]] -= lam.get(i, k)
+        rows.append(row)
+    return rows
+
+
+def multisegments(lines):
+    return st.lists(
+        st.builds(
+            lambda line, b, length: S(b, b + length, line),
+            st.sampled_from(lines),
+            st.integers(-3, 3),
+            st.integers(0, 3),
+        ),
+        max_size=5,
+    ).map(lambda segs: M(*segs))
 
 
 def dense(m, m2, blocks):
@@ -148,6 +186,28 @@ class TestLcMatrix:
             m = random_ms(rng, lines=("0", "a") if k % 2 else ("0",))
             lam = sampled(m, seed=3)
             assert dense(m, m, lc_matrix(m, m, lam, lam)) == gls_reference(m, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([("0",), ("0", "a")]).flatmap(
+            lambda lines: st.tuples(multisegments(lines), multisegments(lines))
+        ),
+        st.data(),
+    )
+    def test_distinct_pair_against_definition(self, pair, data):
+        m, m2 = pair
+        assume(m != m2)
+
+        def coeffs(ms):
+            xs = tuple(sorted(pairset_x(ms)))
+            values = data.draw(st.lists(st.integers(-9, 9), min_size=len(xs), max_size=len(xs)))
+            return CoeffVector(xs, dict(zip(xs, values)))
+
+        lam, lam2 = coeffs(m), coeffs(m2)
+        assert dense(m, m2, lc_matrix(m, m2, lam, lam2)) == lc_reference(m, m2, lam, lam2)
+        if set(lam.support) != set(lam2.support):
+            with pytest.raises(SupportMismatchError):
+                lc_matrix(m, m2, lam2, lam)
 
     def test_leclerc_self_rows(self):
         lam = sampled(LECLERC, seed=1)
@@ -261,7 +321,7 @@ def is_hall_violator(m, m2, witness):
     """The witness (block, rows) names rows of that symbolic block of
     LC(m, m2) whose terms lie in fewer columns than there are rows."""
     block, rows = witness
-    _, terms = conditions._symbolic_blocks(m, m2)[block]
+    _, terms = conditions._layout(m, m2)[2][block]
     return len({term[0] for r in rows for term in terms[r]}) < len(rows)
 
 

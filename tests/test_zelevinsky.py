@@ -1,6 +1,7 @@
 """Pair sets, the involution, frontiers, matchings and derivatives."""
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 
@@ -304,6 +305,19 @@ class TestMatching:
         m = M(*[S(0, 1)] * 7, *[S(1, 2)] * 7)
         with pytest.raises(TooLargeError):
             enumerate_maximal_matchings(m, RHO)
+
+    def test_enumeration_leaves_no_garbage_cycle(self):
+        # the search frees everything it built when it returns, without
+        # waiting for the cyclic collector
+        m = M(S(0, 1), S(0, 2), S(1, 3), S(1, 2), S(0, 0), S(1, 1))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert enumerate_maximal_matchings(m, RHO)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_best_agrees_with_oracle(self):
         rng = random.Random(15)
