@@ -61,6 +61,7 @@ from .zelevinsky import (
     DerivativeResult,
     Matching,
     best_matching,
+    cross_pairs,
     derivative,
     enumerate_maximal_matchings,
     is_maximal_matching,

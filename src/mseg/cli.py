@@ -15,6 +15,7 @@ round-trips through the parser.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -360,27 +361,33 @@ def _run_check(args, cfg: RankConfig) -> dict:
         raise ParseError(f"'check {cond}' takes {want} multisegment(s)", 0)
     msegs = [parse_mseg(s) for s in args.mseg]
     inputs = [str(m) for m in msegs]
-    if cond == "gls":
-        return _from_verdict("check gls", inputs, cfg, check_gls(msegs[0], cfg))
-    if cond == "lc":
-        return _from_verdict("check lc", inputs, cfg, check_lc(msegs[0], msegs[1], cfg))
     if cond == "ig":
         v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
         outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
         res = _from_verdict("check ig", inputs, cfg, v, outputs)
         res["witness"] = None
         return res
-    try:
-        v = li_for_good(msegs[0], msegs[1], cfg)
-    except NotApplicableError:
-        return _result(
-            "check li",
-            inputs,
-            cfg,
-            verdict=None,
-            outputs={"reason": "neither input is a ladder"},
-        )
-    return _from_verdict("check li", inputs, cfg, v)
+    if cond == "gls":
+        v = check_gls(msegs[0], cfg)
+    elif cond == "lc":
+        v = check_lc(msegs[0], msegs[1], cfg)
+    else:
+        try:
+            v = li_for_good(msegs[0], msegs[1], cfg)
+        except NotApplicableError:
+            return _result(
+                "check li",
+                inputs,
+                cfg,
+                verdict=None,
+                outputs={"reason": "neither input is a ladder"},
+            )
+    res = _from_verdict(f"check {cond}", inputs, cfg, v)
+    if not v.holds and not v.certified and v.false_verdict_bound == 1:
+        # failed trials whose error bound is 1 decide nothing
+        res["verdict"] = None
+        res["outputs"] = {"reason": "inconclusive: the FALSE bound is 1 at this prime"}
+    return res
 
 
 def _run_suite(args, cfg: RankConfig) -> Tuple[dict, bool]:
@@ -422,7 +429,9 @@ def run(argv: List[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help itself; keep them on our streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
 

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import NotApplicableError, SupportMismatchError
 from .linalg import RankConfig, Row, hall_violator, rank_exact, rank_mod_p, sample_coeffs
 from .segments import Multisegment
-from .zelevinsky import pairset_x, pairset_x_cross, pairset_y_cross
+from .zelevinsky import cross_pairs
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,11 @@ Layout = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[B
 def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     """Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
 
+    One :func:`cross_pairs` walk over (m, m2) gives the rows X(m, m2) and the
+    columns Y(m, m2), already sorted.  For m2 identical to m (GLS) that X is
+    also X(m) and X(m2), so one walk does; otherwise X(m) and X(m2) take a
+    walk each.
+
     Row (i, j) of a block holds +lam2[s, j] at column (i, s) for every
     precedence pair (s, j) of m2, and -lam[i, r] at column (r, j) for every
     precedence pair (i, r) of m, wherever that column is a cross shifted
@@ -97,12 +102,15 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     sorted pair order, columns numbered from 0 per line.  Lines with
     columns but no rows are left out.
     """
-    x1 = tuple(sorted(pairset_x(m)))
-    x2 = x1 if m2 is m else tuple(sorted(pairset_x(m2)))
+    xs, ys = cross_pairs(m, m2)
+    if m2 is m:
+        x1 = x2 = tuple(xs)
+    else:
+        x1, x2 = tuple(cross_pairs(m, m)[0]), tuple(cross_pairs(m2, m2)[0])
     segs = m.segs
     col: Dict[Tuple[int, int], int] = {}
     width: Dict[str, int] = {}
-    for pair in sorted(pairset_y_cross(m, m2)):
+    for pair in ys:
         line = segs[pair[0] - 1].line
         col[pair] = width.get(line, 0)
         width[line] = col[pair] + 1
@@ -113,7 +121,7 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     for key in x1:
         out.setdefault(key[0], []).append(key)
     rows: Dict[str, List[Tuple[Term, ...]]] = {}
-    for i, j in sorted(pairset_x_cross(m, m2)):
+    for i, j in xs:
         terms = [(col[i, key[0]], 1, key, 1) for key in into.get(j, ()) if (i, key[0]) in col]
         terms += [(col[key[1], j], 0, key, -1) for key in out.get(i, ()) if (key[1], j) in col]
         rows.setdefault(segs[i - 1].line, []).append(tuple(terms))

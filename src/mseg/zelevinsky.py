@@ -8,9 +8,12 @@ by the leading-index scan; matchings pair segments beginning at a point with
 segments beginning one step to its right.
 
 The kernels walk the canonical segment tuple ``m.segs`` once, numbering it
-as they go, instead of looking segments up by index.  The involution strips
-plain re-sorted lists and builds one multisegment at the end, and the
-matching oracle computes the rho index sets once per call.
+as they go, instead of looking segments up by index.  One walk over the
+segment pairs of (m, m2), :func:`cross_pairs`, yields both cross pair sets
+X and Y as lists in sorted pair order; the frozenset pair sets are views of
+it.  The involution strips plain re-sorted lists and builds one
+multisegment at the end, and the matching oracle computes the rho index
+sets once per call.
 """
 
 from __future__ import annotations
@@ -33,9 +36,29 @@ from .segments import CuspidalPoint, Multisegment, Segment, precedes
 Pairs = FrozenSet[Tuple[int, int]]
 
 
-def _shifted_precedes(d: Segment, d2: Segment) -> bool:
-    # d precedes the right shift of d2; unfolds to nested begin/end chains.
-    return d.line == d2.line and d.b <= d2.b <= d.e <= d2.e
+def cross_pairs(
+    m: Multisegment, m2: Multisegment
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The cross pair sets X(m, m2) and Y(m, m2) from one walk, each sorted.
+
+    (i, j) is in X when seg_i of m precedes seg_j of m2, and in Y when seg_i
+    precedes the right shift of seg_j (b_i <= b_j <= e_i <= e_j on a common
+    line).  Both need a common line with b_i <= b_j <= e_i + 1 and
+    e_i <= e_j; X adds b_i < b_j and e_i < e_j, Y adds b_j <= e_i.  Pairs are
+    visited in lexicographic order, so both lists come out sorted.
+    """
+    segs2 = [(j, d.line, d.b, d.e) for j, d in enumerate(m2.segs, 1)]
+    xs: List[Tuple[int, int]] = []
+    ys: List[Tuple[int, int]] = []
+    for i, d in enumerate(m.segs, 1):
+        line, b, e = d.line, d.b, d.e
+        for j, line2, b2, e2 in segs2:
+            if line2 == line and b <= b2 <= e + 1 and e <= e2:
+                if b < b2 and e < e2:
+                    xs.append((i, j))
+                if b2 <= e:
+                    ys.append((i, j))
+    return xs, ys
 
 
 def pairset_x(m: Multisegment) -> Pairs:
@@ -54,21 +77,13 @@ def pairset_y(m: Multisegment) -> Pairs:
 
 def pairset_x_cross(m: Multisegment, m2: Multisegment) -> Pairs:
     """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding seg_j."""
-    return frozenset(
-        (i, j)
-        for i, d in enumerate(m.segs, 1)
-        for j, d2 in enumerate(m2.segs, 1)
-        if precedes(d, d2)
-    )
+    return frozenset(cross_pairs(m, m2)[0])
 
 
 def pairset_y_cross(m: Multisegment, m2: Multisegment) -> Pairs:
-    return frozenset(
-        (i, j)
-        for i, d in enumerate(m.segs, 1)
-        for j, d2 in enumerate(m2.segs, 1)
-        if _shifted_precedes(d, d2)
-    )
+    """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding the
+    right shift of seg_j."""
+    return frozenset(cross_pairs(m, m2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +198,7 @@ def mw_frontier(
         raise PreconditionError("max end of m must be below max end of m2")
 
     chain = leading_indices(m2)
-    x_cross = pairset_x_cross(m, m2)
-    y_cross = pairset_y_cross(m, m2)
+    x_cross, y_cross = map(set, cross_pairs(m, m2))
 
     xt = set()
     yt = set()
@@ -411,10 +425,7 @@ def rho_frontier(
     and whose second index sits on the matching side of m2."""
     a = derivative(m, rho).a_set
     x2, y2 = rho_sets(m2, rho)
-    xt = frozenset(
-        (i, j) for (i, j) in pairset_x_cross(m, m2) if i in a and j in x2
-    )
-    yt = frozenset(
-        (i, j) for (i, j) in pairset_y_cross(m, m2) if i in a and j in y2
-    )
+    xs, ys = cross_pairs(m, m2)
+    xt = frozenset((i, j) for (i, j) in xs if i in a and j in x2)
+    yt = frozenset((i, j) for (i, j) in ys if i in a and j in y2)
     return xt, yt

@@ -120,7 +120,8 @@ class TestSubcommands:
         m = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
         _, out, _ = invoke(["check", "gls", m, "--prime", "2", "--format", "json"])
         data = json.loads(out)
-        assert data["verdict"] is False and data["false_verdict_bound"] == "1/1"
+        # capped at 1, so the failed trials are reported as inconclusive
+        assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
         _, out, _ = invoke(["check", "gls", m, "--certify", "--format", "json"])
         data = json.loads(out)
         assert data["verdict"] is True and data["certified"] is True
@@ -159,6 +160,34 @@ class TestSubcommands:
         data = json.loads(out)
         assert code == 0 and data["verdict"] is None
         assert "ladder" in data["outputs"]["reason"]
+
+    def test_false_bound_one_is_inconclusive(self):
+        # at p = 2 every coefficient is 1, so the failed trials decide nothing
+        m = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
+        reason = "inconclusive: the FALSE bound is 1 at this prime"
+        code, out, _ = invoke(["check", "gls", m, "--prime", "2", "--format", "json"])
+        data = json.loads(out)
+        assert code == 0 and data["verdict"] is None and data["certified"] is False
+        assert data["trials"] == 8 and data["false_verdict_bound"] == "1/1"
+        assert data["witness"] is None and data["outputs"] == {"reason": reason}
+        code, out, _ = invoke(["check", "gls", m, "--prime", "2", "--exit-code-verdict"])
+        assert code == 1
+        assert out == f"command: check gls\ninput: {m}\nreason: {reason}\n"
+        code, out, _ = invoke(["check", "gls", m, "--format", "json"])
+        assert code == 0 and json.loads(out)["verdict"] is True
+
+    def test_false_bound_one_is_inconclusive_for_lc(self):
+        # a 4 x 4 block whose terms cancel: FALSE at every prime, with a
+        # bound of (4/2)^8 capped at 1 when p = 3
+        pair = ["[1,1]+[0,0]+[0,0]", "[1,1]+[1,1]+[0,0]"]
+        _, out, _ = invoke(["check", "lc", *pair, "--prime", "3", "--format", "json"])
+        data = json.loads(out)
+        assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
+        assert data["outputs"]["reason"].startswith("inconclusive")
+        _, out, _ = invoke(["check", "lc", *pair, "--format", "json"])
+        data = json.loads(out)
+        assert data["verdict"] is False and data["outputs"] == {}
+        assert Fraction(data["false_verdict_bound"]) < 1
 
     def test_mw(self):
         code, out, _ = invoke(["mw", "[0,0]+[1,1]"])
@@ -240,6 +269,15 @@ class TestExitCodes:
             assert code == 0 and json.loads(out)["prime"] == MERSENNE61
         assert invoke(["ladder", "[1,2]+[0,1]", "--exit-code-verdict"])[0] == 0
         assert invoke(["sli", "[0,1]", "[1,2]", "--exit-code-verdict"])[0] == 1
+
+    def test_usage_errors_and_help_use_the_given_streams(self, capsys):
+        code, out, err = invoke(["mw", "[0,0]", "--seed", "1"])
+        assert code == 2 and not out
+        assert "unrecognized arguments: --seed 1" in err
+        code, out, err = invoke(["--help"])
+        assert code == 0 and out.startswith("usage: mseg") and not err
+        real = capsys.readouterr()
+        assert real.out == "" and real.err == ""
 
     def test_unknown_command(self):
         code, _, _ = invoke(["frobnicate"])

@@ -439,6 +439,25 @@ class TestDeterminism:
                 assert check_lc(m, m2, cfg).holds == check_lc(m, m2, CFG).holds
 
 
+def shifted(m, t):
+    return M(*[s.shift(t) for s in m.segs])
+
+
+class TestTranslationInvariance:
+    """Pair sets and coefficient keys are canonical indices, which a common
+    translation keeps, so a translate gets the same verdict, witness and all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multisegments(("0", "a")), st.integers(-5, 5))
+    def test_gls(self, m, t):
+        assert check_gls(shifted(m, t), CFG) == check_gls(m, CFG)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multisegments(("0", "a")), multisegments(("0", "a")), st.integers(-5, 5))
+    def test_lc(self, m, m2, t):
+        assert check_lc(shifted(m, t), shifted(m2, t), CFG) == check_lc(m, m2, CFG)
+
+
 class TestVerdictMemo:
     """The verdict memo against recomputation from scratch."""
 

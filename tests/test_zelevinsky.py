@@ -8,16 +8,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mseg import conditions, zelevinsky
 from mseg.errors import (
     EmptyMultisegmentError,
     InvalidMatchingError,
     PreconditionError,
     TooLargeError,
 )
+from mseg.linalg import RankConfig
 from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
 from mseg.zelevinsky import (
     Matching,
     best_matching,
+    cross_pairs,
     derivative,
     enumerate_maximal_matchings,
     is_maximal_matching,
@@ -570,8 +573,65 @@ matching_cases = st.builds(
 )
 
 
+# up to three lines and up to 39 segments a side, each drawn segment one
+# to three times, so that lines interleave and equal segments tie
+three_line_segments = st.builds(
+    lambda line, b, n: S(b, b + n, line),
+    st.sampled_from(["0", "a", "b"]),
+    st.integers(-3, 4),
+    st.integers(0, 3),
+)
+wide_ms = st.lists(st.tuples(three_line_segments, st.integers(1, 3)), max_size=13).map(
+    lambda drawn: M(*[s for s, copies in drawn for _ in range(copies)])
+)
+
+
 # the references are slow by design; no example may fail on time alone
 no_deadline = settings(deadline=None)
+
+
+class TestCrossPairs:
+    @no_deadline
+    @given(wide_ms, wide_ms)
+    def test_one_walk_against_index_loops(self, m, m2):
+        # both lists, in sorted pair order
+        want = (sorted(ref_pairset_x_cross(m, m2)), sorted(ref_pairset_y_cross(m, m2)))
+        assert cross_pairs(m, m2) == want
+        assert cross_pairs(m, m) == (sorted(ref_pairset_x_cross(m, m)), sorted(ref_pairset_y_cross(m, m)))
+
+    @no_deadline
+    @given(wide_ms)
+    def test_gls_layout_equals_layout_of_an_equal_copy(self, m):
+        # the shortcut for m2 identical to m gives the values of the general
+        # walk; unwrapped, because the cache treats the copy as m itself
+        copy = Multisegment(m.segs)
+        assert copy == m and copy is not m
+        layout = conditions._layout.__wrapped__
+        assert layout(m, m) == layout(m, copy)
+
+    def test_walks_per_layout(self, monkeypatch):
+        # one walk when m2 is m, three otherwise, and no precedence calls
+        walks = []
+
+        def counted(m, m2):
+            walks.append((m, m2))
+            return cross_pairs(m, m2)
+
+        def refuse(*args):
+            raise AssertionError("precedence tested outside the walk")
+
+        monkeypatch.setattr(conditions, "cross_pairs", counted)
+        monkeypatch.setattr(zelevinsky, "precedes", refuse)
+        m = M(S(1, 2), S(-1, 1), S(0, 0), S(-2, -1), S(0, 1, "a"), S(1, 2, "a"))
+        copy = Multisegment(m.segs)
+        conditions._layout.__wrapped__(m, m)
+        assert walks == [(m, m)]
+        walks.clear()
+        conditions._layout.__wrapped__(m, copy)
+        assert len(walks) == 3
+        walks.clear()
+        conditions._decide.__wrapped__(m, m, RankConfig(seed=5), True)
+        assert len(walks) <= 1
 
 
 class TestAgainstIndexLoops:
