@@ -44,7 +44,6 @@ from .harness import (
 from .linalg import (
     MERSENNE61,
     RankConfig,
-    rank_exact,
     rank_mod_p,
     sample_coeffs,
 )

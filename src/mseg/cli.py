@@ -6,10 +6,12 @@ Expression grammar (whitespace ignored, ``-`` and the unicode minus accepted):
     mseg  := '0' | term ('+' term)*
     term  := (UINT '*')? seg
     seg   := (LABEL ':')? '[' INT ',' INT ']'
+    point := (LABEL ':')? INT
 
-The default line label is "0"; multiplicities expand, up to MAX_SEGMENTS
-segments in all.  Canonical output is the '+'-joined descending order, which
-round-trips through the parser.
+UINT is ASCII digits and INT an optional '-' before them; a LABEL is
+letters, digits and '_'.  The default line label is "0"; multiplicities
+expand, up to MAX_SEGMENTS segments in all.  Canonical output is the
+'+'-joined descending order, which round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ MAX_SEGMENTS = 4096
 # default target of 200 to 300 instances.
 MAX_INSTANCES = 10_000
 
+# the digits of UINT and INT: str.isdigit also accepts "²" and "٣"
+_DIGITS = frozenset("0123456789")
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -96,7 +101,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -114,7 +119,7 @@ def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
         if not w:
             raise ParseError("expected a segment", sc.pos)
         if sc.peek() == "*":
-            if not w.isdigit():
+            if not _DIGITS.issuperset(w):
                 raise ParseError("multiplicity must be a nonnegative integer", start)
             mult = int(w)
             sc.expect("*")
@@ -164,18 +169,17 @@ def parse_mseg(text: str) -> Multisegment:
 
 
 def parse_rho(text: str) -> CuspidalPoint:
-    """LABEL:INT, with the label elidable (then line "0")."""
-    text = text.strip().replace("−", "-")
-    if ":" in text:
-        label, _, num = text.rpartition(":")
+    """Parse a point, LABEL:INT with the label elidable (then line "0")."""
+    sc = _Scanner(text)
+    label = sc.word()
+    if label and sc.peek() == ":":
+        sc.expect(":")
     else:
-        label, num = "0", text
-    try:
-        pos = int(num)
-    except ValueError:
-        raise ParseError("expected LABEL:INT for a point", 0) from None
-    if not label:
-        raise ParseError("empty line label", 0)
+        label, sc.pos = "0", 0
+    pos = sc.integer()
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise ParseError("expected LABEL:INT for a point", sc.pos)
     return CuspidalPoint(label, pos)
 
 
@@ -296,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
             child.add_argument("--prime", type=int, default=MERSENNE61)
             child.add_argument("--trials", type=int, default=8)
             child.add_argument("--seed", type=int, default=0)
-            child.add_argument("--certify", action="store_true")
         child.add_argument("--format", choices=("text", "json"), default="text")
         if verdict:
             child.add_argument("--exit-code-verdict", action="store_true")
@@ -331,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     ste.add_argument("--max-segments", type=int, default=4)
     ste.add_argument("--range", type=int, default=4, dest="coord_range")
     ste.add_argument("--prime", type=int, default=MERSENNE61)
-    ste.add_argument("--certify", action="store_true")
     ste.add_argument("--format", choices=("text", "json"), default="text")
     ste.add_argument("--exit-code-verdict", action="store_true")
 
@@ -345,13 +347,11 @@ def _cfg_from(args) -> RankConfig:
             raise ValueError("trials must be positive")
         if args.trials is not None and args.trials > MAX_INSTANCES:
             raise TooLargeError(f"more than {MAX_INSTANCES} trials")
-        return RankConfig(prime=args.prime, certify=args.certify)
+        return RankConfig(prime=args.prime)
     if args.command != "check":
         # no rank check runs; the output still reports the default prime and seed
         return RankConfig()
-    return RankConfig(
-        prime=args.prime, trials=args.trials, seed=args.seed, certify=args.certify
-    )
+    return RankConfig(prime=args.prime, trials=args.trials, seed=args.seed)
 
 
 def _run_check(args, cfg: RankConfig) -> dict:
@@ -383,7 +383,7 @@ def _run_check(args, cfg: RankConfig) -> dict:
                 outputs={"reason": "neither input is a ladder"},
             )
     res = _from_verdict(f"check {cond}", inputs, cfg, v)
-    if not v.holds and not v.certified and v.false_verdict_bound == 1:
+    if not v.holds and v.false_verdict_bound == 1:
         # failed trials whose error bound is 1 decide nothing
         res["verdict"] = None
         res["outputs"] = {"reason": "inconclusive: the FALSE bound is 1 at this prime"}

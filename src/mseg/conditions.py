@@ -2,13 +2,15 @@
 
 Each condition asks whether a family of coefficient-dependent row vectors is
 linearly independent for some choice of coefficients.  Since independence is
-an open condition, a single random evaluation of full rank proves it.  TRUE
-therefore comes with a witness, optionally certified by an exact rational
-rank.  FALSE is proved when it can be cheaply: by pigeonhole (a line block
-with more rows than columns), or, once the first trial has failed, by
-structural rank (a Hall violator: rows of one block whose terms cover fewer
-columns than there are rows).  Otherwise failure across independent trials
-refutes it with an explicit Schwartz-Zippel style error bound.
+an open condition, a single random evaluation of full rank proves it: at
+the integer witness some maximal minor of every block is nonzero mod p, so
+it is a nonzero integer and the rank over the rationals is full as well.
+TRUE therefore comes with a witness and is certified.  FALSE is proved when
+it can be cheaply: by pigeonhole (a line block with more rows than columns),
+or, once the first trial has failed, by structural rank (a Hall violator:
+rows of one block whose terms cover fewer columns than there are rows).
+Otherwise failure across independent trials refutes it with an explicit
+Schwartz-Zippel style error bound.
 
 Rows are indexed by cross precedence pairs (an X set), columns by cross
 shifted precedence pairs (a Y set), both in canonical sorted pair order.
@@ -25,7 +27,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
-from .linalg import RankConfig, Row, hall_violator, rank_exact, rank_mod_p, sample_coeffs
+from .linalg import RankConfig, Row, hall_violator, rank_mod_p, sample_coeffs
 from .segments import Multisegment
 from .zelevinsky import cross_pairs
 
@@ -51,11 +53,11 @@ class CoeffVector:
 class Verdict:
     """Outcome of a randomized condition check.
 
-    ``certified`` means the verdict does not rest on a random evaluation:
-    either an exact rational rank confirmed the witness, or the falsity was
-    forced deterministically (pigeonhole or structural rank).
     ``false_verdict_bound`` bounds the probability that a reported FALSE is
-    wrong; it is 0 for TRUE and for deterministic FALSE.
+    wrong; it is 0 for TRUE and for deterministic FALSE (pigeonhole or
+    structural rank).  ``certified``, derived from it, means the verdict
+    does not rest on a random evaluation: only a FALSE after failed trials
+    does.
 
     The witness of TRUE is the coefficient vector (GLS) or pair (LC).  The
     witness of a structural FALSE is ``(block, rows)``: the index of a line
@@ -64,10 +66,13 @@ class Verdict:
     """
 
     holds: bool
-    certified: bool
     witness: Optional[object]
     trials_run: int
     false_verdict_bound: Fraction
+
+    @property
+    def certified(self) -> bool:
+        return self.false_verdict_bound == 0
 
 
 # One term of a symbolic row: (column, side, coefficient key, sign).  The
@@ -81,11 +86,9 @@ Layout = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[B
 
 
 # A check reads its layout once in _decide and once per trial in lc_matrix,
-# and a check of the same inputs under another configuration (certify) reads
-# it again; repeated checks stop at the verdict memo below, so a few entries
-# suffice.  At seed 0, `mseg suite all` hits 2,061 of 8,595 calls, the
-# acceptance workload 5,990 of 16,926, and the large benchmark instances 9
-# of 17, one of them the certify check of the 126-segment ladder.
+# and a check of the same inputs under another configuration (prime, seed
+# or trials) reads it again; repeated checks stop at the verdict memo below,
+# so a few entries suffice.
 @lru_cache(maxsize=16)
 def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     """Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
@@ -155,13 +158,9 @@ def lc_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _full_row_rank(blocks: List[List[Row]], p: Optional[int]) -> bool:
-    """All blocks have full row rank, modulo p or exactly when p is None."""
-    for rows in blocks:
-        rank = rank_exact(rows) if p is None else rank_mod_p(rows, p)
-        if rank != len(rows):
-            return False
-    return True
+def _full_row_rank(blocks: List[List[Row]], p: int) -> bool:
+    """All blocks have full row rank modulo p."""
+    return all(rank_mod_p(rows, p) == len(rows) for rows in blocks)
 
 
 def _structural_deficit(blocks: Tuple[Block, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -206,9 +205,9 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
 
     if not blocks:
         empty = witness(CoeffVector(x1, {}), CoeffVector(x2, {}))
-        return Verdict(True, True, empty, 0, Fraction(0))
+        return Verdict(True, empty, 0, Fraction(0))
     if any(len(rows) > cols for cols, rows in blocks):
-        return Verdict(False, True, None, 0, Fraction(0))
+        return Verdict(False, None, 0, Fraction(0))
     for t in range(1, cfg.trials + 1):
         lam = CoeffVector(x1, sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0))
         lam2 = lam
@@ -216,18 +215,17 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
             lam2 = CoeffVector(x2, sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1))
         mat = lc_matrix(m, m2, lam, lam2)
         if _full_row_rank(mat, cfg.prime):
-            certified = cfg.certify and _full_row_rank(mat, None)
-            return Verdict(True, certified, witness(lam, lam2), t, Fraction(0))
+            return Verdict(True, witness(lam, lam2), t, Fraction(0))
         if t == 1:
             hall = _structural_deficit(blocks)
             if hall is not None:
-                return Verdict(False, True, hall, 1, Fraction(0))
+                return Verdict(False, hall, 1, Fraction(0))
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.
     nrows = sum(len(rows) for _, rows in blocks)
     bound = min(Fraction(1), Fraction(nrows, cfg.prime - 1) ** cfg.trials)
-    return Verdict(False, False, None, cfg.trials, bound)
+    return Verdict(False, None, cfg.trials, bound)
 
 
 def check_gls(m: Multisegment, cfg: RankConfig = RankConfig()) -> Verdict:
@@ -246,8 +244,9 @@ def check_lc(
 
 def union_bound(bounds: Iterable[Fraction]) -> Fraction:
     """Bound on the chance that any of several FALSE verdicts is wrong: the
-    sum of their bounds (the union bound), capped at 1."""
-    return min(Fraction(1), sum(bounds, Fraction(0)))
+    sum of their bounds (the union bound), capped at 1.  Nearly every bound
+    of a suite is 0, so only the others are added."""
+    return min(Fraction(1), sum((b for b in bounds if b), Fraction(0)))
 
 
 def check_ig(
@@ -263,7 +262,6 @@ def check_ig(
     holds = fwd.holds and rev.holds
     ig = Verdict(
         holds,
-        fwd.certified and rev.certified,
         (fwd.witness, rev.witness) if holds else None,
         fwd.trials_run + rev.trials_run,
         union_bound((fwd.false_verdict_bound, rev.false_verdict_bound)),

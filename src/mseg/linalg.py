@@ -1,12 +1,8 @@
-"""Exact rank computation and deterministic coefficient sampling.
+"""Rank computation and deterministic coefficient sampling.
 
-Both rank routines take sparse rows, one ``dict`` (column -> integer) per
-row; absent columns are zero and column numbers only need to be comparable.
-
-* :func:`rank_mod_p` -- elimination over a prime field, by leading column.
-* :func:`rank_exact` -- sparse elimination over arbitrary-precision integers
-  (shortest row first, every row kept primitive), used to certify witnesses
-  exactly.
+* :func:`rank_mod_p` -- elimination over a prime field, by leading column,
+  of sparse rows, one ``dict`` (column -> integer) per row; absent columns
+  are zero and column numbers only need to be comparable.
 * :func:`hall_violator` -- structural (term) rank: whether the rows can be
   matched to distinct columns of their pattern, and a Hall violator when
   they cannot.
@@ -24,10 +20,9 @@ exactly uniform over [1, p-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
@@ -80,12 +75,19 @@ def _checked_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class RankConfig:
-    """Parameters of the randomized full-rank protocol."""
+    """Parameters of the randomized full-rank protocol.
+
+    ``certify`` has no effect and takes no part in equality or hashing, so
+    configurations that differ only in it share one verdict: a TRUE witness
+    is an integer vector at which some maximal minor of every block is
+    nonzero mod p, hence a nonzero integer, so every TRUE is already exact.
+    It remains only because `msegbench` still builds configurations with it.
+    """
 
     prime: int = MERSENNE61
     trials: int = 8
     seed: int = 0
-    certify: bool = False
+    certify: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -134,55 +136,6 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
                     else:
                         del row[c]
     return len(pivots)
-
-
-def _primitive(row: Row) -> Row:
-    """The row divided by its content, the gcd of its entries."""
-    g = gcd(*row.values())
-    return {c: v // g for c, v in row.items()} if g > 1 else row
-
-
-def rank_exact(rows: List[Row]) -> int:
-    """Rank of the sparse rows over the rationals, by sparse elimination over
-    the integers.
-
-    Each step takes the shortest remaining row as the pivot row (the first
-    such in input order) and its entry of smallest absolute value as the
-    pivot, ties to the lowest column.  Only the rows that are nonzero in the
-    pivot column change: ``row <- (a/g)*row - (f/g)*pivot_row`` with a the
-    pivot, f the row's entry and g = gcd(a, f); each is then divided by its
-    content (the gcd of its entries), and rows that vanish are dropped.  Rows
-    missing the pivot column are never touched, so no step rescales the
-    whole matrix.  After k steps a remaining row is, up to sign, a vector of
-    order-(k+1) minors of the input divided by their gcd, so its entries are
-    bounded by those minors.  On fully dense input this is slower than
-    Bareiss elimination (about 1.4x at 60x60); the condition blocks are
-    1-10 % dense, where it is far faster.
-    """
-    live = [{c: v for c, v in row.items() if v} for row in rows]
-    live = [_primitive(row) for row in live if row]
-    rank = 0
-    while live:
-        piv = live.pop(min(range(len(live)), key=lambda k: len(live[k])))
-        col = min(piv, key=lambda c: (abs(piv[c]), c))
-        a = piv[col]
-        rank += 1
-        kept = []
-        for row in live:
-            f = row.get(col)
-            if f is not None:
-                g = gcd(a, f)
-                a_g, f_g = a // g, f // g
-                row = {c: a_g * v for c, v in row.items()}
-                for c, v in piv.items():
-                    row[c] = row.get(c, 0) - f_g * v
-                row = {c: v for c, v in row.items() if v}
-                if not row:
-                    continue
-                row = _primitive(row)
-            kept.append(row)
-        live = kept
-    return rank
 
 
 def hall_violator(rows: Sequence[Iterable[int]], ncols: int) -> Optional[Tuple[int, ...]]:

@@ -84,9 +84,6 @@ class Segment:
             return None
         return Segment(self.line, self.b + 1, self.e)
 
-    def extend_right(self) -> "Segment":
-        return Segment(self.line, self.b, self.e + 1)
-
     def extend_left(self) -> "Segment":
         return Segment(self.line, self.b - 1, self.e)
 
@@ -202,9 +199,6 @@ class Multisegment:
                 seen.append(s.line)
         return tuple(seen)
 
-    def restrict_line(self, line: str) -> "Multisegment":
-        return Multisegment(tuple(s for s in self.segs if s.line == line))
-
     def supp(self) -> Counter:
         """Multiset of points covered, with multiplicities."""
         c: Counter = Counter()
@@ -221,18 +215,6 @@ class Multisegment:
         if not self.segs:
             raise EmptyMultisegmentError("zero multisegment has no maximum")
         return max(s.end_point() for s in self.segs)
-
-    def split_mx(self) -> tuple:
-        """Split into (segments ending at the maximum, the rest).
-
-        The zero multisegment splits into (0, 0).
-        """
-        if not self.segs:
-            return Multisegment(), Multisegment()
-        top = self.max_end()
-        mx = tuple(s for s in self.segs if s.end_point() == top)
-        nmx = tuple(s for s in self.segs if s.end_point() != top)
-        return Multisegment(mx), Multisegment(nmx)
 
     def is_ladder(self) -> bool:
         """True when the canonical list is a chain under precedence.

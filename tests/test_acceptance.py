@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  A module fixture records every TRUE verdict produced
 during criteria 1-6 (including those inside the property suites); criterion
-9 re-runs each with exact certification.
+9 re-runs each and checks its witness by exact rational rank, an arithmetic
+the package does not use (criterion 3 does the same for its ladders).
 """
 
 import sys
@@ -11,9 +12,10 @@ import time
 from itertools import combinations_with_replacement
 
 import pytest
+from exact_rank import rank_exact
 
 import mseg.harness
-from mseg.conditions import check_gls, check_lc
+from mseg.conditions import check_gls, check_lc, lc_matrix
 from mseg.harness import (
     GenParams,
     gen_ladder,
@@ -49,7 +51,7 @@ SIX_SEG = M(S(2, 4), S(-2, 3), S(-1, 2), S(0, 1), S(-4, 0), S(-3, -1))
 
 DEFAULT = RankConfig()
 
-# every TRUE verdict seen while recording is re-certified in criterion 9
+# every TRUE verdict seen while recording is re-checked exactly in criterion 9
 _TRUE_VERDICTS: dict = {}
 _RECORDING = True
 
@@ -77,6 +79,12 @@ def _recording_checks():
             mp.setattr(module, "check_gls", recording_gls)
             mp.setattr(module, "check_lc", recording_lc)
         yield
+
+
+def _exact_full_rank(m, m2, lam, lam2) -> bool:
+    """Every line block of LC(m, m2) at (lam, lam2) has full row rank over
+    the rationals."""
+    return all(rank_exact(rows) == len(rows) for rows in lc_matrix(m, m2, lam, lam2))
 
 
 def _report(num: int, ok: bool, elapsed: float, detail: str):
@@ -111,13 +119,13 @@ def test_criterion_2_multiplicity_examples():
 
 
 def test_criterion_3_ladders_certified():
-    cfg = RankConfig(certify=True)
     p = GenParams(max_segments=8, coord_range=10, max_length=5, seed=31)
     t0 = time.perf_counter()
     failures = 0
     for i in range(200):
-        v = check_gls(gen_ladder(p, i), cfg)
-        if not (v.holds and v.certified):
+        m = gen_ladder(p, i)
+        v = check_gls(m, DEFAULT)
+        if not (v.holds and _exact_full_rank(m, m, v.witness, v.witness)):
             failures += 1
     dt = time.perf_counter() - t0
     ok = failures == 0 and dt < 30.0
@@ -233,14 +241,17 @@ def test_criterion_9_exact_rank_cross_check():
         _TRUE_VERDICTS[("lc", LECLERC, LECLERC)] = None
         for i in range(50):
             _TRUE_VERDICTS[("gls", gen_ladder(p, i))] = None
-    cfg = RankConfig(certify=True)
     disagreements = 0
     for key in _TRUE_VERDICTS:
         if key[0] == "gls":
-            v = check_gls(key[1], cfg)
+            m = m2 = key[1]
+            v = check_gls(m, DEFAULT)
+            lams = (v.witness, v.witness)
         else:
-            v = check_lc(key[1], key[2], cfg)
-        if not (v.holds and v.certified):
+            m, m2 = key[1], key[2]
+            v = check_lc(m, m2, DEFAULT)
+            lams = v.witness
+        if not (v.holds and _exact_full_rank(m, m2, *lams)):
             disagreements += 1
     dt = time.perf_counter() - t0
     ok = disagreements == 0
@@ -248,6 +259,6 @@ def test_criterion_9_exact_rank_cross_check():
         9,
         ok,
         dt,
-        f"{len(_TRUE_VERDICTS)} true verdicts re-certified exactly, "
+        f"{len(_TRUE_VERDICTS)} true verdicts re-checked by exact rank, "
         f"disagreements={disagreements}",
     )

@@ -109,6 +109,26 @@ class TestParse:
         assert parse_rho("a:-1") == CuspidalPoint("a", -1)
         with pytest.raises(ParseError):
             parse_rho("a:b")
+        # whitespace is ignored around the label, as in a segment
+        assert parse_rho(" a : 3") == CuspidalPoint("a", 3)
+
+    def test_integers_are_ascii_digits(self):
+        # str.isdigit accepts superscripts and other scripts' digits; the
+        # grammar takes 0-9 only, and every refusal is a ParseError, exit 2
+        for text in ("²*[0,1]", "[¹,2]", "[0,٣]", "٣*[0,1]"):
+            with pytest.raises(ParseError):
+                parse_mseg(text)
+            code, out, err = invoke(["check", "gls", text])
+            assert code == 2 and not out and err.startswith("error: ")
+        for text in ("1_0", "+3", "٣", "a:²", "a:", ":3", "a:3:4", "3 4"):
+            with pytest.raises(ParseError):
+                parse_rho(text)
+            code, out, err = invoke(["derivative", "--rho", text, "[0,1]"])
+            assert code == 2 and not out and err.startswith("error: ")
+
+    @given(st.builds(CuspidalPoint, LABELS, st.integers(-(10**6), 10**6)))
+    def test_rho_round_trip(self, rho):
+        assert parse_rho(str(rho)) == rho
 
 
 class TestSubcommands:
@@ -122,7 +142,9 @@ class TestSubcommands:
         data = json.loads(out)
         # capped at 1, so the failed trials are reported as inconclusive
         assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
-        _, out, _ = invoke(["check", "gls", m, "--certify", "--format", "json"])
+        # every TRUE is certified: full rank mod p at an integer witness is
+        # full rank over the rationals
+        _, out, _ = invoke(["check", "gls", m, "--format", "json"])
         data = json.loads(out)
         assert data["verdict"] is True and data["certified"] is True
 
@@ -269,6 +291,10 @@ class TestExitCodes:
             assert code == 0 and json.loads(out)["prime"] == MERSENNE61
         assert invoke(["ladder", "[1,2]+[0,1]", "--exit-code-verdict"])[0] == 0
         assert invoke(["sli", "[0,1]", "[1,2]", "--exit-code-verdict"])[0] == 1
+        # no command reads --certify: every TRUE is certified without it
+        for argv in (["check", "gls", "[1,2]+[0,1]"], ["suite", "gedelta"]):
+            code, out, _ = invoke([*argv, "--certify"])
+            assert code == 2 and not out
 
     def test_usage_errors_and_help_use_the_given_streams(self, capsys):
         code, out, err = invoke(["mw", "[0,0]", "--seed", "1"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from exact_rank import rank_exact
 from hypothesis import assume, given, settings, strategies as st
 
 from mseg import conditions
@@ -23,7 +24,7 @@ from mseg.conditions import (
 )
 from mseg.errors import NotApplicableError, SupportMismatchError
 from mseg.harness import GenParams, gen_ms
-from mseg.linalg import MERSENNE61, RankConfig, rank_exact, sample_coeffs
+from mseg.linalg import MERSENNE61, RankConfig, sample_coeffs
 from mseg.segments import Multisegment, Segment
 from mseg.zelevinsky import pairset_x, pairset_x_cross, pairset_y, pairset_y_cross
 
@@ -240,18 +241,17 @@ class TestCheckGls:
 
     def test_bound_at_most_one(self):
         # at p = 2 every coefficient is 1 and |X| = 8 > p - 1: the bound is
-        # capped at 1, while the exact rank at the default prime proves TRUE
+        # capped at 1, while the default prime proves TRUE
         m = parse_mseg("[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]")
         v = check_gls(m, RankConfig(prime=2))
         assert v.holds is False and v.trials_run == 8
-        assert v.false_verdict_bound == 1
-        v = check_gls(m, RankConfig(certify=True))
+        assert v.false_verdict_bound == 1 and not v.certified
+        v = check_gls(m, CFG)
         assert v.holds and v.certified
 
     def test_certified_witness_has_full_exact_rank(self):
-        cfg = RankConfig(certify=True)
         m = M(S(1, 2), S(0, 1))
-        v = check_gls(m, cfg)
+        v = check_gls(m, CFG)
         assert v.holds and v.certified
         blocks = lc_matrix(m, m, v.witness, v.witness)
         assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m))
@@ -267,7 +267,7 @@ class TestCheckGls:
             segs.append(S(b, rng.randint(s.e + 1, s.e + 4)))
         m = M(*segs)
         assert m.is_ladder()
-        v = check_gls(m, RankConfig(certify=True))
+        v = check_gls(m, CFG)
         assert v.holds and v.certified
         blocks = lc_matrix(m, m, v.witness, v.witness)
         assert [len(rows) for rows in blocks] == [166]
@@ -404,6 +404,22 @@ class TestCheckIg:
         assert v.holds is False and v.false_verdict_bound == 1
 
 
+class TestCertified:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 2),
+        st.sampled_from([CFG, RankConfig(prime=2, trials=1), RankConfig(prime=3, trials=1)]),
+    )
+    def test_certified_iff_bound_zero(self, index, lines, cfg):
+        # at p = 2 or 3 about 1 % of these verdicts are probabilistic FALSEs
+        gen = GenParams(max_segments=8, coord_range=4, lines=lines, seed=index % 7)
+        m, m2 = gen_ms(gen, index), gen_ms(gen, index + 1)
+        for v in (check_gls(m, cfg), check_lc(m, m2, cfg), *check_ig(m, m2, cfg)):
+            assert v.certified == (v.false_verdict_bound == 0)
+            assert v.certified or not v.holds
+
+
 class TestLiForGood:
     def test_examples(self):
         assert li_for_good(M(S(1, 2)), M(S(0, 1)), CFG).holds is True
@@ -464,7 +480,7 @@ class TestVerdictMemo:
     def test_hit_equals_recomputed_verdict(self):
         # 200 one- and two-line pairs; at p = 3 many verdicts are FALSE with
         # a bound, at the default prime most are TRUE with a witness
-        for cfg in (CFG, RankConfig(prime=3, certify=True)):
+        for cfg in (CFG, RankConfig(prime=3)):
             for lines in (1, 2):
                 gen = GenParams(max_segments=6, lines=lines, seed=lines)
                 for index in range(100):
@@ -479,6 +495,16 @@ class TestVerdictMemo:
                         fresh = check(*args, cfg)
                         # compares every field, the witness's values included
                         assert fresh is not hit and fresh == hit
+
+    def test_certify_is_inert(self):
+        # configurations that differ only in `certify` are one configuration
+        on = RankConfig(certify=True)
+        assert on == CFG and hash(on) == hash(CFG)
+        m = M(S(1, 2), S(0, 1))
+        conditions._decide.cache_clear()
+        first = check_gls(m, CFG)
+        assert check_gls(m, on) is first
+        assert conditions._decide.cache_info().hits == 1
 
     def test_suite_json_same_cold_and_warm(self):
         def suite_json():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from exact_rank import rank_exact
 from hypothesis import given, settings, strategies as st
 
 from mseg.conditions import CoeffVector, lc_matrix
@@ -15,7 +16,6 @@ from mseg.linalg import (
     MERSENNE61,
     RankConfig,
     hall_violator,
-    rank_exact,
     rank_mod_p,
     sample_coeffs,
 )

@@ -59,7 +59,6 @@ class TestSegment:
         assert S(0, 0).drop_first() is None
         assert S(0, 0).drop_last() is None
         assert S(1, 2).dual() == S(-2, -1)
-        assert S(0, 1).extend_right() == S(0, 2)
         assert S(0, 1).extend_left() == S(-1, 1)
         assert S(0, 1).shift(1) == S(1, 2)
         assert S(0, 1).shift(-1) == S(-1, 0)
@@ -128,19 +127,6 @@ class TestMultisegment:
         assert M(S(0, 1), S(1, 2)).max_end() == CuspidalPoint("0", 2)
         with pytest.raises(EmptyMultisegmentError):
             M().max_end()
-
-    def test_split_mx(self):
-        mx, nmx = M(S(1, 2), S(0, 2), S(0, 1)).split_mx()
-        assert mx == M(S(1, 2), S(0, 2)) and nmx == M(S(0, 1))
-        assert M(S(0, 0)).split_mx() == (M(S(0, 0)), M())
-        assert M().split_mx() == (M(), M())
-
-    @given(multisegments)
-    def test_split_reassembles(self, m):
-        mx, nmx = m.split_mx()
-        assert mx + nmx == m
-        if nmx:
-            assert all(s.end_point() != m.max_end() for s in nmx)
 
     @given(multisegments)
     def test_dual_involution(self, m):

@@ -474,7 +474,7 @@ def ref_mw_step(m):
 def ref_mw_dual(m):
     out = []
     for line in m.lines():
-        sub = m.restrict_line(line)
+        sub = Multisegment(tuple(s for s in m.segs if s.line == line))
         while sub:
             delta, sub = ref_mw_step(sub)
             out.append(delta)
