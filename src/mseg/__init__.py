@@ -70,10 +70,6 @@ from .zelevinsky import (
     mw_dual,
     mw_frontier,
     mw_step,
-    pairset_x,
-    pairset_x_cross,
-    pairset_y,
-    pairset_y_cross,
     rho_frontier,
     rho_sets,
     soc_cuspidal,

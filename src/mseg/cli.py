@@ -8,10 +8,11 @@ Expression grammar (whitespace ignored, ``-`` and the unicode minus accepted):
     seg   := (LABEL ':')? '[' INT ',' INT ']'
     point := (LABEL ':')? INT
 
-UINT is ASCII digits and INT an optional '-' before them; a LABEL is
-letters, digits and '_'.  The default line label is "0"; multiplicities
-expand, up to MAX_SEGMENTS segments in all.  Canonical output is the
-'+'-joined descending order, which round-trips through the parser.
+UINT is ASCII digits, no more than Python converts to an int (4300 by
+default), and INT an optional '-' before them; a LABEL is letters, digits
+and '_'.  The default line label is "0"; multiplicities expand, up to
+MAX_SEGMENTS segments in all.  Canonical output is the '+'-joined
+descending order, which round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
-# Largest multisegment an expression may denote; far above the 128-segment
-# inputs that still decide in seconds, far below what exhausts memory.
+# Largest multisegment an expression may denote, and largest segment count
+# `suite --max-segments` may draw; far above the 128-segment inputs that
+# still decide in seconds, far below what exhausts memory.
 MAX_SEGMENTS = 4096
 
 # Largest instance target of `suite --trials`.  A suite draws up to 200
@@ -105,7 +107,16 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        return _literal(self.text[start : self.pos], start)
+
+
+def _literal(text: str, position: int) -> int:
+    """The value of an integer literal; Python refuses to convert more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("integer literal too long", position) from None
 
 
 def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
@@ -121,7 +132,7 @@ def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
         if sc.peek() == "*":
             if not _DIGITS.issuperset(w):
                 raise ParseError("multiplicity must be a nonnegative integer", start)
-            mult = int(w)
+            mult = _literal(w, start)
             sc.expect("*")
             if sc.peek() != "[":
                 w2 = sc.word()
@@ -347,6 +358,10 @@ def _cfg_from(args) -> RankConfig:
             raise ValueError("trials must be positive")
         if args.trials is not None and args.trials > MAX_INSTANCES:
             raise TooLargeError(f"more than {MAX_INSTANCES} trials")
+        if args.max_segments < 0 or args.coord_range < 0:
+            raise ValueError("sizes must be nonnegative")
+        if args.max_segments > MAX_SEGMENTS:
+            raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
         return RankConfig(prime=args.prime)
     if args.command != "check":
         # no rank check runs; the output still reports the default prime and seed

@@ -83,13 +83,10 @@ Term = Tuple[int, int, Tuple[int, int], int]
 Block = Tuple[int, Tuple[Tuple[Term, ...], ...]]
 # Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
 Layout = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[Block, ...]]
+# Coefficients keyed by index pair, as CoeffVector.values.
+Coeffs = Dict[Tuple[int, int], int]
 
 
-# A check reads its layout once in _decide and once per trial in lc_matrix,
-# and a check of the same inputs under another configuration (prime, seed
-# or trials) reads it again; repeated checks stop at the verdict memo below,
-# so a few entries suffice.
-@lru_cache(maxsize=16)
 def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     """Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
 
@@ -104,6 +101,9 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     pair.  Blocks come in line order; a block's rows and columns follow
     sorted pair order, columns numbered from 0 per line.  Lines with
     columns but no rows are left out.
+
+    Not cached: a check reads its layout once, in :func:`_decide`, and a
+    repeated check stops at that function's verdict memo.
     """
     xs, ys = cross_pairs(m, m2)
     if m2 is m:
@@ -146,7 +146,13 @@ def lc_matrix(
         raise SupportMismatchError("first support must equal the X set of m")
     if set(lam2.support) != set(x2):
         raise SupportMismatchError("second support must equal the X set of m2")
-    sides = (lam.values, lam2.values)
+    return _rows(blocks, lam.values, lam2.values)
+
+
+def _rows(blocks: Tuple[Block, ...], lam: Coeffs, lam2: Coeffs) -> List[List[Row]]:
+    """The symbolic line blocks instantiated at lam (side 0) and lam2 (side
+    1); keys absent from a map are zero."""
+    sides = (lam, lam2)
     return [
         [{c: sign * sides[side].get(key, 0) for c, side, key, sign in terms} for terms in block]
         for _, block in blocks
@@ -156,11 +162,6 @@ def lc_matrix(
 # ---------------------------------------------------------------------------
 # randomized full-row-rank protocol
 # ---------------------------------------------------------------------------
-
-
-def _full_row_rank(blocks: List[List[Row]], p: int) -> bool:
-    """All blocks have full row rank modulo p."""
-    return all(rank_mod_p(rows, p) == len(rows) for rows in blocks)
 
 
 def _structural_deficit(blocks: Tuple[Block, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -200,21 +201,18 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     """
     x1, x2, blocks = _layout(m, m2)
 
-    def witness(lam: CoeffVector, lam2: CoeffVector):
-        return lam if shared else (lam, lam2)
+    def witness(lam: Coeffs, lam2: Coeffs):
+        return CoeffVector(x1, lam) if shared else (CoeffVector(x1, lam), CoeffVector(x2, lam2))
 
     if not blocks:
-        empty = witness(CoeffVector(x1, {}), CoeffVector(x2, {}))
-        return Verdict(True, empty, 0, Fraction(0))
+        return Verdict(True, witness({}, {}), 0, Fraction(0))
     if any(len(rows) > cols for cols, rows in blocks):
         return Verdict(False, None, 0, Fraction(0))
     for t in range(1, cfg.trials + 1):
-        lam = CoeffVector(x1, sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0))
-        lam2 = lam
+        lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:
-            lam2 = CoeffVector(x2, sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1))
-        mat = lc_matrix(m, m2, lam, lam2)
-        if _full_row_rank(mat, cfg.prime):
+            lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
+        if all(rank_mod_p(rows, cfg.prime) == len(rows) for rows in _rows(blocks, lam, lam2)):
             return Verdict(True, witness(lam, lam2), t, Fraction(0))
         if t == 1:
             hall = _structural_deficit(blocks)

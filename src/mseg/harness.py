@@ -40,6 +40,7 @@ from .segments import (
 )
 from .zelevinsky import (
     best_matching,
+    cross_pairs,
     derivative,
     enumerate_maximal_matchings,
     is_maximal_matching,
@@ -48,10 +49,6 @@ from .zelevinsky import (
     mw_dual,
     mw_frontier,
     mw_step,
-    pairset_x,
-    pairset_x_cross,
-    pairset_y,
-    pairset_y_cross,
     rho_frontier,
     rho_sets,
     soc_cuspidal,
@@ -121,8 +118,6 @@ class PropertyReport:
     hypothesis_satisfied: int
     violations: List[dict]
     accumulated_bound: Fraction
-    gen: GenParams
-    cfg: RankConfig
     details: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -270,9 +265,8 @@ def _rhoext(cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoi
     return lhs.holds == (rhs.holds and counts_match), detail, (lhs, rhs)
 
 
-def _pair_multiset(m: Multisegment, pairs, m2: Optional[Multisegment] = None) -> Counter:
-    other = m if m2 is None else m2
-    return Counter((m.seg(i), other.seg(j)) for (i, j) in pairs)
+def _pair_multiset(m: Multisegment, m2: Multisegment, pairs) -> Counter:
+    return Counter((m.seg(i), m2.seg(j)) for (i, j) in pairs)
 
 
 # The structural invariances use no verdict: each returns the verdicts ().
@@ -293,20 +287,19 @@ def _mw_delta_minimal(cfg: RankConfig, m: Multisegment) -> Outcome:
 
 
 def _y_diagonal(cfg: RankConfig, m: Multisegment) -> Outcome:
-    ys = pairset_y(m)
+    ys = set(cross_pairs(m, m)[1])
     return all((i, i) in ys for i in range(1, len(m) + 1)), {}, ()
 
 
 def _pairset_decomposition(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
     # the X and Y pairs of m + m2 are those within m, within m2 and across
     total = m + m2
+    parts = [(a, b, cross_pairs(a, b)) for a, b in ((m, m), (m2, m2), (m, m2), (m2, m))]
+    whole = cross_pairs(total, total)
     held = all(
-        _pair_multiset(total, whole(total))
-        == _pair_multiset(m, whole(m))
-        + _pair_multiset(m2, whole(m2))
-        + _pair_multiset(m, cross(m, m2), m2)
-        + _pair_multiset(m2, cross(m2, m), m)
-        for whole, cross in ((pairset_x, pairset_x_cross), (pairset_y, pairset_y_cross))
+        _pair_multiset(total, total, whole[k])
+        == sum((_pair_multiset(a, b, pairs[k]) for a, b, pairs in parts), Counter())
+        for k in (0, 1)  # X, then Y
     )
     return held, {}, ()
 
@@ -468,7 +461,6 @@ def _tally(
 
 def _drive(
     name: str,
-    p: GenParams,
     cfg: RankConfig,
     target: int,
     make: Callable[[int], Optional[Dict[str, object]]],
@@ -491,7 +483,7 @@ def _drive(
             _tally(check, run_check(check, cfg, inputs), counts, bounds, violations)
     details = {part.replace(f"{name}-", "part"): n for part, n in counts.items()} if parts else {}
     return PropertyReport(
-        name, attempts, sum(counts.values()), violations, union_bound(bounds), p, cfg, details
+        name, attempts, sum(counts.values()), violations, union_bound(bounds), details
     )
 
 
@@ -501,7 +493,7 @@ def prop_mm_minus(
     def make(i: int) -> Dict[str, object]:
         return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
 
-    return _drive("mm-minus", p, cfg, instances, make)
+    return _drive("mm-minus", cfg, instances, make)
 
 
 def prop_splitdisj(
@@ -523,7 +515,7 @@ def prop_splitdisj(
         spans = {"m1": (-r, -2), "m1p": (-r, -2), "m2": (2, r), "m2p": (2, r)}
         return {key: block(rng, lo, hi) for key, (lo, hi) in spans.items()}
 
-    return _drive("splitdisj", p, cfg, instances, make)
+    return _drive("splitdisj", cfg, instances, make)
 
 
 def prop_gedelta(
@@ -534,7 +526,7 @@ def prop_gedelta(
         d = _random_segment(rng, p, -p.coord_range, p.coord_range)
         return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1), "delta": d}
 
-    return _drive("gedelta", p, cfg, instances, make)
+    return _drive("gedelta", cfg, instances, make)
 
 
 def prop_3ms(
@@ -544,7 +536,7 @@ def prop_3ms(
         return {"m": gen_ms(p, 3 * i), "m2": gen_ms(p, 3 * i + 1), "n": gen_ms(p, 3 * i + 2)}
 
     parts = ("3ms-2", "3ms-3", "3ms-4", "3ms-5")
-    return _drive("3ms", p, cfg, instances, make, parts)
+    return _drive("3ms", cfg, instances, make, parts)
 
 
 def prop_sumofseg_geom(
@@ -553,7 +545,7 @@ def prop_sumofseg_geom(
     def make(i: int) -> Dict[str, object]:
         return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
 
-    return _drive("sumofseg", p, cfg, instances, make)
+    return _drive("sumofseg", cfg, instances, make)
 
 
 def prop_rhoext_geom(
@@ -567,7 +559,7 @@ def prop_rhoext_geom(
         rng = _rng(p, i, 5)
         return {"m": m, "m2": m2, "rho": rng.choice(sorted(m.supp()))}
 
-    return _drive("rhoext", p, cfg, instances, make)
+    return _drive("rhoext", cfg, instances, make)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +607,7 @@ def suite_invariances(
                 result = run_check(f"invariances/{name}", cfg, inputs)
                 _tally(name, result, details, bounds, violations)
     return PropertyReport(
-        "invariances", instances, instances, violations, union_bound(bounds), p, cfg, details
+        "invariances", instances, instances, violations, union_bound(bounds), details
     )
 
 

@@ -10,8 +10,8 @@ segments beginning one step to its right.
 The kernels walk the canonical segment tuple ``m.segs`` once, numbering it
 as they go, instead of looking segments up by index.  One walk over the
 segment pairs of (m, m2), :func:`cross_pairs`, yields both cross pair sets
-X and Y as lists in sorted pair order; the frozenset pair sets are views of
-it.  The involution strips plain re-sorted lists and builds one
+X and Y as lists in sorted pair order; X(m) and Y(m) are the walk over
+(m, m).  The involution strips plain re-sorted lists and builds one
 multisegment at the end, and the matching oracle computes the rho index
 sets once per call.
 """
@@ -45,7 +45,9 @@ def cross_pairs(
     precedes the right shift of seg_j (b_i <= b_j <= e_i <= e_j on a common
     line).  Both need a common line with b_i <= b_j <= e_i + 1 and
     e_i <= e_j; X adds b_i < b_j and e_i < e_j, Y adds b_j <= e_i.  Pairs are
-    visited in lexicographic order, so both lists come out sorted.
+    visited in lexicographic order, so both lists come out sorted.  With
+    m2 = m they are X(m), which never holds (i, i), and Y(m), which always
+    does.
     """
     segs2 = [(j, d.line, d.b, d.e) for j, d in enumerate(m2.segs, 1)]
     xs: List[Tuple[int, int]] = []
@@ -59,31 +61,6 @@ def cross_pairs(
                 if b2 <= e:
                     ys.append((i, j))
     return xs, ys
-
-
-def pairset_x(m: Multisegment) -> Pairs:
-    """Pairs (i, j) with segment i preceding segment j (never i = j)."""
-    return pairset_x_cross(m, m)
-
-
-def pairset_y(m: Multisegment) -> Pairs:
-    """Pairs (i, j) with segment i preceding the right shift of segment j.
-
-    Unfolds to b_i <= b_j <= e_i <= e_j on a common line, so the diagonal is
-    always contained.
-    """
-    return pairset_y_cross(m, m)
-
-
-def pairset_x_cross(m: Multisegment, m2: Multisegment) -> Pairs:
-    """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding seg_j."""
-    return frozenset(cross_pairs(m, m2)[0])
-
-
-def pairset_y_cross(m: Multisegment, m2: Multisegment) -> Pairs:
-    """Pairs (i, j), i indexing m and j indexing m2, with seg_i preceding the
-    right shift of seg_j."""
-    return frozenset(cross_pairs(m, m2)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ class TestParse:
             code, out, err = invoke(["derivative", "--rho", text, "[0,1]"])
             assert code == 2 and not out and err.startswith("error: ")
 
+    def test_overlong_integer_literals(self):
+        # past Python's int conversion limit a literal is a parse error at
+        # its position, not an internal error
+        nines = "9" * 5000
+        for text, pos in ((f"{nines}*[0,1]", 0), (f"[0,{nines}]", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_mseg(text)
+            assert exc.value.position == pos
+            code, out, err = invoke(["check", "gls", text])
+            assert code == 2 and not out and err.startswith("error: ")
+        with pytest.raises(ParseError) as exc:
+            parse_rho(nines)
+        assert exc.value.position == 0
+        code, out, err = invoke(["derivative", "--rho", nines, "[0,1]"])
+        assert code == 2 and not out and err.startswith("error: ")
+
     @given(st.builds(CuspidalPoint, LABELS, st.integers(-(10**6), 10**6)))
     def test_rho_round_trip(self, rho):
         assert parse_rho(str(rho)) == rho
@@ -339,6 +355,23 @@ class TestExitCodes:
             code, out, err = invoke([*command, "--trials", str(cap + 1), "--format", "json"])
             assert code == 2 and not out
             assert err == f"error: more than {cap} trials\n"
+
+    def test_negative_suite_sizes_are_2(self):
+        for flag in ("--max-segments", "--range"):
+            code, out, err = invoke(["suite", "gedelta", flag, "-1", "--format", "json"])
+            assert code == 2 and not out
+            assert err == "error: sizes must be nonnegative\n"
+
+    def test_max_segments_above_cap_is_2(self, monkeypatch):
+        # refused before any instance is drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setitem(SUITES, "gedelta", refuse)
+        argv = ["suite", "gedelta", "--max-segments", str(MAX_SEGMENTS + 1), "--format", "json"]
+        code, out, err = invoke(argv)
+        assert code == 2 and not out
+        assert err == f"error: more than {MAX_SEGMENTS} segments\n"
 
     def test_trials_at_cap_accepted(self):
         code, out, _ = invoke(["check", "gls", "[0,0]", "--trials", str(MAX_TRIALS), "--format", "json"])

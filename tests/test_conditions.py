@@ -26,7 +26,7 @@ from mseg.errors import NotApplicableError, SupportMismatchError
 from mseg.harness import GenParams, gen_ms
 from mseg.linalg import MERSENNE61, RankConfig, sample_coeffs
 from mseg.segments import Multisegment, Segment
-from mseg.zelevinsky import pairset_x, pairset_x_cross, pairset_y, pairset_y_cross
+from mseg.zelevinsky import cross_pairs
 
 
 def S(b, e, line="0"):
@@ -51,7 +51,7 @@ def random_ms(rng, max_segments=5, box=4, max_len=4, lines=("0",)):
 
 
 def sampled(m, seed=0):
-    xs = tuple(sorted(pairset_x(m)))
+    xs = cross_pairs(m, m)[0]
     return CoeffVector(xs, sample_coeffs(xs, MERSENNE61, seed, 1))
 
 
@@ -62,9 +62,9 @@ def gls_reference(m, lam):
     column (i, k) when (k, j) is a precedence pair and (i, k) a shifted one,
     and a -lam[i, k] contribution at column (k, j) in the mirrored case.
     """
-    xs = sorted(pairset_x(m))
+    xs, ys = cross_pairs(m, m)
     xset = set(xs)
-    col = {pair: c for c, pair in enumerate(sorted(pairset_y(m)))}
+    col = {pair: c for c, pair in enumerate(ys)}
     rows = []
     for i, j in xs:
         row = [0] * len(col)
@@ -87,10 +87,11 @@ def lc_reference(m, m2, lam, lam2):
     -lam[i, k] contribution at column (k, j) when (i, k) is a precedence
     pair of m and (k, j) a cross shifted one.
     """
-    x1, x2 = set(pairset_x(m)), set(pairset_x(m2))
-    col = {pair: c for c, pair in enumerate(sorted(pairset_y_cross(m, m2)))}
+    x1, x2 = set(cross_pairs(m, m)[0]), set(cross_pairs(m2, m2)[0])
+    xs, ys = cross_pairs(m, m2)
+    col = {pair: c for c, pair in enumerate(ys)}
     rows = []
-    for i, j in sorted(pairset_x_cross(m, m2)):
+    for i, j in xs:
         row = [0] * len(col)
         for k in range(1, len(m2) + 1):
             if (k, j) in x2 and (i, k) in col:
@@ -116,8 +117,7 @@ def multisegments(lines):
 
 def dense(m, m2, blocks):
     """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted pairs."""
-    xs = sorted(pairset_x_cross(m, m2))
-    ys = sorted(pairset_y_cross(m, m2))
+    xs, ys = cross_pairs(m, m2)
 
     def line(pair):
         return m.seg(pair[0]).line
@@ -163,8 +163,7 @@ class TestGlsMatrix:
         m = M(S(0, 1), S(1, 2), S(0, 1, "a"), S(1, 2, "a"))
         lam = sampled(m)
         ref = gls_reference(m, lam)
-        xs = sorted(pairset_x(m))
-        ys = sorted(pairset_y(m))
+        xs, ys = cross_pairs(m, m)
         for r, (i, _) in enumerate(xs):
             for c, (a, _) in enumerate(ys):
                 if m.seg(i).line != m.seg(a).line:
@@ -200,7 +199,7 @@ class TestLcMatrix:
         assume(m != m2)
 
         def coeffs(ms):
-            xs = tuple(sorted(pairset_x(ms)))
+            xs = cross_pairs(ms, ms)[0]
             values = data.draw(st.lists(st.integers(-9, 9), min_size=len(xs), max_size=len(xs)))
             return CoeffVector(xs, dict(zip(xs, values)))
 
@@ -231,7 +230,7 @@ class TestCheckGls:
 
     def test_false_bound_formula(self):
         v = check_gls(LECLERC, CFG)
-        xs = len(pairset_x(LECLERC))
+        xs = len(cross_pairs(LECLERC, LECLERC)[0])
         # coefficients are drawn from [1, p-1], so each trial misses with
         # probability at most |X|/(p-1)
         assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
@@ -254,7 +253,7 @@ class TestCheckGls:
         v = check_gls(m, CFG)
         assert v.holds and v.certified
         blocks = lc_matrix(m, m, v.witness, v.witness)
-        assert sum(rank_exact(block) for block in blocks) == len(pairset_x(m))
+        assert sum(rank_exact(block) for block in blocks) == len(cross_pairs(m, m)[0])
 
     def test_certify_long_ladder(self):
         # 126 segments give one block of 166 rows and 418 nonzeros, the size
@@ -374,6 +373,35 @@ class TestStructuralFalse:
                     assert is_hall_violator(ms[0], ms[-1], v.witness)
         # one lc_n64 pair is FALSE by pigeonhole, before any trial
         assert sorted(trials) == [0, 1, 1, 1, 1, 1, 1]
+
+
+class TestOneLayoutPerCheck:
+    """The protocol builds a check's layout once, whatever its trial count."""
+
+    def decide_layouts(self, monkeypatch, m, m2, shared):
+        layouts = []
+        layout = conditions._layout
+
+        def counted(*args):
+            layouts.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(conditions, "_layout", counted)
+        v = conditions._decide.__wrapped__(m, m2, CFG, shared)
+        return v, layouts
+
+    def test_gls_after_every_trial(self, monkeypatch):
+        v, layouts = self.decide_layouts(monkeypatch, LECLERC, LECLERC, True)
+        assert v.holds is False and v.trials_run == CFG.trials == 8
+        assert layouts == [(LECLERC, LECLERC)]
+
+    def test_two_line_lc_true(self, monkeypatch):
+        m = parse_mseg("a:[0,1]+a:[0,0]+b:[0,1]+b:[0,0]")
+        m2 = parse_mseg("a:[1,1]+a:[0,0]+b:[1,1]+b:[0,0]")
+        assert len(conditions._layout(m, m2)[2]) == 2
+        v, layouts = self.decide_layouts(monkeypatch, m, m2, False)
+        assert v.holds and v.trials_run >= 1
+        assert layouts == [(m, m2)]
 
 
 class TestCheckIg:

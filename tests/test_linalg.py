@@ -19,7 +19,7 @@ from mseg.linalg import (
     rank_mod_p,
     sample_coeffs,
 )
-from mseg.zelevinsky import pairset_x
+from mseg.zelevinsky import cross_pairs
 
 P = MERSENNE61
 
@@ -201,7 +201,7 @@ class TestSparseRows:
             gen = GenParams(max_segments=8, lines=lines, seed=lines)
             for index in range(40):
                 m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
-                xs, xs2 = tuple(pairset_x(m)), tuple(pairset_x(m2))
+                xs, xs2 = cross_pairs(m, m)[0], cross_pairs(m2, m2)[0]
                 for p in (3, P):
                     lam = CoeffVector(xs, sample_coeffs(xs, p, index, 1))
                     lam2 = CoeffVector(xs2, sample_coeffs(xs2, p, index, 1, stream=1))
