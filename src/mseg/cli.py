@@ -22,11 +22,10 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .conditions import (
     CoeffVector,
-    Verdict,
     check_gls,
     check_ig,
     check_lc,
@@ -40,7 +39,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .harness import SUITES, GenParams, PropertyReport
+from .harness import SUITES, GenParams
 from .linalg import MERSENNE61, RankConfig
 from .segments import CuspidalPoint, Multisegment, Segment, sli_sufficient
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
@@ -203,21 +202,8 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _witness_json(witness) -> Optional[dict]:
-    if witness is None:
-        return None
-    if isinstance(witness, CoeffVector):
-        return {f"({i},{j})": v for (i, j), v in sorted(witness.values.items())}
-    if isinstance(witness, tuple) and len(witness) == 2:
-        lam, lam2 = witness
-        if isinstance(lam, CoeffVector) and isinstance(lam2, CoeffVector):
-            out = {}
-            for (i, j), v in sorted(lam.values.items()):
-                out[f"m:({i},{j})"] = v
-            for (i, j), v in sorted(lam2.values.items()):
-                out[f"m2:({i},{j})"] = v
-            return out
-    return None
+def _coeffs_json(vec: CoeffVector, prefix: str = "") -> dict:
+    return {f"{prefix}({i},{j})": v for (i, j), v in sorted(vec.values.items())}
 
 
 def emit_json(result: dict) -> str:
@@ -245,7 +231,7 @@ def _result(
     certified: bool = False,
     trials: int = 0,
     bound: Fraction = Fraction(0),
-    witness=None,
+    witness: Optional[dict] = None,
     outputs: Optional[dict] = None,
 ) -> dict:
     return {
@@ -255,26 +241,11 @@ def _result(
         "certified": certified,
         "trials": trials,
         "false_verdict_bound": _frac_str(bound),
-        "witness": _witness_json(witness),
+        "witness": witness,
         "prime": cfg.prime,
         "seed": cfg.seed,
         "outputs": outputs or {},
     }
-
-
-def _from_verdict(command: str, inputs: List[str], cfg: RankConfig, v: Verdict, outputs=None) -> dict:
-    # only a TRUE witness (coefficients) is printed; a FALSE prints null
-    return _result(
-        command,
-        inputs,
-        cfg,
-        verdict=v.holds,
-        certified=v.certified,
-        trials=v.trials_run,
-        bound=v.false_verdict_bound,
-        witness=v.witness if v.holds else None,
-        outputs=outputs,
-    )
 
 
 def _print_text(result: dict, out) -> None:
@@ -303,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mseg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, rank=False, verdict=False, **kw) -> argparse.ArgumentParser:
+    def command(name: str, handler, rank=False, verdict=False, **kw) -> argparse.ArgumentParser:
         # only `check` runs rank checks, and only a command with a verdict
         # can turn it into the exit code
         child = sub.add_parser(name, **kw)
+        child.set_defaults(handler=handler)
         if rank:
             child.add_argument("--prime", type=int, default=MERSENNE61)
             child.add_argument("--trials", type=int, default=8)
@@ -317,28 +289,33 @@ def build_parser() -> argparse.ArgumentParser:
         return child
 
     chk = command(
-        "check", rank=True, verdict=True, help="decide a condition on one or two multisegments"
+        "check",
+        _check,
+        rank=True,
+        verdict=True,
+        help="decide a condition on one or two multisegments",
     )
     chk.add_argument("condition", choices=("gls", "lc", "ig", "li"))
     chk.add_argument("mseg", nargs="+")
 
-    mw = command("mw", help="apply the involution")
+    mw = command("mw", _mw, help="apply the involution")
     mw.add_argument("mseg")
 
-    red = command("reduce", help="one involution step: reduction and stripped segment")
+    red = command("reduce", _reduce, help="one involution step: reduction and stripped segment")
     red.add_argument("mseg")
 
-    der = command("derivative", help="left derivative and socle at a point")
+    der = command("derivative", _derivative, help="left derivative and socle at a point")
     der.add_argument("--rho", required=True, help="point as LABEL:INT (label elidable)")
     der.add_argument("mseg")
 
-    lad = command("ladder", verdict=True, help="is the multisegment a ladder?")
+    lad = command("ladder", _ladder, verdict=True, help="is the multisegment a ladder?")
     lad.add_argument("mseg")
 
-    sli = command("sli", verdict=True, help="simple sufficient independence test for a pair")
+    sli = command("sli", _sli, verdict=True, help="simple sufficient independence test for a pair")
     sli.add_argument("mseg", nargs=2)
 
     ste = sub.add_parser("suite", help="run a property suite")
+    ste.set_defaults(handler=_suite)
     ste.add_argument("name", choices=sorted(SUITES) + ["all"])
     ste.add_argument("--trials", type=int, default=None, help="instance target")
     ste.add_argument("--seed", type=int, default=0, help="generation seed")
@@ -369,73 +346,111 @@ def _cfg_from(args) -> RankConfig:
     return RankConfig(prime=args.prime, trials=args.trials, seed=args.seed)
 
 
-def _run_check(args, cfg: RankConfig) -> dict:
+# One handler per subcommand, bound by `build_parser`: each takes the parsed
+# arguments and the rank configuration and returns the command's record.  They
+# look library functions up as module globals at call time, so replacing one
+# in this module (a test double, a tracing wrapper) reaches every command.
+
+
+def _check(args, cfg: RankConfig) -> dict:
     cond = args.condition
     want = 1 if cond == "gls" else 2
     if len(args.mseg) != want:
         raise ParseError(f"'check {cond}' takes {want} multisegment(s)", 0)
     msegs = [parse_mseg(s) for s in args.mseg]
-    inputs = [str(m) for m in msegs]
-    if cond == "ig":
-        v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
-        outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
-        res = _from_verdict("check ig", inputs, cfg, v, outputs)
-        res["witness"] = None
-        return res
+    command, inputs = f"check {cond}", [str(m) for m in msegs]
+    # only a TRUE witness (coefficients) is printed; a FALSE prints null
+    witness, outputs = None, {}
     if cond == "gls":
         v = check_gls(msegs[0], cfg)
-    elif cond == "lc":
-        v = check_lc(msegs[0], msegs[1], cfg)
+        if v.holds:
+            witness = _coeffs_json(v.witness)
+    elif cond == "ig":
+        # IG prints a FALSE as FALSE whatever its bound, with both LC verdicts
+        v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
+        outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
     else:
         try:
-            v = li_for_good(msegs[0], msegs[1], cfg)
+            v = (li_for_good if cond == "li" else check_lc)(msegs[0], msegs[1], cfg)
         except NotApplicableError:
-            return _result(
-                "check li",
-                inputs,
-                cfg,
-                verdict=None,
-                outputs={"reason": "neither input is a ladder"},
-            )
-    res = _from_verdict(f"check {cond}", inputs, cfg, v)
-    if not v.holds and v.false_verdict_bound == 1:
+            return _result(command, inputs, cfg, outputs={"reason": "neither input is a ladder"})
+        if v.holds:
+            lam, lam2 = v.witness
+            witness = {**_coeffs_json(lam, "m:"), **_coeffs_json(lam2, "m2:")}
+    verdict = v.holds
+    if cond != "ig" and not v.holds and v.false_verdict_bound == 1:
         # failed trials whose error bound is 1 decide nothing
-        res["verdict"] = None
-        res["outputs"] = {"reason": "inconclusive: the FALSE bound is 1 at this prime"}
-    return res
-
-
-def _run_suite(args, cfg: RankConfig) -> Tuple[dict, bool]:
-    gen = GenParams(
-        max_segments=args.max_segments,
-        coord_range=args.coord_range,
-        seed=args.seed,
+        verdict = None
+        outputs = {"reason": "inconclusive: the FALSE bound is 1 at this prime"}
+    return _result(
+        command,
+        inputs,
+        cfg,
+        verdict=verdict,
+        certified=v.certified,
+        trials=v.trials_run,
+        bound=v.false_verdict_bound,
+        witness=witness,
+        outputs=outputs,
     )
+
+
+def _mw(args, cfg: RankConfig) -> dict:
+    m = parse_mseg(args.mseg)
+    return _result("mw", [str(m)], cfg, outputs={"mw": str(mw_dual(m))})
+
+
+def _reduce(args, cfg: RankConfig) -> dict:
+    m = parse_mseg(args.mseg)
+    if not m:
+        # the step strips a segment, so the zero multisegment has none
+        raise ParseError("'reduce' takes a nonzero multisegment, not 0", 0)
+    delta, reduced = mw_step(m)
+    return _result("reduce", [str(m)], cfg, outputs={"reduced": str(reduced), "delta": str(delta)})
+
+
+def _derivative(args, cfg: RankConfig) -> dict:
+    m = parse_mseg(args.mseg)
+    rho = parse_rho(args.rho)
+    dv = derivative(m, rho)
+    outputs = {
+        "rho": str(rho),
+        "mu": dv.mu,
+        "derivative": str(dv.derived),
+        "soc": str(soc_cuspidal(m, rho)),
+    }
+    return _result("derivative", [str(m)], cfg, outputs=outputs)
+
+
+def _ladder(args, cfg: RankConfig) -> dict:
+    m = parse_mseg(args.mseg)
+    return _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
+
+
+def _sli(args, cfg: RankConfig) -> dict:
+    m, m2 = (parse_mseg(s) for s in args.mseg)
+    return _result("sli", [str(m), str(m2)], cfg, verdict=sli_sufficient(m, m2), certified=True)
+
+
+def _suite(args, cfg: RankConfig) -> dict:
+    gen = GenParams(max_segments=args.max_segments, coord_range=args.coord_range, seed=args.seed)
     names = sorted(SUITES) if args.name == "all" else [args.name]
-    reports: List[PropertyReport] = []
-    for name in names:
-        fn = SUITES[name]
-        if args.trials is not None:
-            reports.append(fn(gen, cfg, instances=args.trials))
-        else:
-            reports.append(fn(gen, cfg))
-    passed = all(r.passed for r in reports)
-    bound = union_bound(r.accumulated_bound for r in reports)
+    # without --trials each suite draws its own default instance target
+    size = {} if args.trials is None else {"instances": args.trials}
+    reports = [SUITES[name](gen, cfg, **size) for name in names]
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],
     }
-    res = _result(
+    return _result(
         "suite",
         names,
         cfg,
-        verdict=passed,
-        certified=False,
+        verdict=all(r.passed for r in reports),
         trials=sum(r.instances_generated for r in reports),
-        bound=bound,
+        bound=union_bound(r.accumulated_bound for r in reports),
         outputs=outputs,
     )
-    return res, passed
 
 
 def run(argv: List[str], out=None, err=None) -> int:
@@ -457,48 +472,7 @@ def run(argv: List[str], out=None, err=None) -> int:
         return EXIT_PARSE
 
     try:
-        if args.command == "check":
-            result = _run_check(args, cfg)
-        elif args.command == "mw":
-            m = parse_mseg(args.mseg)
-            result = _result("mw", [str(m)], cfg, outputs={"mw": str(mw_dual(m))})
-        elif args.command == "reduce":
-            m = parse_mseg(args.mseg)
-            delta, reduced = mw_step(m)
-            result = _result(
-                "reduce",
-                [str(m)],
-                cfg,
-                outputs={"reduced": str(reduced), "delta": str(delta)},
-            )
-        elif args.command == "derivative":
-            m = parse_mseg(args.mseg)
-            rho = parse_rho(args.rho)
-            dv = derivative(m, rho)
-            result = _result(
-                "derivative",
-                [str(m)],
-                cfg,
-                outputs={
-                    "rho": str(rho),
-                    "mu": dv.mu,
-                    "derivative": str(dv.derived),
-                    "soc": str(soc_cuspidal(m, rho)),
-                },
-            )
-        elif args.command == "ladder":
-            m = parse_mseg(args.mseg)
-            result = _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
-        elif args.command == "sli":
-            m = parse_mseg(args.mseg[0])
-            m2 = parse_mseg(args.mseg[1])
-            result = _result(
-                "sli", [str(m), str(m2)], cfg, verdict=sli_sufficient(m, m2), certified=True
-            )
-        elif args.command == "suite":
-            result, _ = _run_suite(args, cfg)
-        else:  # pragma: no cover
-            raise MsegError(f"unknown command {args.command}")
+        result = args.handler(args, cfg)
     except (ParseError, EmptySegmentError, TooLargeError) as e:
         print(f"error: {e}", file=err)
         return EXIT_PARSE

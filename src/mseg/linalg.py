@@ -94,7 +94,9 @@ class RankConfig:
             raise ValueError("trials must be positive")
         if self.trials > MAX_TRIALS:
             raise TooLargeError(f"more than {MAX_TRIALS} trials")
-        if not 2 <= self.prime < (1 << 64):
+        if self.prime < 2:
+            raise ValueError("prime must be at least 2")
+        if self.prime >= 1 << 64:
             raise ValueError("prime must fit in 64 bits")
         _checked_prime(self.prime)
 

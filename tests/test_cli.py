@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import mseg
 import mseg.cli
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
-from mseg.errors import EmptySegmentError, ParseError, TooLargeError
+from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 
@@ -325,10 +325,32 @@ class TestExitCodes:
         code, _, _ = invoke(["frobnicate"])
         assert code == 2
 
-    def test_internal_error_is_3(self):
-        # reduce of the zero multisegment violates the operation's domain
-        code, _, err = invoke(["reduce", "0"])
-        assert code == 3 and "error" in err
+    def test_internal_error_is_3(self, monkeypatch):
+        # a library error that no input check caught is the program's fault
+        def fail(*args, **kwargs):
+            raise MsegError("broken")
+
+        monkeypatch.setattr(mseg.cli, "mw_dual", fail)
+        code, out, err = invoke(["mw", "[0,0]"])
+        assert code == 3 and not out and err == "error: broken\n"
+
+    def test_reduce_of_zero_is_2(self):
+        # the step strips a segment; the zero multisegment is rejected input
+        for text in ("0", " 0 "):
+            code, out, err = invoke(["reduce", text, "--format", "json"])
+            assert code == 2 and not out
+            assert err == "error: 'reduce' takes a nonzero multisegment, not 0 (at position 0)\n"
+
+    def test_prime_out_of_range_is_2(self):
+        messages = {
+            "0": "prime must be at least 2",
+            "1": "prime must be at least 2",
+            str(1 << 64): "prime must fit in 64 bits",
+        }
+        for command in (["check", "gls", "[0,0]"], ["suite", "gedelta", "--trials", "2"]):
+            for prime, message in messages.items():
+                code, out, err = invoke([*command, "--prime", prime, "--format", "json"])
+                assert code == 2 and not out and err == f"error: {message}\n"
 
     def test_too_large_is_2(self):
         start = time.perf_counter()
@@ -437,6 +459,55 @@ class TestJson:
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_records_byte_for_byte(self):
+        # one record of each shape; the witness keys name the condition run
+        default = '"prime":2305843009213693951,"seed":0'
+        none = '"verdict":null,"certified":false,"trials":0,"false_verdict_bound":"0/1","witness":null'
+        lc_true = (
+            '"verdict":true,"certified":true,"trials":1,"false_verdict_bound":"0/1",'
+            '"witness":{"m:(2,1)":874121439593548569,"m2:(2,1)":709221631589824909},'
+            f'{default},"outputs":{{}}}}'
+        )
+        pair = '"inputs":["[1,1]+[0,0]","[1,1]+[0,0]"]'
+        records = {
+            ("check", "gls", "[1,2]+[0,1]"):
+                '{"command":"check gls","inputs":["[1,2]+[0,1]"],"verdict":true,"certified":true,'
+                '"trials":1,"false_verdict_bound":"0/1","witness":{"(2,1)":874121439593548569},'
+                f'{default},"outputs":{{}}}}',
+            ("check", "lc", "[1,1]+[0,0]", "[1,1]+[0,0]"): f'{{"command":"check lc",{pair},{lc_true}',
+            ("check", "li", "[1,1]+[0,0]", "[1,1]+[0,0]"): f'{{"command":"check li",{pair},{lc_true}',
+            ("check", "ig", "[1,1]+[0,0]", "[1,1]+[0,0]"):
+                f'{{"command":"check ig",{pair},"verdict":true,"certified":true,"trials":2,'
+                f'"false_verdict_bound":"0/1","witness":null,{default},'
+                '"outputs":{"lc_forward":true,"lc_reverse":true}}',
+            ("check", "li", "[0,1]+[0,2]", "[0,1]+[0,2]"):
+                f'{{"command":"check li","inputs":["[0,2]+[0,1]","[0,2]+[0,1]"],{none},{default},'
+                '"outputs":{"reason":"neither input is a ladder"}}',
+            ("check", "gls", "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]", "--prime", "2"):
+                '{"command":"check gls","inputs":["[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"],'
+                '"verdict":null,"certified":false,"trials":8,"false_verdict_bound":"1/1",'
+                '"witness":null,"prime":2,"seed":0,'
+                '"outputs":{"reason":"inconclusive: the FALSE bound is 1 at this prime"}}',
+            ("mw", "[0,2]+[1,3]"):
+                f'{{"command":"mw","inputs":["[1,3]+[0,2]"],{none},{default},'
+                '"outputs":{"mw":"[2,3]+[1,2]+[0,1]"}}',
+            ("reduce", "[0,2]+[1,3]"):
+                f'{{"command":"reduce","inputs":["[1,3]+[0,2]"],{none},{default},'
+                '"outputs":{"reduced":"[1,2]+[0,1]","delta":"[2,3]"}}',
+            ("derivative", "--rho", "0", "[0,2]+[1,3]+[0,0]"):
+                f'{{"command":"derivative","inputs":["[1,3]+[0,2]+[0,0]"],{none},{default},'
+                '"outputs":{"rho":"0","mu":1,"derivative":"[1,3]+[0,2]",'
+                '"soc":"[1,3]+[0,2]+[0,0]+[0,0]"}}',
+            ("ladder", "[1,2]+[0,1]"):
+                '{"command":"ladder","inputs":["[1,2]+[0,1]"],"verdict":true,"certified":true,'
+                f'"trials":0,"false_verdict_bound":"0/1","witness":null,{default},"outputs":{{}}}}',
+            ("sli", "[0,1]", "[1,2]"):
+                '{"command":"sli","inputs":["[0,1]","[1,2]"],"verdict":false,"certified":true,'
+                f'"trials":0,"false_verdict_bound":"0/1","witness":null,{default},"outputs":{{}}}}',
+        }
+        for argv, line in records.items():
+            assert invoke([*argv, "--format", "json"]) == (0, line + "\n", "")
 
     def test_outputs_carry_mw(self):
         _, out, _ = invoke(["mw", "[0,0]+[1,1]", "--format", "json"])
