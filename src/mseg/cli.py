@@ -366,7 +366,7 @@ def _check(args, cfg: RankConfig) -> dict:
         if v.holds:
             witness = _coeffs_json(v.witness)
     elif cond == "ig":
-        # IG prints a FALSE as FALSE whatever its bound, with both LC verdicts
+        # IG reports both LC verdicts beside its own
         v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
         outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
     else:
@@ -378,10 +378,10 @@ def _check(args, cfg: RankConfig) -> dict:
             lam, lam2 = v.witness
             witness = {**_coeffs_json(lam, "m:"), **_coeffs_json(lam2, "m2:")}
     verdict = v.holds
-    if cond != "ig" and not v.holds and v.false_verdict_bound == 1:
+    if not v.holds and v.false_verdict_bound == 1:
         # failed trials whose error bound is 1 decide nothing
         verdict = None
-        outputs = {"reason": "inconclusive: the FALSE bound is 1 at this prime"}
+        outputs = {**outputs, "reason": "inconclusive: the FALSE bound is 1 at this prime"}
     return _result(
         command,
         inputs,

@@ -6,10 +6,10 @@ an open condition, a single random evaluation of full rank proves it: at
 the integer witness some maximal minor of every block is nonzero mod p, so
 it is a nonzero integer and the rank over the rationals is full as well.
 TRUE therefore comes with a witness and is certified.  FALSE is proved when
-it can be cheaply: by pigeonhole (a line block with more rows than columns),
-or, once the first trial has failed, by structural rank (a Hall violator:
-rows of one block whose terms cover fewer columns than there are rows).
-Otherwise failure across independent trials refutes it with an explicit
+it can be cheaply, before any random trial: by pigeonhole (a line block with
+more rows than columns) or by structural rank (a Hall violator: rows of one
+block whose terms cover fewer columns than there are rows).  Otherwise
+failure across independent trials refutes it with an explicit
 Schwartz-Zippel style error bound.
 
 Rows are indexed by cross precedence pairs (an X set), columns by cross
@@ -57,7 +57,8 @@ class Verdict:
     wrong; it is 0 for TRUE and for deterministic FALSE (pigeonhole or
     structural rank).  ``certified``, derived from it, means the verdict
     does not rest on a random evaluation: only a FALSE after failed trials
-    does.
+    does.  A GLS or LC FALSE proved deterministically is decided before
+    any trial, so its ``trials_run`` is 0.
 
     The witness of TRUE is the coefficient vector (GLS) or pair (LC).  The
     witness of a structural FALSE is ``(block, rows)``: the index of a line
@@ -191,13 +192,13 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
 
     With ``shared`` (and m2 = m) one stream-0 vector stands on both sides and
     is itself the witness; otherwise the sides draw from streams 0 and 1 and
-    the witness is the pair.  Deterministic shortcuts: no rows is trivially
-    independent; a line block with more rows than columns never is (checked
-    before any trial).  When trial 1 fails, every block is tested for a
-    Hall violator before trial 2: one proves FALSE after that single trial,
-    with the violator as witness.  Blocks whose rows can be matched to
-    distinct columns (TRUE, or FALSE only through cancelling terms) go on
-    to the remaining trials.
+    the witness is the pair.  Deterministic shortcuts, all taken before any
+    coefficient is drawn: no rows is trivially independent; a line block
+    with more rows than columns never is (pigeonhole); nor is a block with
+    a Hall violator, which proves FALSE with the violator as witness.  Both
+    FALSEs report 0 trials.  Only when every block's rows can be matched to
+    distinct columns (TRUE, or FALSE only through cancelling terms) do the
+    random trials run.
     """
     x1, x2, blocks = _layout(m, m2)
 
@@ -208,16 +209,15 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
         return Verdict(True, witness({}, {}), 0, Fraction(0))
     if any(len(rows) > cols for cols, rows in blocks):
         return Verdict(False, None, 0, Fraction(0))
+    hall = _structural_deficit(blocks)
+    if hall is not None:
+        return Verdict(False, hall, 0, Fraction(0))
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:
             lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
         if all(rank_mod_p(rows, cfg.prime) == len(rows) for rows in _rows(blocks, lam, lam2)):
             return Verdict(True, witness(lam, lam2), t, Fraction(0))
-        if t == 1:
-            hall = _structural_deficit(blocks)
-            if hall is not None:
-                return Verdict(False, hall, 1, Fraction(0))
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.
@@ -250,19 +250,25 @@ def union_bound(bounds: Iterable[Fraction]) -> Fraction:
 def check_ig(
     m: Multisegment, m2: Multisegment, cfg: RankConfig = RankConfig()
 ) -> Tuple[Verdict, Verdict, Verdict]:
-    """IG(m, m2): the conjunction of LC both ways; bounds add, capped at 1.
+    """IG(m, m2): the conjunction of LC both ways.
 
     Returns the IG verdict with the two LC verdicts it combines:
     ``(IG(m, m2), LC(m, m2), LC(m2, m))``.  The IG witness is the pair of
-    LC witnesses when both hold, else None.
+    LC witnesses when both hold, else None.  A certified LC FALSE on either
+    side certifies IG FALSE, with bound 0; otherwise the two bounds add,
+    capped at 1.
     """
     fwd, rev = check_lc(m, m2, cfg), check_lc(m2, m, cfg)
     holds = fwd.holds and rev.holds
+    if any(not v.holds and v.certified for v in (fwd, rev)):
+        bound = Fraction(0)
+    else:
+        bound = union_bound((fwd.false_verdict_bound, rev.false_verdict_bound))
     ig = Verdict(
         holds,
         (fwd.witness, rev.witness) if holds else None,
         fwd.trials_run + rev.trials_run,
-        union_bound((fwd.false_verdict_bound, rev.false_verdict_bound)),
+        bound,
     )
     return ig, fwd, rev
 

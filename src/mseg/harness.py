@@ -14,7 +14,7 @@ recorded violation through the same table.
 
 Verdicts of the condition checks are treated as ground truth.  A FALSE
 verdict is certified when pigeonhole or a Hall violator (structural rank,
-found after the first failed trial) proves it, and probabilistic otherwise;
+tested before any random trial) proves it, and probabilistic otherwise;
 so every report carries the accumulated error bound (the union bound, capped
 at 1), and each violation is flagged as possibly spurious when its evidence
 includes a probabilistic FALSE.

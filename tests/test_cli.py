@@ -169,10 +169,10 @@ class TestSubcommands:
         assert code == 0 and "verdict: false" in out
 
     def test_false_witness_null(self):
-        # structural (Hall violator after one trial), pigeonhole and
+        # structural (Hall violator before any trial), pigeonhole and
         # probabilistic FALSE all print a null witness
         cases = {
-            ("lc", "[1,3]+[0,1]+[0,0]", "[1,3]"): (True, 1, "0/1"),
+            ("lc", "[1,3]+[0,1]+[0,0]", "[1,3]"): (True, 0, "0/1"),
             ("lc", "[0,0]", "[1,1]"): (True, 0, "0/1"),
             ("gls", "[1,2]+[-1,1]+[0,0]+[-2,-1]"): (False, 8, None),
         }
@@ -183,13 +183,27 @@ class TestSubcommands:
             assert data["certified"] is certified and data["trials"] == trials
             assert bound is None or data["false_verdict_bound"] == bound
         _, out, _ = invoke(["check", "lc", "[1,3]+[0,1]+[0,0]", "[1,3]"])
-        assert "certified: true\ntrials: 1\nfalse_verdict_bound: 0/1" in out
+        assert "certified: true\ntrials: 0\nfalse_verdict_bound: 0/1" in out
 
     def test_check_ig_outputs(self):
         code, out, _ = invoke(["check", "ig", "[0,0]", "[1,1]", "--format", "json"])
         data = json.loads(out)
         assert data["verdict"] is False
         assert data["outputs"] == {"lc_forward": False, "lc_reverse": True}
+
+    def test_check_ig_bound_one_is_inconclusive(self):
+        # at p = 2 both sides of LC(m, m) are all ones, the GLS matrix of
+        # Leclerc's example: each direction fails its one trial at bound 1
+        m = "[1,2]+[-1,1]+[0,0]+[-2,-1]"
+        argv = ["check", "ig", m, m, "--prime", "2", "--trials", "1", "--format", "json"]
+        _, out, _ = invoke(argv)
+        data = json.loads(out)
+        assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
+        assert data["outputs"] == {
+            "lc_forward": False,
+            "lc_reverse": False,
+            "reason": "inconclusive: the FALSE bound is 1 at this prime",
+        }
 
     def test_check_li_gated(self):
         code, out, _ = invoke(

@@ -325,7 +325,7 @@ def is_hall_violator(m, m2, witness):
 
 
 class TestStructuralFalse:
-    """FALSE certified by a Hall violator once trial 1 has failed."""
+    """FALSE certified by a Hall violator before any trial."""
 
     def test_same_verdicts_as_the_trials_alone(self, monkeypatch):
         # 300 one- and two-line instances each for GLS and LC, against the
@@ -349,17 +349,17 @@ class TestStructuralFalse:
         structural = 0
         for (_, _, pair), v, ref in zip(cases, new, old):
             assert v.holds == ref.holds
-            if v.holds or not v.certified or v.trials_run == 0:
+            if v.holds or not v.certified or v.witness is None:
                 assert v == ref  # TRUE, pigeonhole and structurally full FALSE
                 continue
             structural += 1
-            assert v.trials_run == 1 and v.false_verdict_bound == 0
+            assert v.trials_run == 0 and v.false_verdict_bound == 0
             assert not ref.certified and ref.trials_run == CFG.trials
             assert is_hall_violator(*pair, v.witness)
         assert structural >= 50
 
     def test_large_benchmark_falses_certified(self):
-        trials = []
+        hall = pigeonhole = 0
         for instances in json.loads(LARGE.read_text()).values():
             for inst in instances:
                 ms = [parse_mseg(text) for text in inst["inputs"]]
@@ -368,11 +368,31 @@ class TestStructuralFalse:
                 if v.holds:
                     continue
                 assert v.certified and v.false_verdict_bound == 0
-                trials.append(v.trials_run)
-                if v.trials_run:
+                assert v.trials_run == 0
+                if v.witness is None:
+                    pigeonhole += 1
+                else:
+                    hall += 1
                     assert is_hall_violator(ms[0], ms[-1], v.witness)
-        # one lc_n64 pair is FALSE by pigeonhole, before any trial
-        assert sorted(trials) == [0, 1, 1, 1, 1, 1, 1]
+        # one lc_n64 pair is FALSE by pigeonhole, the others by a Hall violator
+        assert (hall, pigeonhole) == (6, 1)
+
+    def test_no_coefficients_drawn(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a structural FALSE ran a trial")
+
+        cases = [(check_lc, (parse_mseg("[1,3]+[0,1]+[0,0]"), parse_mseg("[1,3]")))]
+        for instances in json.loads(LARGE.read_text()).values():
+            for inst in instances:
+                if not inst["holds"]:
+                    ms = [parse_mseg(text) for text in inst["inputs"]]
+                    cases.append((check_gls if inst["kind"] == "gls" else check_lc, ms))
+        conditions._decide.cache_clear()
+        monkeypatch.setattr(conditions, "sample_coeffs", drawn)
+        monkeypatch.setattr(conditions, "rank_mod_p", drawn)
+        for check, ms in cases:
+            v = check(*ms, CFG)
+            assert not v.holds and v.certified and v.trials_run == 0
 
 
 class TestOneLayoutPerCheck:
@@ -422,6 +442,17 @@ class TestCheckIg:
         assert v.false_verdict_bound == fwd.false_verdict_bound + rev.false_verdict_bound
         assert v.trials_run == fwd.trials_run + rev.trials_run
 
+    def test_certified_side_certifies(self):
+        # LC(m2, m) has a Hall violator; LC(m, m2) fails all 8 trials at
+        # p = 2 with bound 1, which adding would carry into IG
+        m, m2 = parse_mseg("2*[1,2]+[2,3]+[2,3]"), parse_mseg("[2,2]+[2,4]+[-1,0]")
+        cfg = RankConfig(prime=2)
+        v, fwd, rev = check_ig(m, m2, cfg)
+        assert fwd.false_verdict_bound == 1 and fwd.trials_run == 8
+        assert rev.certified and not rev.holds and rev.witness is not None
+        assert v.holds is False and v.certified and v.false_verdict_bound == 0
+        assert v.trials_run == 8
+
     def test_bound_capped_at_one(self):
         # at p = 2 both sides of LC(m, m) are all ones, which is the GLS
         # matrix of Leclerc's example: each direction fails with bound 1
@@ -443,9 +474,14 @@ class TestCertified:
         # at p = 2 or 3 about 1 % of these verdicts are probabilistic FALSEs
         gen = GenParams(max_segments=8, coord_range=4, lines=lines, seed=index % 7)
         m, m2 = gen_ms(gen, index), gen_ms(gen, index + 1)
-        for v in (check_gls(m, cfg), check_lc(m, m2, cfg), *check_ig(m, m2, cfg)):
+        gls, lc = check_gls(m, cfg), check_lc(m, m2, cfg)
+        for v in (gls, lc, *check_ig(m, m2, cfg)):
             assert v.certified == (v.false_verdict_bound == 0)
             assert v.certified or not v.holds
+        # a GLS or LC FALSE is certified before any trial, or runs them all
+        for v in (gls, lc):
+            if not v.holds:
+                assert v.trials_run == (0 if v.certified else cfg.trials)
 
 
 class TestLiForGood:
