@@ -99,9 +99,11 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     Row (i, j) of a block holds +lam2[s, j] at column (i, s) for every
     precedence pair (s, j) of m2, and -lam[i, r] at column (r, j) for every
     precedence pair (i, r) of m, wherever that column is a cross shifted
-    pair.  Blocks come in line order; a block's rows and columns follow
-    sorted pair order, columns numbered from 0 per line.  Lines with
-    columns but no rows are left out.
+    pair.  Each candidate term costs one probe of the column map, so a row
+    costs the precedence pairs leaving i in m and entering j in m2.
+    Blocks come in line order; a block's rows and columns follow sorted
+    pair order, columns numbered from 0 per line.  Lines with columns but
+    no rows are left out.
 
     Not cached: a check reads its layout once, in :func:`_decide`, and a
     repeated check stops at that function's verdict memo.
@@ -116,8 +118,8 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
     width: Dict[str, int] = {}
     for pair in ys:
         line = segs[pair[0] - 1].line
-        col[pair] = width.get(line, 0)
-        width[line] = col[pair] + 1
+        c = col[pair] = width.get(line, 0)
+        width[line] = c + 1
     into: Dict[int, List[Tuple[int, int]]] = {}  # j -> the pairs (s, j) of X(m2)
     for key in x2:
         into.setdefault(key[1], []).append(key)
@@ -126,8 +128,12 @@ def _layout(m: Multisegment, m2: Multisegment) -> Layout:
         out.setdefault(key[0], []).append(key)
     rows: Dict[str, List[Tuple[Term, ...]]] = {}
     for i, j in xs:
-        terms = [(col[i, key[0]], 1, key, 1) for key in into.get(j, ()) if (i, key[0]) in col]
-        terms += [(col[key[1], j], 0, key, -1) for key in out.get(i, ()) if (key[1], j) in col]
+        terms = [
+            (c, 1, key, 1) for key in into.get(j, ()) if (c := col.get((i, key[0]))) is not None
+        ]
+        terms += [
+            (c, 0, key, -1) for key in out.get(i, ()) if (c := col.get((key[1], j))) is not None
+        ]
         rows.setdefault(segs[i - 1].line, []).append(tuple(terms))
     blocks = tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
     return x1, x2, blocks

@@ -8,17 +8,21 @@ by the leading-index scan; matchings pair segments beginning at a point with
 segments beginning one step to its right.
 
 The kernels walk the canonical segment tuple ``m.segs`` once, numbering it
-as they go, instead of looking segments up by index.  One walk over the
-segment pairs of (m, m2), :func:`cross_pairs`, yields both cross pair sets
-X and Y as lists in sorted pair order; X(m) and Y(m) are the walk over
-(m, m).  The involution strips plain re-sorted lists and builds one
+as they go, instead of looking segments up by index.  One merge walk over
+m and m2, :func:`cross_pairs`, yields both cross pair sets X and Y as
+lists in sorted pair order; X(m) and Y(m) are the walk over (m, m).  It
+relies on two facts of the canonical order: lines come in descending label
+order, and within a line ends do not rise as the index rises.  So the
+partners of a segment of m are found in one run of m2 between two pointers
+that only move forward, and the walk costs about |m| + |m2| + the pairs it
+inspects rather than |m| * |m2|; long segments that begin early widen the
+runs.  The involution strips plain re-sorted lists and builds one
 multisegment at the end, and the matching oracle computes the rho index
 sets once per call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
@@ -44,22 +48,49 @@ def cross_pairs(
     (i, j) is in X when seg_i of m precedes seg_j of m2, and in Y when seg_i
     precedes the right shift of seg_j (b_i <= b_j <= e_i <= e_j on a common
     line).  Both need a common line with b_i <= b_j <= e_i + 1 and
-    e_i <= e_j; X adds b_i < b_j and e_i < e_j, Y adds b_j <= e_i.  Pairs are
-    visited in lexicographic order, so both lists come out sorted.  With
+    e_i <= e_j; X adds b_i < b_j and e_i < e_j, Y adds b_j <= e_i.  With
     m2 = m they are X(m), which never holds (i, i), and Y(m), which always
     does.
+
+    The walk merges the two canonical orders instead of testing every pair.
+    Lines come in descending label order on both sides, so ``hi`` moves
+    forward to the line run of m2 for each line of m.  Within a line ends
+    do not rise as the index rises, on either side, so the segments with
+    e_j >= e_i end at ``hi``, which only moves forward.  They start at
+    ``lo``: a segment of m2 beginning past e_i + 1 also begins past the end
+    plus one of every later segment of the line, so ``lo`` moves forward
+    past it for good.  The pairs between the pointers, a subset of all
+    |m| * |m2| pairs, are the ones tested, so the walk costs about
+    |m| + |m2| + the pairs it tests.  A long segment of m2 that begins
+    early stops ``lo`` and widens every later run of its line.  Pairs come
+    out in sorted order.
     """
-    segs2 = [(j, d.line, d.b, d.e) for j, d in enumerate(m2.segs, 1)]
+    segs2 = m2.segs
+    n2 = len(segs2)
     xs: List[Tuple[int, int]] = []
     ys: List[Tuple[int, int]] = []
+    line = None
+    lo = hi = 0
     for i, d in enumerate(m.segs, 1):
-        line, b, e = d.line, d.b, d.e
-        for j, line2, b2, e2 in segs2:
-            if line2 == line and b <= b2 <= e + 1 and e <= e2:
-                if b < b2 and e < e2:
-                    xs.append((i, j))
+        b, e = d.b, d.e
+        if d.line != line:
+            line = d.line
+            while hi < n2 and segs2[hi].line > line:
+                hi += 1
+            lo = hi
+        while hi < n2 and segs2[hi].e >= e and segs2[hi].line == line:
+            hi += 1
+        top = e + 1
+        while lo < hi and segs2[lo].b > top:
+            lo += 1
+        for j in range(lo, hi):
+            d2 = segs2[j]
+            b2 = d2.b
+            if b <= b2 <= top:
+                if b < b2 and e < d2.e:
+                    xs.append((i, j + 1))
                 if b2 <= e:
-                    ys.append((i, j))
+                    ys.append((i, j + 1))
     return xs, ys
 
 
@@ -346,9 +377,14 @@ def enumerate_maximal_matchings(m: Multisegment, rho: CuspidalPoint) -> List[Mat
 
 
 def matching_equivalent(m: Multisegment, a: FrozenSet[int], b: FrozenSet[int]) -> bool:
-    """Index sets are equivalent when they carry the same segment multiset."""
+    """Index sets are equivalent when they carry the same segment multiset.
+
+    Equal segments sit next to each other in canonical order, so the
+    segments of an index set taken in index order are already sorted, and
+    two multisets agree exactly when those lists do.
+    """
     segs = m.segs
-    return Counter(segs[i - 1] for i in a) == Counter(segs[i - 1] for i in b)
+    return [segs[i - 1] for i in sorted(a)] == [segs[i - 1] for i in sorted(b)]
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 import dataclasses
 import gc
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mseg import conditions, zelevinsky
+from mseg.cli import parse_mseg
 from mseg.errors import (
     EmptyMultisegmentError,
     InvalidMatchingError,
@@ -572,8 +575,31 @@ wide_ms = st.lists(st.tuples(three_line_segments, st.integers(1, 3)), max_size=1
 )
 
 
+def long_ms(lines):
+    """Up to 40 segments of length up to 15 over a wide begin range, on
+    lines drawn from ``lines``: long segments that begin early hold the
+    walk's lower pointer back, and two pools that differ give each side a
+    line the other lacks."""
+    segment = st.builds(
+        lambda line, b, n: S(b, b + n, line),
+        st.sampled_from(lines),
+        st.integers(-12, 12),
+        st.integers(0, 14),
+    )
+    return st.lists(st.tuples(segment, st.integers(1, 2)), max_size=20).map(
+        lambda drawn: M(*[s for s, copies in drawn for _ in range(copies)])
+    )
+
+
 # the references are slow by design; no example may fail on time alone
 no_deadline = settings(deadline=None)
+
+
+LARGE = Path(__file__).resolve().parents[1] / "msegbench" / "large.json"
+
+
+def ref_cross_pairs(m, m2):
+    return sorted(ref_pairset_x_cross(m, m2)), sorted(ref_pairset_y_cross(m, m2))
 
 
 class TestCrossPairs:
@@ -581,9 +607,32 @@ class TestCrossPairs:
     @given(wide_ms, wide_ms)
     def test_one_walk_against_index_loops(self, m, m2):
         # both lists, in sorted pair order
-        want = (sorted(ref_pairset_x_cross(m, m2)), sorted(ref_pairset_y_cross(m, m2)))
-        assert cross_pairs(m, m2) == want
-        assert cross_pairs(m, m) == (sorted(ref_pairset_x_cross(m, m)), sorted(ref_pairset_y_cross(m, m)))
+        assert cross_pairs(m, m2) == ref_cross_pairs(m, m2)
+        assert cross_pairs(m, m) == ref_cross_pairs(m, m)
+
+    @no_deadline
+    @given(long_ms(["a", "b", "c"]), long_ms(["b", "c", "d"]))
+    def test_long_segments_and_one_sided_lines(self, m, m2):
+        for a, b in ((m, m2), (m, m), (m2, m2), (m2, m)):
+            assert cross_pairs(a, b) == ref_cross_pairs(a, b)
+
+    def test_large_benchmark_inputs(self):
+        # every input of the large workload, read and left as it is
+        for items in json.loads(LARGE.read_text()).values():
+            for item in items:
+                ms = [parse_mseg(text) for text in item["inputs"]]
+                for a in ms:
+                    for b in ms:
+                        assert cross_pairs(a, b) == ref_cross_pairs(a, b)
+
+    def test_partner_behind_a_held_lower_pointer(self):
+        # [0,12] heads m2's line and begins before every segment of m, so
+        # the run of [3,4] still starts there; [10,11] begins past 4 + 1
+        # but sits behind it, and the short partner [4,5] comes after both
+        m, m2 = M(S(8, 9), S(3, 4)), M(S(0, 12), S(10, 11), S(4, 5))
+        assert m2.segs == (S(0, 12), S(10, 11), S(4, 5))
+        assert cross_pairs(m, m2) == ([(1, 2), (2, 3)], [(2, 3)])
+        assert cross_pairs(m, m2) == ref_cross_pairs(m, m2)
 
     @no_deadline
     @given(wide_ms)
@@ -657,3 +706,23 @@ class TestAgainstIndexLoops:
         assert got == want
         if isinstance(want, Matching):
             assert is_maximal_matching(m, rho, got) == ref_is_maximal(m, rho, want)
+
+    @given(repeated_ms.filter(bool), st.data())
+    def test_matching_equivalent(self, m, data):
+        # arbitrary index subsets against the multiset definition; the
+        # others are any subset, one of the same size, and the first with
+        # indices swapped for copies of their segments, so that unequal
+        # sets of one size carry equal and unequal multisets
+        indices = st.integers(1, len(m))
+        a = data.draw(st.frozensets(indices))
+        size = len(a)
+        any_set = data.draw(st.frozensets(indices))
+        same_size = data.draw(st.frozensets(indices, min_size=size, max_size=size))
+        copies = frozenset(
+            data.draw(st.sampled_from([k for k, s in enumerate(m.segs, 1) if s == m.seg(i)]))
+            for i in a
+        )
+        for other in (any_set, same_size, copies):
+            want = Counter(m.seg(i) for i in a) == Counter(m.seg(i) for i in other)
+            assert matching_equivalent(m, a, other) == want
+            assert matching_equivalent(m, other, a) == want
