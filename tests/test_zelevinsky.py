@@ -631,8 +631,7 @@ class TestCrossPairs:
         # but sits behind it, and the short partner [4,5] comes after both
         m, m2 = M(S(8, 9), S(3, 4)), M(S(0, 12), S(10, 11), S(4, 5))
         assert m2.segs == (S(0, 12), S(10, 11), S(4, 5))
-        assert cross_pairs(m, m2) == ([(1, 2), (2, 3)], [(2, 3)])
-        assert cross_pairs(m, m2) == ref_cross_pairs(m, m2)
+        assert cross_pairs(m, m2) == ([(1, 2), (2, 3)], [(2, 3)]) == ref_cross_pairs(m, m2)
 
     @no_deadline
     @given(wide_ms)
@@ -715,9 +714,8 @@ class TestAgainstIndexLoops:
         # sets of one size carry equal and unequal multisets
         indices = st.integers(1, len(m))
         a = data.draw(st.frozensets(indices))
-        size = len(a)
         any_set = data.draw(st.frozensets(indices))
-        same_size = data.draw(st.frozensets(indices, min_size=size, max_size=size))
+        same_size = data.draw(st.frozensets(indices, min_size=len(a), max_size=len(a)))
         copies = frozenset(
             data.draw(st.sampled_from([k for k, s in enumerate(m.segs, 1) if s == m.seg(i)]))
             for i in a
