@@ -1,6 +1,8 @@
 """Generators and property suites: determinism, passing runs, replay."""
 
 import dataclasses
+import hashlib
+import json
 import zlib
 from fractions import Fraction
 
@@ -136,6 +138,34 @@ class TestSuitesPass:
             "rhoext",
             "invariances",
         }
+
+
+# sha256 of each suite's compact report JSON at its default target, with
+# GenParams(seed=s) and RankConfig(); pinned per suite, so a new suite leaves
+# these valid
+REPORT_SHA256 = {
+    (0, "3ms"): "e9619445641aeed74cc712dca69be138194eda43fb9acd9183458ebd82384a03",
+    (0, "gedelta"): "1feaec971cb8ddb442eb76f7bcacaa99360f69d285c3438e5efcf0fe1cbb0bb1",
+    (0, "invariances"): "082921d7ad82f6bffa6e3441c1260fcda982a53da817297ce4da892beee1df82",
+    (0, "mm-minus"): "e998ba92c4b8666fb94666c723566ad900de4011b7e183837365f705fbe92271",
+    (0, "rhoext"): "8c1a35acdcd889663a87c7abb212e9a64ab931501883f103f1d00d0b22cf95e5",
+    (0, "splitdisj"): "f7fcaec28ea6775552a85f04b5a2f329d092febf14f67b5b0572bf0258321d87",
+    (0, "sumofseg"): "336190404d3c1923838c8b165be37df70fd6c272fbed8c24f0d41d860f442c74",
+    (7, "3ms"): "e6aec4a0b0c9e2971ce10e80b2f8e3c786db107a1fa805ede6ce354a5d232e34",
+    (7, "gedelta"): "5076ca4d9f1b8287a83b41e5fcf16f893c57212690f1c76f4b54491f65e76d86",
+    (7, "invariances"): "5fe3e598c65d02914a2bee0d747079bcb99189f3db44e84679dd03eb8f8833dd",
+    (7, "mm-minus"): "5a22ad83fd84dd77754608b86022d032cdf5b850c7d9c2a1633abe7511bc0bf5",
+    (7, "rhoext"): "a792ee1960203c0ce649e2d7b5ecd4daa74fe84efd924a3b3d930cf42a76e13b",
+    (7, "splitdisj"): "7bbc6e5897e9abd6a2f23dd56cd0313d3c7d689af968312348433668a3fc9e38",
+    (7, "sumofseg"): "db1f09ccef96d7a95ec8c199be94a86aa4fe579f9de3c56fda294f96a70cc4e4",
+}
+
+
+@pytest.mark.parametrize("seed, name", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(seed, name):
+    rep = SUITES[name](GenParams(seed=seed), CFG)
+    text = json.dumps(rep.to_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed, name]
 
 
 class TestDeterminismAndReports:
