@@ -32,14 +32,7 @@ from .harness import (
     SUITES,
     gen_ladder,
     gen_ms,
-    prop_3ms,
-    prop_gedelta,
-    prop_mm_minus,
-    prop_rhoext_geom,
-    prop_splitdisj,
-    prop_sumofseg_geom,
     replay_violation,
-    suite_invariances,
 )
 from .linalg import (
     MERSENNE61,

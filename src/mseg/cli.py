@@ -442,11 +442,19 @@ def _suite(args, cfg: RankConfig) -> dict:
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],
     }
+    verdict = all(r.passed for r in reports)
+    short = [r for r in reports if r.shortfall]
+    if verdict and short:
+        # a suite that ran out of draws short of its target decides nothing
+        verdict = None
+        outputs["reason"] = "inconclusive: " + "; ".join(
+            f"{r.name} met its hypothesis {r.shortfall[0]} of {r.shortfall[1]} times" for r in short
+        )
     return _result(
         "suite",
         names,
         cfg,
-        verdict=all(r.passed for r in reports),
+        verdict=verdict,
         trials=sum(r.instances_generated for r in reports),
         bound=union_bound(r.accumulated_bound for r in reports),
         outputs=outputs,

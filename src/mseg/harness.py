@@ -8,9 +8,12 @@ on every suite: none.
 
 Every statement a suite tests lives in one table, ``CHECKS``, of
 single-instance checks keyed by the names in violation records: the
-proposition statements, run through one driver, and the ``invariances/``
-identities, run by the invariance bundle.  ``replay_violation`` re-runs any
-recorded violation through the same table.
+proposition statements and the ``invariances/`` identities.  Every suite is
+a row of a second table, ``SUITES``: the checks it runs, its default target
+and its input source.  One driver runs every row, in one of two modes: until
+each check has met its hypothesis a target number of times (the
+propositions), or for a fixed number of draws (the invariances).
+``replay_violation`` re-runs any recorded violation through ``CHECKS``.
 
 Verdicts of the condition checks are treated as ground truth.  A FALSE
 verdict is certified when pigeonhole or a Hall violator (structural rank,
@@ -26,7 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conditions import Verdict, check_gls, check_lc, union_bound
 from .linalg import RankConfig, mix_stream
@@ -119,6 +122,9 @@ class PropertyReport:
     violations: List[dict]
     accumulated_bound: Fraction
     details: Dict[str, int] = field(default_factory=dict)
+    # (least count, target) when the draws ran out before every check met its
+    # hypothesis target times; not part of to_dict
+    shortfall: Optional[Tuple[int, int]] = None
 
     @property
     def passed(self) -> bool:
@@ -414,6 +420,14 @@ CHECKS: Dict[str, Callable[..., Outcome]] = {
     "invariances/gls-implies-lc-self": _gls_implies_lc_self,
 }
 
+# The inputs of each check, named and ordered as in its violation record: its
+# parameters after cfg, read once here, so a check replaced later (a test
+# double) keeps its names.
+CHECK_INPUTS: Dict[str, Tuple[str, ...]] = {
+    name: check.__code__.co_varnames[1 : check.__code__.co_argcount]
+    for name, check in CHECKS.items()
+}
+
 
 def run_check(
     name: str, cfg: RankConfig, inputs: Dict[str, object]
@@ -435,73 +449,35 @@ def run_check(
 
 
 # ---------------------------------------------------------------------------
-# suite drivers
+# the suite table
 # ---------------------------------------------------------------------------
 
 _ATTEMPT_FACTOR = 200
 
 
-def _tally(
-    key: str,
-    result: Optional[Tuple[Optional[dict], Fraction]],
-    counts: Dict[str, int],
-    bounds: List[Fraction],
-    violations: List[dict],
-) -> None:
-    """Add one ``run_check`` result under ``key`` to a suite's counts, bounds
-    and violations; a failed hypothesis (None) adds nothing."""
-    if result is None:
-        return
-    violation, b = result
-    counts[key] = counts.get(key, 0) + 1
-    bounds.append(b)
-    if violation is not None:
-        violations.append(violation)
+def _point_of(p: GenParams, m: Multisegment, index: int, tag: int) -> CuspidalPoint:
+    """A point of the support of nonzero m, deterministic in (p.seed, index, tag)."""
+    return _rng(p, index, tag).choice(sorted(m.supp()))
 
 
-def _drive(
-    name: str,
-    cfg: RankConfig,
-    target: int,
-    make: Callable[[int], Optional[Dict[str, object]]],
-    parts: Tuple[str, ...] = (),
-) -> PropertyReport:
-    """Draw instances ``make(0)``, ``make(1)``, ... (None: rejected) until each
-    check in ``parts`` (default: the check ``name``) has met its hypothesis
-    ``target`` times.  With parts, ``details`` counts each part as
-    ``part<k>`` for the part named ``<name>-<k>``."""
-    counts = dict.fromkeys(parts or (name,), 0)
-    violations: List[dict] = []
-    bounds: List[Fraction] = []
-    attempts = 0
-    while min(counts.values()) < target and attempts < target * _ATTEMPT_FACTOR:
-        inputs = make(attempts)
-        attempts += 1
-        if inputs is None:
-            continue
-        for check in counts:
-            _tally(check, run_check(check, cfg, inputs), counts, bounds, violations)
-    details = {part.replace(f"{name}-", "part"): n for part, n in counts.items()} if parts else {}
-    return PropertyReport(
-        name, attempts, sum(counts.values()), violations, union_bound(bounds), details
-    )
+# An input source: draw(p, target, i) is draw i, its inputs named as in the
+# violation records, or None for a rejected draw.
 
 
-def prop_mm_minus(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
-) -> PropertyReport:
-    def make(i: int) -> Dict[str, object]:
-        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
-
-    return _drive("mm-minus", cfg, instances, make)
+def _draw_pair(p: GenParams, target: int, i: int) -> Dict[str, object]:
+    return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
 
 
-def prop_splitdisj(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
-) -> PropertyReport:
+def _draw_triple(p: GenParams, target: int, i: int) -> Dict[str, object]:
+    return {"m": gen_ms(p, 3 * i), "m2": gen_ms(p, 3 * i + 1), "n": gen_ms(p, 3 * i + 2)}
+
+
+def _draw_split(p: GenParams, target: int, i: int) -> Dict[str, object]:
+    """Four blocks on one line: m1 and m1p in [-r, -2], m2 and m2p in [2, r]."""
     r = max(p.coord_range, 3)
+    rng = _rng(p, i, 3)
 
-    def block(rng: random.Random, lo: int, hi: int) -> Multisegment:
+    def block(lo: int, hi: int) -> Multisegment:
         k = rng.randint(0, max(1, p.max_segments // 2))
         segs = []
         for _ in range(k):
@@ -510,125 +486,138 @@ def prop_splitdisj(
             segs.append(Segment(DEFAULT_LINE, b, e))
         return Multisegment(tuple(segs))
 
-    def make(i: int) -> Dict[str, object]:
-        rng = _rng(p, i, 3)
-        spans = {"m1": (-r, -2), "m1p": (-r, -2), "m2": (2, r), "m2p": (2, r)}
-        return {key: block(rng, lo, hi) for key, (lo, hi) in spans.items()}
-
-    return _drive("splitdisj", cfg, instances, make)
+    spans = {"m1": (-r, -2), "m1p": (-r, -2), "m2": (2, r), "m2p": (2, r)}
+    return {key: block(lo, hi) for key, (lo, hi) in spans.items()}
 
 
-def prop_gedelta(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
-) -> PropertyReport:
-    def make(i: int) -> Dict[str, object]:
-        rng = _rng(p, i, 4)
-        d = _random_segment(rng, p, -p.coord_range, p.coord_range)
-        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1), "delta": d}
-
-    return _drive("gedelta", cfg, instances, make)
+def _draw_gedelta(p: GenParams, target: int, i: int) -> Dict[str, object]:
+    delta = _random_segment(_rng(p, i, 4), p, -p.coord_range, p.coord_range)
+    return {**_draw_pair(p, target, i), "delta": delta}
 
 
-def prop_3ms(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
-) -> PropertyReport:
-    def make(i: int) -> Dict[str, object]:
-        return {"m": gen_ms(p, 3 * i), "m2": gen_ms(p, 3 * i + 1), "n": gen_ms(p, 3 * i + 2)}
-
-    parts = ("3ms-2", "3ms-3", "3ms-4", "3ms-5")
-    return _drive("3ms", cfg, instances, make, parts)
+def _draw_rhoext(p: GenParams, target: int, i: int) -> Optional[Dict[str, object]]:
+    drawn = _draw_pair(p, target, i)
+    if not drawn["m"]:
+        return None
+    drawn["rho"] = _point_of(p, drawn["m"], i, 5)
+    return drawn
 
 
-def prop_sumofseg_geom(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
-) -> PropertyReport:
-    def make(i: int) -> Dict[str, object]:
-        return {"m": gen_ms(p, 2 * i), "m2": gen_ms(p, 2 * i + 1)}
-
-    return _drive("sumofseg", cfg, instances, make)
-
-
-def prop_rhoext_geom(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 300
-) -> PropertyReport:
-    def make(i: int) -> Optional[Dict[str, object]]:
-        m = gen_ms(p, 2 * i)
-        m2 = gen_ms(p, 2 * i + 1)
-        if not m:
-            return None
-        rng = _rng(p, i, 5)
-        return {"m": m, "m2": m2, "rho": rng.choice(sorted(m.supp()))}
-
-    return _drive("rhoext", cfg, instances, make)
+def _draw_invariances(p: GenParams, target: int, i: int) -> Dict[str, object]:
+    """m = gen_ms(i), m2 = gen_ms(target + i) and, when m is nonzero, a
+    point rho of its support."""
+    m = gen_ms(p, i)
+    drawn: Dict[str, object] = {"m": m, "m2": gen_ms(p, target + i)}
+    if m:
+        drawn["rho"] = _point_of(p, m, i, 6)
+    return drawn
 
 
-# ---------------------------------------------------------------------------
-# invariance bundle
-# ---------------------------------------------------------------------------
+class Suite(NamedTuple):
+    """One row of ``SUITES``: a property suite, run by calling it.
 
-# The inputs of each ``invariances/<name>`` check, named and ordered as in
-# its violation record; the suite runs the checks in this order.
-_INVARIANCE_INPUTS: Dict[str, Tuple[str, ...]] = {
-    "mw-involution": ("m",),
-    "mw-delta-minimal": ("m",),
-    "y-diagonal": ("m",),
-    "pairset-decomposition": ("m", "m2"),
-    "frontier-map": ("m", "m2"),
-    "best-matching-maximal": ("m", "rho"),
-    "matching-unmatched-equivalence": ("m", "rho"),
-    "derivative-soc-supp": ("m", "rho"),
-    "frontier-inequality": ("m", "m2", "rho"),
-    "gls-involution-invariance": ("m",),
-    "lc-dual-symmetry": ("m", "m2"),
-    "gls-implies-lc-self": ("m",),
-}
+    ``checks`` names its ``CHECKS`` entries in run order, and ``draw`` is its
+    input source.  Each check runs on every draw that holds all the inputs it
+    names in ``CHECK_INPUTS``.  The suite draws until every check has met its
+    hypothesis ``target`` times, or ``target * 200`` draws are used up; with
+    ``fixed_draws`` it makes exactly ``target`` draws instead.
+    """
+
+    name: str
+    checks: Tuple[str, ...]
+    target: int
+    draw: Callable[[GenParams, int, int], Optional[Dict[str, object]]]
+    fixed_draws: bool = False
+
+    def __call__(
+        self, p: GenParams, cfg: RankConfig = RankConfig(), instances: Optional[int] = None
+    ) -> PropertyReport:
+        target = self.target if instances is None else instances
+        limit = target if self.fixed_draws else target * _ATTEMPT_FACTOR
+        plan = [(check, CHECK_INPUTS[check]) for check in self.checks]
+        # a fixed-draw suite counts only the checks that meet their hypothesis
+        counts = {} if self.fixed_draws else dict.fromkeys(self.checks, 0)
+        violations: List[dict] = []
+        bounds: List[Fraction] = []
+        draws = 0
+        while draws < limit and (self.fixed_draws or min(counts.values()) < target):
+            drawn = self.draw(p, target, draws)
+            draws += 1
+            if drawn is None:
+                continue
+            for check, keys in plan:
+                try:
+                    inputs = {key: drawn[key] for key in keys}
+                except KeyError:  # the draw lacks an input of this check
+                    continue
+                result = run_check(check, cfg, inputs)
+                if result is None:
+                    continue
+                violation, b = result
+                counts[check] = counts.get(check, 0) + 1
+                bounds.append(b)
+                if violation is not None:
+                    violations.append(violation)
+        # details count the part <name>-<k> as part<k> and <name>/<check> as <check>
+        details = {
+            check.replace(f"{self.name}-", "part", 1).removeprefix(f"{self.name}/"): n
+            for check, n in counts.items()
+            if check != self.name
+        }
+        bound = union_bound(bounds)
+        if self.fixed_draws:
+            return PropertyReport(self.name, draws, draws, violations, bound, details)
+        least = min(counts.values())
+        shortfall = (least, target) if least < target else None
+        return PropertyReport(
+            self.name, draws, sum(counts.values()), violations, bound, details, shortfall
+        )
 
 
-def suite_invariances(
-    p: GenParams, cfg: RankConfig = RankConfig(), instances: int = 200
-) -> PropertyReport:
-    """Randomized checks of the identities behind the other suites: involution
-    properties, pair-set bookkeeping, matchings, derivatives, frontier maps
-    and dualities of the condition checks.  Each is an ``invariances/`` entry
-    of ``CHECKS``, so its violations replay.  Instance i is m = gen_ms(i),
-    m2 = gen_ms(instances + i) and, when m is nonzero, a point rho of its
-    support; a check whose inputs include rho runs only when rho is drawn."""
-    violations: List[dict] = []
-    bounds: List[Fraction] = []
-    details: Dict[str, int] = {}
-    for i in range(instances):
-        m = gen_ms(p, i)
-        drawn: Dict[str, object] = {"m": m, "m2": gen_ms(p, instances + i)}
-        if m:
-            drawn["rho"] = _rng(p, i, 6).choice(sorted(m.supp()))
-        for name, keys in _INVARIANCE_INPUTS.items():
-            if all(key in drawn for key in keys):
-                inputs = {key: drawn[key] for key in keys}
-                result = run_check(f"invariances/{name}", cfg, inputs)
-                _tally(name, result, details, bounds, violations)
-    return PropertyReport(
-        "invariances", instances, instances, violations, union_bound(bounds), details
+SUITES: Dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite("mm-minus", ("mm-minus",), 300, _draw_pair),
+        Suite("splitdisj", ("splitdisj",), 200, _draw_split),
+        Suite("gedelta", ("gedelta",), 200, _draw_gedelta),
+        Suite("3ms", ("3ms-2", "3ms-3", "3ms-4", "3ms-5"), 300, _draw_triple),
+        Suite("sumofseg", ("sumofseg",), 200, _draw_pair),
+        Suite("rhoext", ("rhoext",), 300, _draw_rhoext),
+        Suite(
+            "invariances",
+            tuple(check for check in CHECKS if check.startswith("invariances/")),
+            200,
+            _draw_invariances,
+            fixed_draws=True,
+        ),
     )
-
-
-SUITES: Dict[str, Callable[..., PropertyReport]] = {
-    "mm-minus": prop_mm_minus,
-    "splitdisj": prop_splitdisj,
-    "gedelta": prop_gedelta,
-    "3ms": prop_3ms,
-    "sumofseg": prop_sumofseg_geom,
-    "rhoext": prop_rhoext_geom,
-    "invariances": suite_invariances,
 }
+
+# The benchmark in msegbench/ calls and traces the suites by these names; its
+# update under ROADMAP item 1 removes them.
+prop_mm_minus = SUITES["mm-minus"]
+prop_splitdisj = SUITES["splitdisj"]
+prop_gedelta = SUITES["gedelta"]
+prop_3ms = SUITES["3ms"]
+prop_sumofseg_geom = SUITES["sumofseg"]
+prop_rhoext_geom = SUITES["rhoext"]
+suite_invariances = SUITES["invariances"]
 
 
 def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
-    """Re-run a recorded violation in isolation; True when it reproduces."""
+    """Re-run a recorded violation in isolation; True when it reproduces.
+
+    Raises ValueError for an unknown property, or for inputs that are not
+    exactly those its check takes."""
     from .cli import parse_mseg, parse_rho
 
     name = violation["property"]
     if name not in CHECKS:
         raise ValueError(f"no replay available for {name!r}")
+    keys = CHECK_INPUTS[name]
+    if set(violation["inputs"]) != set(keys):
+        given = ", ".join(violation["inputs"]) or "none"
+        raise ValueError(f"{name!r} takes the inputs {', '.join(keys)}, not {given}")
     parsers = {"rho": parse_rho, "delta": lambda text: parse_mseg(text).seg(1)}
     inputs = {
         key: parsers.get(key, parse_mseg)(text) for key, text in violation["inputs"].items()

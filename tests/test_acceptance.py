@@ -16,17 +16,7 @@ from exact_rank import rank_exact
 
 import mseg.harness
 from mseg.conditions import check_gls, check_lc, lc_matrix
-from mseg.harness import (
-    GenParams,
-    gen_ladder,
-    gen_ms,
-    prop_3ms,
-    prop_gedelta,
-    prop_mm_minus,
-    prop_rhoext_geom,
-    prop_splitdisj,
-    prop_sumofseg_geom,
-)
+from mseg.harness import SUITES, GenParams, gen_ladder, gen_ms
 from mseg.linalg import RankConfig
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 from mseg.zelevinsky import (
@@ -175,12 +165,12 @@ def test_criterion_6_proposition_suites():
     p = GenParams(max_segments=4, coord_range=4, max_length=4, seed=61)
     t0 = time.perf_counter()
     runs = [
-        prop_mm_minus(p, DEFAULT, instances=300),
-        prop_gedelta(p, DEFAULT, instances=200),
-        prop_3ms(p, DEFAULT, instances=200),
-        prop_splitdisj(p, DEFAULT, instances=200),
-        prop_sumofseg_geom(p, DEFAULT, instances=200),
-        prop_rhoext_geom(p, DEFAULT, instances=300),
+        SUITES["mm-minus"](p, DEFAULT, instances=300),
+        SUITES["gedelta"](p, DEFAULT, instances=200),
+        SUITES["3ms"](p, DEFAULT, instances=200),
+        SUITES["splitdisj"](p, DEFAULT, instances=200),
+        SUITES["sumofseg"](p, DEFAULT, instances=200),
+        SUITES["rhoext"](p, DEFAULT, instances=300),
     ]
     dt = time.perf_counter() - t0
     bad = [r.name for r in runs if not r.passed or r.hypothesis_satisfied < 200]

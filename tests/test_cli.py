@@ -280,6 +280,26 @@ class TestSubcommands:
         assert data["false_verdict_bound"] == "1/1" and len(bounds) > 8
         assert all(Fraction(b) <= 1 for b in bounds)
 
+    def test_suite_short_of_its_target_is_inconclusive(self, monkeypatch):
+        # no pair of zero multisegments meets the hypothesis of mm-minus or
+        # rhoext, so their draws run out with nothing tested
+        argv = ["suite", "mm-minus", "--max-segments", "0", "--trials", "5", "--format", "json"]
+        code, out, _ = invoke(argv + ["--exit-code-verdict"])
+        data = json.loads(out)
+        assert code == 1 and data["verdict"] is None
+        assert list(data["outputs"]) == ["suites", "violations", "reason"]
+        assert data["outputs"]["reason"] == "inconclusive: mm-minus met its hypothesis 0 of 5 times"
+        argv[1] = "all"
+        data = json.loads(invoke(argv)[1])
+        assert data["verdict"] is None and data["outputs"]["reason"] == (
+            "inconclusive: mm-minus met its hypothesis 0 of 5 times; "
+            "rhoext met its hypothesis 0 of 5 times"
+        )
+        # a violation in another suite still gives FALSE
+        monkeypatch.setitem(mseg.harness.CHECKS, "gedelta", lambda cfg, **inputs: (False, {}, ()))
+        data = json.loads(invoke(argv)[1])
+        assert data["verdict"] is False and "reason" not in data["outputs"]
+
     def test_check_wrong_arity(self):
         code, _, err = invoke(["check", "gls", "[0,0]", "[1,1]"])
         assert code == 2 and "error" in err

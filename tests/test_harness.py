@@ -5,25 +5,20 @@ import hashlib
 import json
 import zlib
 from fractions import Fraction
+from inspect import signature
 
 import pytest
 
 import mseg.harness
 from mseg.harness import (
+    CHECK_INPUTS,
     CHECKS,
     SUITES,
     GenParams,
     gen_ladder,
     gen_ms,
-    prop_3ms,
-    prop_gedelta,
-    prop_mm_minus,
-    prop_rhoext_geom,
-    prop_splitdisj,
-    prop_sumofseg_geom,
     replay_violation,
     run_check,
-    suite_invariances,
     _violation,
 )
 from mseg.linalg import RankConfig
@@ -100,32 +95,32 @@ class TestGenerators:
 
 class TestSuitesPass:
     def test_mm_minus(self):
-        rep = prop_mm_minus(P, CFG, instances=60)
+        rep = SUITES["mm-minus"](P, CFG, instances=60)
         assert rep.passed and rep.hypothesis_satisfied == 60
 
     def test_splitdisj(self):
-        rep = prop_splitdisj(P, CFG, instances=60)
+        rep = SUITES["splitdisj"](P, CFG, instances=60)
         assert rep.passed and rep.hypothesis_satisfied == 60
 
     def test_gedelta(self):
-        rep = prop_gedelta(P, CFG, instances=60)
+        rep = SUITES["gedelta"](P, CFG, instances=60)
         assert rep.passed and rep.hypothesis_satisfied == 60
 
     def test_3ms(self):
-        rep = prop_3ms(P, CFG, instances=40)
+        rep = SUITES["3ms"](P, CFG, instances=40)
         assert rep.passed
         assert all(rep.details[f"part{k}"] >= 40 for k in (2, 3, 4, 5))
 
     def test_sumofseg(self):
-        rep = prop_sumofseg_geom(P, CFG, instances=60)
+        rep = SUITES["sumofseg"](P, CFG, instances=60)
         assert rep.passed and rep.hypothesis_satisfied == 60
 
     def test_rhoext(self):
-        rep = prop_rhoext_geom(P, CFG, instances=60)
+        rep = SUITES["rhoext"](P, CFG, instances=60)
         assert rep.passed and rep.hypothesis_satisfied == 60
 
     def test_invariances(self):
-        rep = suite_invariances(P, CFG, instances=40)
+        rep = SUITES["invariances"](P, CFG, instances=40)
         assert rep.passed
 
     def test_registry_complete(self):
@@ -138,6 +133,33 @@ class TestSuitesPass:
             "rhoext",
             "invariances",
         }
+
+    def test_every_check_runs_in_exactly_one_suite(self):
+        runs = [check for suite in SUITES.values() for check in suite.checks]
+        assert sorted(runs) == sorted(CHECKS)
+
+    def test_check_inputs_are_the_check_parameters(self):
+        for name, check in CHECKS.items():
+            assert CHECK_INPUTS[name] == tuple(signature(check).parameters)[1:]
+
+    def test_each_draw_holds_the_inputs_of_its_checks(self):
+        # some early draw at seed 0 holds every input a check of the suite names,
+        # and no draw holds an input that none of them names
+        p = GenParams(seed=0)
+        for suite in SUITES.values():
+            draws = [d for i in range(20) if (d := suite.draw(p, suite.target, i)) is not None]
+            named = {key for check in suite.checks for key in CHECK_INPUTS[check]}
+            assert draws and all(set(d) <= named for d in draws)
+            for check in suite.checks:
+                assert any(set(CHECK_INPUTS[check]) <= set(d) for d in draws), check
+
+    def test_short_of_target_is_recorded(self):
+        # no pair of zero multisegments meets the frontier hypothesis
+        rep = SUITES["mm-minus"](GenParams(max_segments=0), CFG, instances=5)
+        assert rep.passed and rep.hypothesis_satisfied == 0
+        assert rep.instances_generated == 1000 and rep.shortfall == (0, 5)
+        assert "shortfall" not in rep.to_dict()
+        assert SUITES["mm-minus"](P, CFG, instances=5).shortfall is None
 
 
 # sha256 of each suite's compact report JSON at its default target, with
@@ -170,14 +192,14 @@ def test_report_bytes_pinned(seed, name):
 
 class TestDeterminismAndReports:
     def test_suite_deterministic(self):
-        a = prop_gedelta(P, CFG, instances=25)
-        b = prop_gedelta(P, CFG, instances=25)
+        a = SUITES["gedelta"](P, CFG, instances=25)
+        b = SUITES["gedelta"](P, CFG, instances=25)
         assert a.violations == b.violations
         assert a.instances_generated == b.instances_generated
         assert a.accumulated_bound == b.accumulated_bound
 
     def test_report_dict_shape(self):
-        rep = prop_mm_minus(P, CFG, instances=10)
+        rep = SUITES["mm-minus"](P, CFG, instances=10)
         d = rep.to_dict()
         assert d["passed"] is True and d["violations"] == []
         assert isinstance(d["accumulated_bound"], str)
@@ -185,7 +207,7 @@ class TestDeterminismAndReports:
     def test_invariance_hypothesis_counts(self):
         # each guard of an invariance check decides how often the check runs;
         # pinned at seed 0, so a changed guard shows here
-        rep = suite_invariances(GenParams(seed=0), CFG)
+        rep = SUITES["invariances"](GenParams(seed=0), CFG)
         assert rep.details == {
             "mw-involution": 200,
             "mw-delta-minimal": 161,
@@ -202,7 +224,7 @@ class TestDeterminismAndReports:
         }
 
     def test_bound_accumulates(self):
-        rep = prop_mm_minus(P, CFG, instances=40)
+        rep = SUITES["mm-minus"](P, CFG, instances=40)
         # instances with false verdicts contribute a positive, tiny bound
         assert rep.accumulated_bound >= 0
         assert rep.accumulated_bound < Fraction(1, 10**20)
@@ -225,6 +247,12 @@ class TestReplay:
     def test_replay_unknown_property(self):
         with pytest.raises(ValueError):
             replay_violation({"property": "nope", "inputs": {}}, CFG)
+
+    def test_replay_inputs_that_do_not_fit_the_check(self):
+        for inputs in ({"m": "[0,0]"}, {"m": "[0,0]", "m2": "[1,1]", "rho": "0"}):
+            record = {"property": "mm-minus", "inputs": inputs}
+            with pytest.raises(ValueError, match="takes the inputs m, m2"):
+                replay_violation(record, CFG)
 
     def test_every_check_replays_its_violations(self, monkeypatch):
         # flip the verdicts, and the outcomes of the checks that use no
@@ -271,7 +299,7 @@ class TestReplay:
     def test_planted_involution_fault_is_reported_and_replays(self, monkeypatch):
         # the plain dual is not the Moeglin-Waldspurger involution
         monkeypatch.setattr(mseg.harness, "mw_dual", Multisegment.dual)
-        rep = suite_invariances(P, CFG, instances=40)
+        rep = SUITES["invariances"](P, CFG, instances=40)
         found = [v for v in rep.violations if v["property"] == "invariances/mw-involution"]
         assert found and not rep.passed
         assert all(replay_violation(v, CFG) for v in found)
