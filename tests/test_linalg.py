@@ -333,6 +333,28 @@ class TestSampler:
             vals = sample_coeffs([(i, 0) for i in range(200)], p, 1, 1)
             assert all(1 <= v <= p - 1 for v in vals.values())
 
+    @pytest.mark.parametrize(
+        "seed, stream, want",
+        [
+            (0, 0, {(1, 2): 614764658428570732, (1, 5): 1049529130653436208,
+                    (-3, 2): 491156311210459334, (3,): 1199636316947566867}),
+            (0, 1, {(1, 2): 159863172809256416, (1, 5): 928499126834765577,
+                    (-3, 2): 1197218485298289596, (3,): 956684676188473649}),
+            (20191111, 0, {(1, 2): 1168082833512278411, (1, 5): 1743311897868345308,
+                           (-3, 2): 1679089177926556044, (3,): 2112065202125869062}),
+            (20191111, 1, {(1, 2): 241917828716744382, (1, 5): 29017179922483299,
+                           (-3, 2): 628796580223414673, (3,): 2051775212788232854}),
+        ],
+    )
+    def test_pinned_values(self, seed, stream, want):
+        # the documented derivation, value by value; keys come unsorted and
+        # share first components, and one key has a single component
+        keys = [(7, 1), (2, 4), (1, 5), (3,), (-3, 2), (2, 3), (1, 2)]
+        got = sample_coeffs(keys, P, seed, 1, stream)
+        assert len(got) == len(keys) and {k: got[k] for k in want} == want
+        small = sample_coeffs(keys, 97, 5, 3, 1)
+        assert [small[k] for k in sorted(keys)] == [19, 54, 7, 85, 90, 67, 82]
+
 
 class TestRankConfig:
     def test_defaults(self):
