@@ -12,6 +12,12 @@ block whose terms cover fewer columns than there are rows).  Otherwise
 failure across independent trials refutes it with an explicit
 Schwartz-Zippel style error bound.
 
+Every entry of a block is one monomial, so its pattern alone settles two
+cases (Edmonds 1967): a Hall violator makes it deficient everywhere, and a
+unique matching of its rows makes it full at every nonzero draw.  The
+matching therefore runs first, on rows built as the search reaches them;
+elimination mod p runs only on blocks the pattern leaves open.
+
 Rows are indexed by cross precedence pairs (an X set), columns by cross
 shifted precedence pairs (a Y set), both in canonical sorted pair order.
 GLS(m) is LC(m, m) with one coefficient vector on both sides, so one builder
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
 from .linalg import RankConfig, Row, hall_violator, rank_mod_p, sample_coeffs
@@ -76,66 +82,103 @@ class Verdict:
         return self.false_verdict_bound == 0
 
 
-# One term of a symbolic row: (column, side, coefficient key, sign).  The
-# entry at the column is sign * lam[key] on side 0 and sign * lam2[key] on
-# side 1; the columns of one row are distinct.
-Term = Tuple[int, int, Tuple[int, int], int]
-# A line block: its column count and its rows, each a tuple of terms.
-Block = Tuple[int, Tuple[Tuple[Term, ...], ...]]
+Pair = Tuple[int, int]
+# One term of a symbolic row: (side, coefficient key, sign), the entry
+# sign * lam[key] on side 0 and sign * lam2[key] on side 1.
+Term = Tuple[int, Pair, int]
+# A symbolic row maps each of its columns to its term, so iterating the row
+# gives its column pattern.
+SymRow = Dict[int, Term]
+# A line block: its column count and its rows.
+Block = Tuple[int, Tuple[SymRow, ...]]
 # Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
-Layout = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[Block, ...]]
+Layout = Tuple[Tuple[Pair, ...], Tuple[Pair, ...], Tuple[Block, ...]]
 # Coefficients keyed by index pair, as CoeffVector.values.
-Coeffs = Dict[Tuple[int, int], int]
+Coeffs = Dict[Pair, int]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _layout(m: Multisegment, m2: Multisegment) -> Layout:
-    """Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
-
-    One :func:`cross_pairs` walk over (m, m2) gives the rows X(m, m2) and the
-    columns Y(m, m2), already sorted.  For m2 identical to m (GLS) that X is
-    also X(m) and X(m2), so one walk does; otherwise X(m) and X(m2) take a
-    walk each.
-
-    Row (i, j) of a block holds +lam2[s, j] at column (i, s) for every
-    precedence pair (s, j) of m2, and -lam[i, r] at column (r, j) for every
-    precedence pair (i, r) of m, wherever that column is a cross shifted
-    pair.  Each candidate term costs one probe of the column map, so a row
-    costs the precedence pairs leaving i in m and entering j in m2.
-    Blocks come in line order; a block's rows and columns follow sorted
-    pair order, columns numbered from 0 per line.  Lines with columns but
-    no rows are left out.
-
-    Not cached: a check reads its layout once, in :func:`_decide`, and a
-    repeated check stops at that function's verdict memo.
-    """
-    xs, ys = cross_pairs(m, m2)
+def _supports(
+    m: Multisegment, m2: Multisegment, xs: List[Pair]
+) -> Tuple[Tuple[Pair, ...], Tuple[Pair, ...]]:
+    """Sorted X(m) and X(m2), given X(m, m2): for m2 identical to m (GLS)
+    that is both, so no further walk is needed."""
     if m2 is m:
-        x1 = x2 = tuple(xs)
-    else:
-        x1, x2 = tuple(cross_pairs(m, m)[0]), tuple(cross_pairs(m2, m2)[0])
+        x = tuple(xs)
+        return x, x
+    return tuple(cross_pairs(m, m)[0]), tuple(cross_pairs(m2, m2)[0])
+
+
+def _lines(
+    m: Multisegment, xs: List[Pair], ys: List[Pair]
+) -> Tuple[Dict[Pair, int], Dict[str, int], Dict[str, List[Pair]]]:
+    """The column map of Y(m, m2), the column count of each line, and the
+    rows X(m, m2) of each line, in sorted pair order.  Columns are
+    numbered from 0 per line."""
     segs = m.segs
-    col: Dict[Tuple[int, int], int] = {}
+    col: Dict[Pair, int] = {}
     width: Dict[str, int] = {}
     for pair in ys:
         line = segs[pair[0] - 1].line
         c = col[pair] = width.get(line, 0)
         width[line] = c + 1
-    into: Dict[int, List[Tuple[int, int]]] = {}  # j -> the pairs (s, j) of X(m2)
+    rows: Dict[str, List[Pair]] = {}
+    for pair in xs:
+        rows.setdefault(segs[pair[0] - 1].line, []).append(pair)
+    return col, width, rows
+
+
+def _row_terms(
+    col: Dict[Pair, int], x1: Tuple[Pair, ...], x2: Tuple[Pair, ...]
+) -> Callable[[int, int], SymRow]:
+    """The term function of LC(m, m2): row (i, j) -> its symbolic row.
+
+    Row (i, j) holds +lam2[s, j] at column (i, s) for every precedence pair
+    (s, j) of m2, and -lam[i, r] at column (r, j) for every precedence pair
+    (i, r) of m, wherever that column is a cross shifted pair.  The columns
+    of a row are distinct (the two kinds meet only if (i, i) were in X(m)),
+    so no term overwrites another.  Each candidate term costs one probe of
+    the column map, so a row costs the precedence pairs leaving i in m and
+    entering j in m2.
+    """
+    into: Dict[int, List[Pair]] = {}  # j -> the pairs (s, j) of X(m2)
     for key in x2:
         into.setdefault(key[1], []).append(key)
-    out: Dict[int, List[Tuple[int, int]]] = {}  # i -> the pairs (i, r) of X(m)
+    out: Dict[int, List[Pair]] = {}  # i -> the pairs (i, r) of X(m)
     for key in x1:
         out.setdefault(key[0], []).append(key)
-    rows: Dict[str, List[Tuple[Term, ...]]] = {}
-    for i, j in xs:
-        terms = [
-            (c, 1, key, 1) for key in into.get(j, ()) if (c := col.get((i, key[0]))) is not None
-        ]
-        terms += [
-            (c, 0, key, -1) for key in out.get(i, ()) if (c := col.get((key[1], j))) is not None
-        ]
-        rows.setdefault(segs[i - 1].line, []).append(tuple(terms))
-    blocks = tuple((width.get(line, 0), tuple(rows[line])) for line in sorted(rows))
+
+    def terms(i: int, j: int) -> SymRow:
+        found = {
+            c: (1, key, 1) for key in into.get(j, ()) if (c := col.get((i, key[0]))) is not None
+        }
+        for key in out.get(i, ()):
+            c = col.get((key[1], j))
+            if c is not None:
+                found[c] = (0, key, -1)
+        return found
+
+    return terms
+
+
+def _layout(m: Multisegment, m2: Multisegment) -> Layout:
+    """Sorted X(m), sorted X(m2) and every line block of LC(m, m2).
+
+    One :func:`cross_pairs` walk over (m, m2) gives the rows X(m, m2) and
+    the columns Y(m, m2), already sorted; X(m) and X(m2) take a walk each
+    unless m2 is m.  Every row is built by the term function of
+    :func:`_row_terms`, the one :func:`_decide` calls on demand.  Blocks
+    come in line order; a block's rows and columns follow sorted pair
+    order.  Lines with columns but no rows are left out.
+    """
+    xs, ys = cross_pairs(m, m2)
+    x1, x2 = _supports(m, m2, xs)
+    col, width, rows = _lines(m, xs, ys)
+    terms = _row_terms(col, x1, x2)
+    blocks = tuple(
+        (width.get(line, 0), tuple(terms(i, j) for i, j in rows[line])) for line in sorted(rows)
+    )
     return x1, x2, blocks
 
 
@@ -156,13 +199,13 @@ def lc_matrix(
     return _rows(blocks, lam.values, lam2.values)
 
 
-def _rows(blocks: Tuple[Block, ...], lam: Coeffs, lam2: Coeffs) -> List[List[Row]]:
+def _rows(blocks: Iterable[Block], lam: Coeffs, lam2: Coeffs) -> List[List[Row]]:
     """The symbolic line blocks instantiated at lam (side 0) and lam2 (side
     1); keys absent from a map are zero."""
     sides = (lam, lam2)
     return [
-        [{c: sign * sides[side].get(key, 0) for c, side, key, sign in terms} for terms in block]
-        for _, block in blocks
+        [{c: sign * sides[side].get(key, 0) for c, (side, key, sign) in r.items()} for r in rows]
+        for _, rows in blocks
     ]
 
 
@@ -171,18 +214,20 @@ def _rows(blocks: Tuple[Block, ...], lam: Coeffs, lam2: Coeffs) -> List[List[Row
 # ---------------------------------------------------------------------------
 
 
-def _structural_deficit(blocks: Tuple[Block, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """The first block with a Hall violator and the violator's rows, or None.
+def _on_demand(
+    pairs: List[Pair], terms: Callable[[int, int], SymRow], built: List[SymRow]
+) -> Iterator[SymRow]:
+    """The rows of the pairs, each built when it is asked for and kept in
+    ``built``."""
+    for i, j in pairs:
+        row = terms(i, j)
+        built.append(row)
+        yield row
 
-    Every entry of a symbolic block is one monomial, so a block whose rows
-    cannot be matched to distinct columns has no nonzero maximal minor for
-    any coefficients: its rank is deficient everywhere.
-    """
-    for index, (cols, rows) in enumerate(blocks):
-        hall = hall_violator([[term[0] for term in terms] for terms in rows], cols)
-        if hall is not None:
-            return index, hall
-    return None
+
+def _witness(x1: Tuple[Pair, ...], x2: Tuple[Pair, ...], lam: Coeffs, lam2: Coeffs, shared):
+    """The TRUE witness: one vector over X(m) when shared, else the pair."""
+    return CoeffVector(x1, lam) if shared else (CoeffVector(x1, lam), CoeffVector(x2, lam2))
 
 
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
@@ -198,37 +243,52 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
 
     With ``shared`` (and m2 = m) one stream-0 vector stands on both sides and
     is itself the witness; otherwise the sides draw from streams 0 and 1 and
-    the witness is the pair.  Deterministic shortcuts, all taken before any
-    coefficient is drawn: no rows is trivially independent; a line block
-    with more rows than columns never is (pigeonhole); nor is a block with
-    a Hall violator, which proves FALSE with the violator as witness.  Both
-    FALSEs report 0 trials.  Only when every block's rows can be matched to
-    distinct columns (TRUE, or FALSE only through cancelling terms) do the
-    random trials run.
+    the witness is the pair.  Deterministic steps come first, cheapest
+    first, and draw no coefficient:
+
+    * no rows is trivially independent, decided before any column map;
+    * a line block with more rows than columns never is (pigeonhole),
+      decided from the counts per line;
+    * nor is a block with a Hall violator, which proves FALSE with the
+      violator as witness.  The search of :func:`hall_violator` takes the
+      block's rows as the term function builds them, block by block in line
+      order, and stops at the first violator: rows and blocks it never
+      reaches are never built.  Both FALSEs report 0 trials;
+    * a block whose matching is unique has a minor that is a signed product
+      of coefficients, nonzero at every draw, so it has full rank at every
+      trial and its elimination is skipped.
+
+    The trials then run :func:`rank_mod_p` on the other blocks only.  A
+    trial is still drawn when every block was skipped, so TRUE always
+    carries the first trial's coefficients as its witness.
     """
-    x1, x2, blocks = _layout(m, m2)
-
-    def witness(lam: Coeffs, lam2: Coeffs):
-        return CoeffVector(x1, lam) if shared else (CoeffVector(x1, lam), CoeffVector(x2, lam2))
-
-    if not blocks:
-        return Verdict(True, witness({}, {}), 0, Fraction(0))
-    if any(len(rows) > cols for cols, rows in blocks):
-        return Verdict(False, None, 0, Fraction(0))
-    hall = _structural_deficit(blocks)
-    if hall is not None:
-        return Verdict(False, hall, 0, Fraction(0))
+    xs, ys = cross_pairs(m, m2)
+    if not xs:
+        return Verdict(True, _witness(*_supports(m, m2, xs), {}, {}, shared), 0, _ZERO)
+    col, width, rows = _lines(m, xs, ys)
+    if any(len(pairs) > width.get(line, 0) for line, pairs in rows.items()):
+        return Verdict(False, None, 0, _ZERO)
+    x1, x2 = _supports(m, m2, xs)
+    terms = _row_terms(col, x1, x2)
+    blocks: List[Block] = []  # the blocks whose rank a trial must compute
+    for index, line in enumerate(sorted(rows)):
+        built: List[SymRow] = []
+        hall, unique = hall_violator(_on_demand(rows[line], terms, built), width[line])
+        if hall is not None:
+            return Verdict(False, (index, hall), 0, _ZERO)
+        if not unique:
+            blocks.append((width[line], tuple(built)))
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:
             lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
-        if all(rank_mod_p(rows, cfg.prime) == len(rows) for rows in _rows(blocks, lam, lam2)):
-            return Verdict(True, witness(lam, lam2), t, Fraction(0))
+        if all(rank_mod_p(block, cfg.prime) == len(block) for block in _rows(blocks, lam, lam2)):
+            return Verdict(True, _witness(x1, x2, lam, lam2, shared), t, _ZERO)
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.
-    nrows = sum(len(rows) for _, rows in blocks)
-    bound = min(Fraction(1), Fraction(nrows, cfg.prime - 1) ** cfg.trials)
+    # |X| counts the rows of every block, the skipped ones included.
+    bound = min(_ONE, Fraction(len(xs), cfg.prime - 1) ** cfg.trials)
     return Verdict(False, None, cfg.trials, bound)
 
 
@@ -250,7 +310,7 @@ def union_bound(bounds: Iterable[Fraction]) -> Fraction:
     """Bound on the chance that any of several FALSE verdicts is wrong: the
     sum of their bounds (the union bound), capped at 1.  Nearly every bound
     of a suite is 0, so only the others are added."""
-    return min(Fraction(1), sum((b for b in bounds if b), Fraction(0)))
+    return min(_ONE, sum((b for b in bounds if b), _ZERO))
 
 
 def check_ig(
@@ -267,7 +327,7 @@ def check_ig(
     fwd, rev = check_lc(m, m2, cfg), check_lc(m2, m, cfg)
     holds = fwd.holds and rev.holds
     if any(not v.holds and v.certified for v in (fwd, rev)):
-        bound = Fraction(0)
+        bound = _ZERO
     else:
         bound = union_bound((fwd.false_verdict_bound, rev.false_verdict_bound))
     ig = Verdict(

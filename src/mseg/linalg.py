@@ -3,9 +3,9 @@
 * :func:`rank_mod_p` -- elimination over a prime field, by leading column,
   of sparse rows, one ``dict`` (column -> integer) per row; absent columns
   are zero and column numbers only need to be comparable.
-* :func:`hall_violator` -- structural (term) rank: whether the rows can be
-  matched to distinct columns of their pattern, and a Hall violator when
-  they cannot.
+* :func:`hall_violator` -- structural (term) rank: whether the rows, taken
+  one at a time, can be matched to distinct columns of their pattern, a
+  Hall violator when they cannot, and whether the matching is unique.
 
 Coefficient sampling is a fixed, documented 64-bit mixing generator
 (splitmix64 finalizer chain) so verdicts reproduce across platforms:
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from .errors import TooLargeError
 
@@ -140,32 +140,47 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
     return len(pivots)
 
 
-def hall_violator(rows: Sequence[Iterable[int]], ncols: int) -> Optional[Tuple[int, ...]]:
-    """None when the rows can be matched to distinct columns, else a Hall
-    violator: row indices R whose columns N(R) number fewer than R.
+def hall_violator(
+    rows: Iterable[Collection[int]], ncols: int
+) -> Tuple[Optional[Tuple[int, ...]], bool]:
+    """Structural rank of the rows: ``(None, unique)`` when they can be
+    matched to distinct columns, else ``(R, False)`` for a Hall violator R,
+    row indices whose columns N(R) number fewer than R.
 
-    Each row lists the columns of its pattern, numbered from 0 to ncols - 1.
-    Rows are matched in order, each by a breadth-first augmenting-path
-    search (no recursion, so large blocks need no raised recursion limit).
-    When the search from a row reaches no free column, the rows it reached
-    are returned: their columns are exactly the columns reached, each
-    matched to one of those rows other than the start, so |N(R)| = |R| - 1.
-    No matching then covers every row, every maximal minor of a matrix with
-    this pattern has an empty Leibniz expansion, and the rows are dependent
-    whatever the entries (Edmonds 1967; Hall's theorem).
+    Each row is a collection of the columns of its pattern, numbered from 0
+    to ncols - 1.  Rows are taken from the iterable one at a time and
+    matched in order, each by a breadth-first augmenting-path search (no
+    recursion, so large blocks need no raised recursion limit).  When the
+    search from a row reaches no free column, the rows it reached are
+    returned at once, and no later row is taken: their columns are exactly
+    the columns reached, each matched to one of those rows other than the
+    start, so |N(R)| = |R| - 1.  No matching then covers every row, every
+    maximal minor of a matrix with this pattern has an empty Leibniz
+    expansion, and the rows are dependent whatever the entries (Edmonds
+    1967; Hall's theorem).
+
+    ``unique`` says whether the final matching is the only one of the rows
+    onto its columns: it is when no alternating cycle exists, that is when
+    the graph with an edge from each row to the owner of every other
+    matched column in its pattern is acyclic.  The minor on those columns
+    then has a single Leibniz term, the signed product of the matched
+    entries, so it is nonzero wherever they all are.
 
     The search state is kept in lists indexed by column and shared by all
     searches: a per-search table raised the peak memory of a 382-row block.
     """
     owner = [-1] * ncols  # column -> the row matched to it, -1 when free
-    matched = [-1] * len(rows)  # row -> its column
+    matched: List[int] = []  # row -> its column
     search = [-1] * ncols  # column -> the last search that reached it
     via = [0] * ncols  # column -> the row that search reached it from
-    for start in range(len(rows)):
+    taken: List[Collection[int]] = []
+    for start, row in enumerate(rows):
+        taken.append(row)
+        matched.append(-1)
         reached = [start]
         free = -1
         for u in reached:  # the list grows while it is walked: a queue
-            for c in rows[u]:
+            for c in taken[u]:
                 if search[c] == start:
                     continue
                 search[c] = start
@@ -177,7 +192,7 @@ def hall_violator(rows: Sequence[Iterable[int]], ncols: int) -> Optional[Tuple[i
             if free >= 0:
                 break
         if free < 0:
-            return tuple(sorted(reached))
+            return tuple(sorted(reached)), False
         c = free
         while c >= 0:  # flip the path back to the start, which was unmatched
             u = via[c]
@@ -185,7 +200,19 @@ def hall_violator(rows: Sequence[Iterable[int]], ncols: int) -> Optional[Tuple[i
             owner[c] = u
             matched[u] = c
             c = prev
-    return None
+    # Kahn's peeling: a row that no other row points at leaves with its edges
+    into = [0] * len(taken)
+    edges = [[v for c in row if (v := owner[c]) != u and v >= 0] for u, row in enumerate(taken)]
+    for targets in edges:
+        for v in targets:
+            into[v] += 1
+    ready = [u for u, n in enumerate(into) if not n]
+    for u in ready:
+        for v in edges[u]:
+            into[v] -= 1
+            if not into[v]:
+                ready.append(v)
+    return None, len(ready) == len(taken)
 
 
 # ---------------------------------------------------------------------------

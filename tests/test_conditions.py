@@ -24,7 +24,7 @@ from mseg.conditions import (
 )
 from mseg.errors import NotApplicableError, SupportMismatchError
 from mseg.harness import GenParams, gen_ms
-from mseg.linalg import MERSENNE61, RankConfig, sample_coeffs
+from mseg.linalg import MERSENNE61, RankConfig, hall_violator, sample_coeffs
 from mseg.segments import Multisegment, Segment
 from mseg.zelevinsky import cross_pairs
 
@@ -320,8 +320,8 @@ def is_hall_violator(m, m2, witness):
     """The witness (block, rows) names rows of that symbolic block of
     LC(m, m2) whose terms lie in fewer columns than there are rows."""
     block, rows = witness
-    _, terms = conditions._layout(m, m2)[2][block]
-    return len({term[0] for r in rows for term in terms[r]}) < len(rows)
+    _, symbolic = conditions._layout(m, m2)[2][block]
+    return len({c for r in rows for c in symbolic[r]}) < len(rows)
 
 
 class TestStructuralFalse:
@@ -341,9 +341,15 @@ class TestStructuralFalse:
             conditions._decide.cache_clear()
             return [check(*args, CFG) for check, args, _ in cases]
 
+        def no_structure(rows, ncols):
+            # every row is still built, none is found deficient or unique
+            for _ in rows:
+                pass
+            return None, False
+
         new = verdicts()
         with monkeypatch.context() as patched:
-            patched.setattr(conditions, "hall_violator", lambda rows, ncols: None)
+            patched.setattr(conditions, "hall_violator", no_structure)
             old = verdicts()
         conditions._decide.cache_clear()
         structural = 0
@@ -396,32 +402,193 @@ class TestStructuralFalse:
 
 
 class TestOneLayoutPerCheck:
-    """The protocol builds a check's layout once, whatever its trial count."""
+    """The protocol builds a check's layout once, whatever its trial count:
+    one term function, and each row at most once."""
 
     def decide_layouts(self, monkeypatch, m, m2, shared):
-        layouts = []
-        layout = conditions._layout
+        layouts, built = [], []
+        row_terms = conditions._row_terms
 
         def counted(*args):
             layouts.append(args)
-            return layout(*args)
+            terms = row_terms(*args)
 
-        monkeypatch.setattr(conditions, "_layout", counted)
+            def build(i, j):
+                built.append((i, j))
+                return terms(i, j)
+
+            return build
+
+        monkeypatch.setattr(conditions, "_row_terms", counted)
         v = conditions._decide.__wrapped__(m, m2, CFG, shared)
-        return v, layouts
+        return v, layouts, built
 
     def test_gls_after_every_trial(self, monkeypatch):
-        v, layouts = self.decide_layouts(monkeypatch, LECLERC, LECLERC, True)
+        v, layouts, built = self.decide_layouts(monkeypatch, LECLERC, LECLERC, True)
         assert v.holds is False and v.trials_run == CFG.trials == 8
-        assert layouts == [(LECLERC, LECLERC)]
+        assert len(layouts) == 1
+        assert built == cross_pairs(LECLERC, LECLERC)[0]  # one line, every row once
 
     def test_two_line_lc_true(self, monkeypatch):
         m = parse_mseg("a:[0,1]+a:[0,0]+b:[0,1]+b:[0,0]")
         m2 = parse_mseg("a:[1,1]+a:[0,0]+b:[1,1]+b:[0,0]")
         assert len(conditions._layout(m, m2)[2]) == 2
-        v, layouts = self.decide_layouts(monkeypatch, m, m2, False)
+        v, layouts, built = self.decide_layouts(monkeypatch, m, m2, False)
         assert v.holds and v.trials_run >= 1
-        assert layouts == [(m, m2)]
+        assert len(layouts) == 1
+        assert sorted(built) == cross_pairs(m, m2)[0] and len(set(built)) == len(built)
+
+
+def large_cases():
+    """Every check of msegbench/large.json: (class name, check, inputs)."""
+    cases = []
+    for name, instances in json.loads(LARGE.read_text()).items():
+        for inst in instances:
+            ms = [parse_mseg(text) for text in inst["inputs"]]
+            cases.append((name, check_gls if inst["kind"] == "gls" else check_lc, ms))
+    return cases
+
+
+def random_cases():
+    """GLS and LC checks on 1- to 3-line instances, then every check of
+    large.json: (check, inputs, (m, m2) of the LC condition it decides)."""
+    cases = []
+    for lines in (1, 2, 3):
+        gen = GenParams(max_segments=9, coord_range=3, lines=lines, seed=20 + lines)
+        for index in range(80):
+            m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
+            cases += [(check_gls, (m,), (m, m)), (check_lc, (m, m2), (m, m2))]
+    for _, check, ms in large_cases():
+        cases.append((check, tuple(ms), (ms[0], ms[-1])))
+    return cases
+
+
+def structural_reference(m, m2):
+    """'pigeonhole', the first Hall violator of the fully built blocks of
+    LC(m, m2) as (block, rows), or None."""
+    blocks = conditions._layout(m, m2)[2]
+    if any(len(rows) > cols for cols, rows in blocks):
+        return "pigeonhole"
+    for index, (cols, rows) in enumerate(blocks):
+        hall = hall_violator(rows, cols)[0]
+        if hall is not None:
+            return index, hall
+    return None
+
+
+class TestStructuralFirst:
+    """Rows built as the Hall search reaches them, and elimination skipped on
+    blocks whose matching is unique, against the fully built blocks and the
+    elimination of every block."""
+
+    def test_on_demand_witness_equals_full_layout(self):
+        conditions._decide.cache_clear()
+        hall = 0
+        for check, args, pair in random_cases():
+            v, ref = check(*args, CFG), structural_reference(*pair)
+            if ref is None:
+                assert v.holds or v.trials_run == CFG.trials
+            elif ref == "pigeonhole":
+                assert (v.holds, v.witness, v.trials_run) == (False, None, 0)
+            else:
+                hall += 1
+                assert v == conditions.Verdict(False, ref, 0, Fraction(0))
+        assert hall >= 70
+
+    @pytest.mark.parametrize("prime", [2, 3, 97, MERSENNE61])
+    def test_same_verdicts_without_the_skip(self, monkeypatch, prime):
+        cfg = RankConfig(prime=prime)
+        cases = random_cases()
+
+        def verdicts():
+            conditions._decide.cache_clear()
+            return [check(*args, cfg) for check, args, _ in cases]
+
+        search = conditions.hall_violator
+
+        def never_unique(rows, ncols):
+            return search(rows, ncols)[0], False
+
+        new = verdicts()
+        with monkeypatch.context() as patched:
+            patched.setattr(conditions, "hall_violator", never_unique)
+            old = verdicts()
+        conditions._decide.cache_clear()
+        assert new == old
+        assert sum(v.holds for v in new) >= 300
+
+    @pytest.mark.parametrize("prime", [2, 3, MERSENNE61])
+    def test_skipped_blocks_have_full_rank_at_the_witness(self, monkeypatch, prime):
+        cfg = RankConfig(prime=prime)
+        search = conditions.hall_violator
+        calls = []
+
+        def recorded(rows, ncols):
+            rows = list(rows)
+            result = search(rows, ncols)
+            calls.append((rows, result[1]))
+            return result
+
+        monkeypatch.setattr(conditions, "hall_violator", recorded)
+        conditions._decide.cache_clear()
+        skipped = 0
+        for check, args, (m, m2) in random_cases():
+            calls.clear()
+            v = check(*args, cfg)
+            if not v.holds or not calls:
+                continue
+            lam, lam2 = (v.witness, v.witness) if check is check_gls else v.witness
+            blocks = lc_matrix(m, m2, lam, lam2)
+            assert len(calls) == len(blocks)
+            for (rows, unique), block in zip(calls, blocks):
+                assert [set(row) for row in rows] == [set(row) for row in block]
+                if unique:
+                    skipped += 1
+                    assert rank_exact(block) == len(block)
+        conditions._decide.cache_clear()
+        assert skipped >= 160
+
+    def test_false_search_builds_only_the_rows_it_reaches(self, monkeypatch):
+        (m,) = [ms[0] for name, _, ms in large_cases() if name == "gls_false_n128"]
+        built = []
+        row_terms = conditions._row_terms
+
+        def counted(*args):
+            terms = row_terms(*args)
+            return lambda i, j: built.append((i, j)) or terms(i, j)
+
+        monkeypatch.setattr(conditions, "_row_terms", counted)
+        v = conditions._decide.__wrapped__(m, m, CFG, True)
+        assert not v.holds and v.trials_run == 0 and v.witness[0] == 0
+        # the search fails at row 45 of 382, having reached rows 0 to 45
+        assert max(v.witness[1]) == 45 and len(cross_pairs(m, m)[0]) == 382
+        assert built == cross_pairs(m, m)[0][:46]
+
+    def test_unique_ladder_runs_no_elimination(self, monkeypatch):
+        (m,) = [ms[0] for name, _, ms in large_cases() if name == "gls_true_n128"]
+
+        def refuse(*args):
+            raise AssertionError("a block with a unique matching was eliminated")
+
+        monkeypatch.setattr(conditions, "rank_mod_p", refuse)
+        v = conditions._decide.__wrapped__(m, m, CFG, True)
+        assert v.holds and v.trials_run == 1
+        assert v.witness.values == sample_coeffs(v.witness.support, CFG.prime, CFG.seed, 1)
+
+    def test_cancelling_terms_still_run_every_trial(self, monkeypatch):
+        ranks = []
+        rank_mod_p = conditions.rank_mod_p
+
+        def counted(rows, p):
+            ranks.append(len(rows))
+            return rank_mod_p(rows, p)
+
+        monkeypatch.setattr(conditions, "rank_mod_p", counted)
+        v = conditions._decide.__wrapped__(LECLERC, LECLERC, CFG, True)
+        nrows = len(cross_pairs(LECLERC, LECLERC)[0])
+        assert (v.holds, v.witness, v.trials_run) == (False, None, 8)
+        assert v.false_verdict_bound == Fraction(nrows, CFG.prime - 1) ** 8
+        assert ranks == [nrows] * 8
 
 
 class TestCheckIg:

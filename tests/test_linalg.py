@@ -1,6 +1,7 @@
 """Rank routines on sparse rows and the deterministic sampler."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -236,6 +237,23 @@ def neighbours(rows, subset):
     return set().union(*(rows[r] for r in subset))
 
 
+def matchings_by_columns(rows):
+    """The number of matchings of every row to distinct columns, by the set
+    of columns they use."""
+    counts = Counter()
+
+    def extend(k, used):
+        if k == len(rows):
+            counts[frozenset(used)] += 1
+            return
+        for c in rows[k]:
+            if c not in used:
+                extend(k + 1, used | {c})
+
+    extend(0, frozenset())
+    return counts
+
+
 def hall_deficiency(rows):
     """max(0, max over row sets S of |S| - |N(S)|), by trying every S: the
     number of rows no matching can cover (Koenig-Ore), so 0 exactly when a
@@ -267,29 +285,52 @@ def planted_patterns(draw):
 
 class TestHallViolator:
     def test_examples(self):
-        assert hall_violator([], 0) is None
-        assert hall_violator([[0, 1], [0]], 2) is None  # needs one augmenting step
-        assert hall_violator([[0], [0]], 1) == (0, 1)
-        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]], 3) == (0, 1, 2, 3)
-        assert hall_violator([[5], []], 6) == (1,)
+        assert hall_violator([], 0) == (None, True)
+        assert hall_violator([[0, 1], [0]], 2) == (None, True)  # needs one augmenting step
+        assert hall_violator([[0, 1], [0, 1]], 2) == (None, False)  # two matchings
+        assert hall_violator([[0], [0]], 1) == ((0, 1), False)
+        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]], 3) == ((0, 1, 2, 3), False)
+        assert hall_violator([[5], []], 6) == ((1,), False)
+
+    def test_rows_after_a_violator_are_not_taken(self):
+        taken = []
+
+        def rows():
+            for row in ([0], [0], [1]):
+                taken.append(row)
+                yield row
+
+        assert hall_violator(rows(), 2) == ((0, 1), False)
+        assert taken == [[0], [0]]
 
     def test_long_augmenting_paths_without_recursion(self):
         # row k holds columns k and k+1 and takes column k; a final row [0]
         # then shifts all 2,000 rows along one path, deeper than the default
         # recursion limit.  Row 2,000 now holds column 0, so a second [0]
-        # row is blocked by it alone
+        # row is blocked by it alone.  The matching is unique: its
+        # alternating graph is one path through all 2,001 rows
         chain = [[k, k + 1] for k in range(2000)] + [[0]]
-        assert hall_violator(chain, 2001) is None
-        assert hall_violator(chain + [[0]], 2001) == (2000, 2001)
+        assert hall_violator(chain, 2001) == (None, True)
+        assert hall_violator(chain + [[0]], 2001) == ((2000, 2001), False)
+        assert hall_violator(chain[:-1] + [[0, 2000]], 2001) == (None, False)
 
     @settings(deadline=None, max_examples=300)
     @given(planted_patterns())
     def test_violator_exactly_when_no_covering_matching(self, rows):
-        found = hall_violator(rows, 9)
+        found, unique = hall_violator(rows, 9)
         deficiency = hall_deficiency(rows)
         assert (found is None) == (deficiency == 0)
         if found is None:
+            counts = matchings_by_columns(rows)
+            if sum(counts.values()) == 1:
+                assert unique
+            if unique:
+                # some column set has one matching; its minor is a signed
+                # product of entries, so even all-ones rows are independent
+                assert 1 in counts.values()
+                assert rank_mod_p([dict.fromkeys(row, 1) for row in rows], 2) == len(rows)
             return
+        assert not unique
         assert len(neighbours(rows, found)) < len(found)
         # a violator makes every matrix with this pattern rank deficient
         entries = random.Random(len(rows))
@@ -300,7 +341,7 @@ class TestHallViolator:
         covered = [set(row) for row in rows]
         covered[found[-1]].add(fresh)
         assert len(neighbours(covered, found)) >= len(found)
-        again = hall_violator(covered, 9)
+        again = hall_violator(covered, 9)[0]
         assert again != found
         if deficiency == 1:
             assert again is None
