@@ -21,8 +21,10 @@ elimination mod p runs only on blocks the pattern leaves open.
 Rows are indexed by cross precedence pairs (an X set), columns by cross
 shifted precedence pairs (a Y set), both in canonical sorted pair order.
 GLS(m) is LC(m, m) with one coefficient vector on both sides, so one builder
-and one protocol serve both.  Pairs on distinct lines never interact, so the
-matrices are block diagonal per line and ranks are computed blockwise.
+and one protocol serve both: :func:`lc_matrix` and the protocol build a
+condition's line blocks by the same steps, through one term function.  Pairs
+on distinct lines never interact, so the matrices are block diagonal per line
+and ranks are computed blockwise.
 """
 
 from __future__ import annotations
@@ -89,10 +91,8 @@ Term = Tuple[int, Pair, int]
 # A symbolic row maps each of its columns to its term, so iterating the row
 # gives its column pattern.
 SymRow = Dict[int, Term]
-# A line block: its column count and its rows.
-Block = Tuple[int, Tuple[SymRow, ...]]
-# Sorted X(m), sorted X(m2) and the line blocks of LC(m, m2).
-Layout = Tuple[Tuple[Pair, ...], Tuple[Pair, ...], Tuple[Block, ...]]
+# A line block: its rows, in sorted pair order.
+Block = List[SymRow]
 # Coefficients keyed by index pair, as CoeffVector.values.
 Coeffs = Dict[Pair, int]
 
@@ -162,26 +162,6 @@ def _row_terms(
     return terms
 
 
-def _layout(m: Multisegment, m2: Multisegment) -> Layout:
-    """Sorted X(m), sorted X(m2) and every line block of LC(m, m2).
-
-    One :func:`cross_pairs` walk over (m, m2) gives the rows X(m, m2) and
-    the columns Y(m, m2), already sorted; X(m) and X(m2) take a walk each
-    unless m2 is m.  Every row is built by the term function of
-    :func:`_row_terms`, the one :func:`_decide` calls on demand.  Blocks
-    come in line order; a block's rows and columns follow sorted pair
-    order.  Lines with columns but no rows are left out.
-    """
-    xs, ys = cross_pairs(m, m2)
-    x1, x2 = _supports(m, m2, xs)
-    col, width, rows = _lines(m, xs, ys)
-    terms = _row_terms(col, x1, x2)
-    blocks = tuple(
-        (width.get(line, 0), tuple(terms(i, j) for i, j in rows[line])) for line in sorted(rows)
-    )
-    return x1, x2, blocks
-
-
 def lc_matrix(
     m: Multisegment, m2: Multisegment, lam: CoeffVector, lam2: CoeffVector
 ) -> List[List[Row]]:
@@ -189,13 +169,20 @@ def lc_matrix(
 
     Returns the line blocks with rows, in line order, each a list of sparse
     rows (column within the line -> entry).  With m2 = m and lam2 = lam the
-    rows are those of the GLS condition for lam.
+    rows are those of the GLS condition for lam.  The blocks are built by
+    the steps of :func:`_decide`: one :func:`cross_pairs` walk, the
+    supports (checked against lam and lam2 before any row is built), the
+    lines, and the term function of :func:`_row_terms`.
     """
-    x1, x2, blocks = _layout(m, m2)
+    xs, ys = cross_pairs(m, m2)
+    x1, x2 = _supports(m, m2, xs)
     if set(lam.support) != set(x1):
         raise SupportMismatchError("first support must equal the X set of m")
     if set(lam2.support) != set(x2):
         raise SupportMismatchError("second support must equal the X set of m2")
+    col, _, rows = _lines(m, xs, ys)
+    terms = _row_terms(col, x1, x2)
+    blocks = ([terms(i, j) for i, j in rows[line]] for line in sorted(rows))
     return _rows(blocks, lam.values, lam2.values)
 
 
@@ -205,7 +192,7 @@ def _rows(blocks: Iterable[Block], lam: Coeffs, lam2: Coeffs) -> List[List[Row]]
     sides = (lam, lam2)
     return [
         [{c: sign * sides[side].get(key, 0) for c, (side, key, sign) in r.items()} for r in rows]
-        for _, rows in blocks
+        for rows in blocks
     ]
 
 
@@ -258,9 +245,10 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
       of coefficients, nonzero at every draw, so it has full rank at every
       trial and its elimination is skipped.
 
-    The trials then run :func:`rank_mod_p` on the other blocks only.  A
-    trial is still drawn when every block was skipped, so TRUE always
-    carries the first trial's coefficients as its witness.
+    The trials then run :func:`rank_mod_p` on the other blocks only, each
+    instantiated by :func:`_rows` as in :func:`lc_matrix`.  A trial is still
+    drawn when every block was skipped, so TRUE always carries the first
+    trial's coefficients as its witness.
     """
     xs, ys = cross_pairs(m, m2)
     if not xs:
@@ -277,7 +265,7 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
         if hall is not None:
             return Verdict(False, (index, hall), 0, _ZERO)
         if not unique:
-            blocks.append((width[line], tuple(built)))
+            blocks.append(built)
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:

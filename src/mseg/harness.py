@@ -122,8 +122,9 @@ class PropertyReport:
     violations: List[dict]
     accumulated_bound: Fraction
     details: Dict[str, int] = field(default_factory=dict)
-    # (least count, target) when the draws ran out before every check met its
-    # hypothesis target times; not part of to_dict
+    # (least count, floor) when the draws ran out before every check met its
+    # hypothesis floor times: the target, or 1 in a fixed-draw suite; not
+    # part of to_dict
     shortfall: Optional[Tuple[int, int]] = None
 
     @property
@@ -140,10 +141,6 @@ class PropertyReport:
             "passed": self.passed,
             "details": dict(sorted(self.details.items())),
         }
-
-
-def _bound_of(*verdicts: Verdict) -> Fraction:
-    return union_bound(v.false_verdict_bound for v in verdicts)
 
 
 def _violation(name: str, inputs: Dict[str, str], detail: dict, bound: Fraction) -> dict:
@@ -441,7 +438,7 @@ def run_check(
     if outcome is None:
         return None
     held, detail, verdicts = outcome
-    bound = _bound_of(*verdicts)
+    bound = union_bound(v.false_verdict_bound for v in verdicts)
     if held:
         return None, bound
     record = {key: str(value) for key, value in inputs.items()}
@@ -520,7 +517,9 @@ class Suite(NamedTuple):
     input source.  Each check runs on every draw that holds all the inputs it
     names in ``CHECK_INPUTS``.  The suite draws until every check has met its
     hypothesis ``target`` times, or ``target * 200`` draws are used up; with
-    ``fixed_draws`` it makes exactly ``target`` draws instead.
+    ``fixed_draws`` it makes exactly ``target`` draws instead, and each check
+    must meet its hypothesis at least once.  A check short of that floor
+    sets the report's ``shortfall``.
     """
 
     name: str
@@ -535,8 +534,7 @@ class Suite(NamedTuple):
         target = self.target if instances is None else instances
         limit = target if self.fixed_draws else target * _ATTEMPT_FACTOR
         plan = [(check, CHECK_INPUTS[check]) for check in self.checks]
-        # a fixed-draw suite counts only the checks that meet their hypothesis
-        counts = {} if self.fixed_draws else dict.fromkeys(self.checks, 0)
+        counts = dict.fromkeys(self.checks, 0)
         violations: List[dict] = []
         bounds: List[Fraction] = []
         draws = 0
@@ -554,7 +552,7 @@ class Suite(NamedTuple):
                 if result is None:
                     continue
                 violation, b = result
-                counts[check] = counts.get(check, 0) + 1
+                counts[check] += 1
                 bounds.append(b)
                 if violation is not None:
                     violations.append(violation)
@@ -564,13 +562,12 @@ class Suite(NamedTuple):
             for check, n in counts.items()
             if check != self.name
         }
-        bound = union_bound(bounds)
-        if self.fixed_draws:
-            return PropertyReport(self.name, draws, draws, violations, bound, details)
+        floor = 1 if self.fixed_draws else target
         least = min(counts.values())
-        shortfall = (least, target) if least < target else None
+        shortfall = (least, floor) if least < floor else None
+        satisfied = draws if self.fixed_draws else sum(counts.values())
         return PropertyReport(
-            self.name, draws, sum(counts.values()), violations, bound, details, shortfall
+            self.name, draws, satisfied, violations, union_bound(bounds), details, shortfall
         )
 
 

@@ -252,7 +252,7 @@ def sample_coeffs(
     _checked_prime(p)
     base = mix_stream(seed, trial, stream)
     span = p - 1
-    limit = (_MASK64 + 1) - ((_MASK64 + 1) % span) if span else 0
+    limit = (_MASK64 + 1) - ((_MASK64 + 1) % span)
     out: Dict[Tuple[int, ...], int] = {}
     for key in sorted(keys):
         h = base

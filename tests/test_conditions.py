@@ -316,12 +316,27 @@ class TestCheckLc:
 LARGE = Path(__file__).resolve().parents[1] / "msegbench" / "large.json"
 
 
+def ones(m):
+    xs = cross_pairs(m, m)[0]
+    return CoeffVector(xs, dict.fromkeys(xs, 1))
+
+
+def line_blocks(m, m2):
+    """The line blocks of LC(m, m2) as (column count, rows), the rows read
+    from lc_matrix at all-ones coefficients: every entry is a single +-lam
+    term, so none vanishes and each row's keys are its column pattern."""
+    xs, ys = cross_pairs(m, m2)
+    _, width, rows = conditions._lines(m, xs, ys)
+    blocks = lc_matrix(m, m2, ones(m), ones(m2))
+    return [(width.get(line, 0), block) for line, block in zip(sorted(rows), blocks)]
+
+
 def is_hall_violator(m, m2, witness):
-    """The witness (block, rows) names rows of that symbolic block of
-    LC(m, m2) whose terms lie in fewer columns than there are rows."""
+    """The witness (block, rows) names rows of that line block of LC(m, m2)
+    whose terms lie in fewer columns than there are rows."""
     block, rows = witness
-    _, symbolic = conditions._layout(m, m2)[2][block]
-    return len({c for r in rows for c in symbolic[r]}) < len(rows)
+    _, pattern = line_blocks(m, m2)[block]
+    return len({c for r in rows for c in pattern[r]}) < len(rows)
 
 
 class TestStructuralFalse:
@@ -432,7 +447,7 @@ class TestOneLayoutPerCheck:
     def test_two_line_lc_true(self, monkeypatch):
         m = parse_mseg("a:[0,1]+a:[0,0]+b:[0,1]+b:[0,0]")
         m2 = parse_mseg("a:[1,1]+a:[0,0]+b:[1,1]+b:[0,0]")
-        assert len(conditions._layout(m, m2)[2]) == 2
+        assert len(line_blocks(m, m2)) == 2
         v, layouts, built = self.decide_layouts(monkeypatch, m, m2, False)
         assert v.holds and v.trials_run >= 1
         assert len(layouts) == 1
@@ -466,7 +481,7 @@ def random_cases():
 def structural_reference(m, m2):
     """'pigeonhole', the first Hall violator of the fully built blocks of
     LC(m, m2) as (block, rows), or None."""
-    blocks = conditions._layout(m, m2)[2]
+    blocks = line_blocks(m, m2)
     if any(len(rows) > cols for cols, rows in blocks):
         return "pigeonhole"
     for index, (cols, rows) in enumerate(blocks):

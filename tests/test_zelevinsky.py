@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from mseg import conditions, zelevinsky
 from mseg.cli import parse_mseg
+from mseg.conditions import CoeffVector, lc_matrix
 from mseg.errors import (
     EmptyMultisegmentError,
     InvalidMatchingError,
     PreconditionError,
     TooLargeError,
 )
-from mseg.linalg import RankConfig
+from mseg.linalg import MERSENNE61, RankConfig, sample_coeffs
 from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
 from mseg.zelevinsky import (
     Matching,
@@ -602,6 +603,15 @@ def ref_cross_pairs(m, m2):
     return sorted(ref_pairset_x_cross(m, m2)), sorted(ref_pairset_y_cross(m, m2))
 
 
+def sampled_sides(m):
+    """Coefficients over X(m) for both sides of LC(m, m), drawn on streams 0
+    and 1."""
+    xs = cross_pairs(m, m)[0]
+    return tuple(
+        CoeffVector(xs, sample_coeffs(xs, MERSENNE61, 0, 1, stream)) for stream in (0, 1)
+    )
+
+
 class TestCrossPairs:
     @no_deadline
     @given(wide_ms, wide_ms)
@@ -636,10 +646,12 @@ class TestCrossPairs:
     @no_deadline
     @given(wide_ms)
     def test_gls_layout_equals_layout_of_an_equal_copy(self, m):
-        # the shortcut for m2 identical to m gives the values of the general walk
+        # the shortcut for m2 identical to m gives the values of the general
+        # walk; sampled coefficients, distinct per side, compare signs and keys
         copy = Multisegment(m.segs)
         assert copy == m and copy is not m
-        assert conditions._layout(m, m) == conditions._layout(m, copy)
+        lam, lam2 = sampled_sides(m)
+        assert lc_matrix(m, m, lam, lam2) == lc_matrix(m, copy, lam, lam2)
 
     def test_walks_per_layout(self, monkeypatch):
         # one walk when m2 is m, three otherwise, and no precedence calls
@@ -656,10 +668,12 @@ class TestCrossPairs:
         monkeypatch.setattr(zelevinsky, "precedes", refuse)
         m = M(S(1, 2), S(-1, 1), S(0, 0), S(-2, -1), S(0, 1, "a"), S(1, 2, "a"))
         copy = Multisegment(m.segs)
-        conditions._layout(m, m)
+        lam, lam2 = sampled_sides(m)
+        assert walks == []
+        lc_matrix(m, m, lam, lam2)
         assert walks == [(m, m)]
         walks.clear()
-        conditions._layout(m, copy)
+        lc_matrix(m, copy, lam, lam2)
         assert len(walks) == 3
         walks.clear()
         conditions._decide.__wrapped__(m, m, RankConfig(seed=5), True)
