@@ -41,7 +41,7 @@ from .errors import (
 )
 from .harness import SUITES, GenParams
 from .linalg import MERSENNE61, RankConfig
-from .segments import CuspidalPoint, Multisegment, Segment, sli_sufficient
+from .segments import MAX_SEGMENTS, parse_mseg, parse_rho, sli_sufficient
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
 
 EXIT_OK = 0
@@ -49,148 +49,10 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
-# Largest multisegment an expression may denote, and largest segment count
-# `suite --max-segments` may draw; far above the 128-segment inputs that
-# still decide in seconds, far below what exhausts memory.
-MAX_SEGMENTS = 4096
-
 # Largest instance target of `suite --trials`.  A suite draws up to 200
 # candidates per instance, so its work stays within 50 times that of its
 # default target of 200 to 300 instances.
 MAX_INSTANCES = 10_000
-
-# the digits of UINT and INT: str.isdigit also accepts "²" and "٣"
-_DIGITS = frozenset("0123456789")
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text.replace("−", "-")
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
-        return _literal(self.text[start : self.pos], start)
-
-
-def _literal(text: str, position: int) -> int:
-    """The value of an integer literal; Python refuses to convert more than
-    ``sys.get_int_max_str_digits()`` digits."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError("integer literal too long", position) from None
-
-
-def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
-    """The segments of one term; ``count`` segments precede it."""
-    sc.skip_ws()
-    mult = 1
-    label = "0"
-    if sc.peek() != "[":
-        start = sc.pos
-        w = sc.word()
-        if not w:
-            raise ParseError("expected a segment", sc.pos)
-        if sc.peek() == "*":
-            if not _DIGITS.issuperset(w):
-                raise ParseError("multiplicity must be a nonnegative integer", start)
-            mult = _literal(w, start)
-            sc.expect("*")
-            if sc.peek() != "[":
-                w2 = sc.word()
-                if not w2 or sc.peek() != ":":
-                    raise ParseError("expected a segment after '*'", sc.pos)
-                label = w2
-                sc.expect(":")
-        elif sc.peek() == ":":
-            label = w
-            sc.expect(":")
-        else:
-            raise ParseError("expected '*' or ':' after a name", sc.pos)
-    sc.expect("[")
-    b = sc.integer()
-    sc.expect(",")
-    e = sc.integer()
-    sc.expect("]")
-    if b > e:
-        raise EmptySegmentError(f"segment [{b},{e}] is empty")
-    if count + mult > MAX_SEGMENTS:
-        raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
-    return [Segment(label, b, e)] * mult
-
-
-def parse_mseg(text: str) -> Multisegment:
-    """Parse an expression into a multisegment; '0' denotes the zero one."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "0":
-        save = sc.pos
-        sc.pos += 1
-        sc.skip_ws()
-        if sc.pos == len(sc.text):
-            return Multisegment()
-        sc.pos = save
-    segs: List[Segment] = []
-    segs.extend(_parse_term(sc, 0))
-    while True:
-        sc.skip_ws()
-        if sc.pos == len(sc.text):
-            break
-        sc.expect("+")
-        segs.extend(_parse_term(sc, len(segs)))
-    return Multisegment(tuple(segs))
-
-
-def parse_rho(text: str) -> CuspidalPoint:
-    """Parse a point, LABEL:INT with the label elidable (then line "0")."""
-    sc = _Scanner(text)
-    label = sc.word()
-    if label and sc.peek() == ":":
-        sc.expect(":")
-    else:
-        label, sc.pos = "0", 0
-    pos = sc.integer()
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("expected LABEL:INT for a point", sc.pos)
-    return CuspidalPoint(label, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +133,9 @@ def _print_text(result: dict, out) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mseg", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="mseg", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name: str, handler, rank=False, verdict=False, **kw) -> argparse.ArgumentParser:
@@ -443,12 +307,12 @@ def _suite(args, cfg: RankConfig) -> dict:
         "violations": [v for r in reports for v in r.violations],
     }
     verdict = all(r.passed for r in reports)
-    short = [r for r in reports if r.shortfall]
+    short = [r.shortfall for r in reports if r.shortfall]
     if verdict and short:
         # a suite that ran out of draws short of its target decides nothing
         verdict = None
         outputs["reason"] = "inconclusive: " + "; ".join(
-            f"{r.name} met its hypothesis {r.shortfall[0]} of {r.shortfall[1]} times" for r in short
+            f"{check} met its hypothesis {count} of {floor} times" for check, count, floor in short
         )
     return _result(
         "suite",

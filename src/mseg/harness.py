@@ -39,6 +39,8 @@ from .segments import (
     Multisegment,
     Segment,
     ms_filter,
+    parse_mseg,
+    parse_rho,
     precedes,
 )
 from .zelevinsky import (
@@ -122,10 +124,10 @@ class PropertyReport:
     violations: List[dict]
     accumulated_bound: Fraction
     details: Dict[str, int] = field(default_factory=dict)
-    # (least count, floor) when the draws ran out before every check met its
-    # hypothesis floor times: the target, or 1 in a fixed-draw suite; not
-    # part of to_dict
-    shortfall: Optional[Tuple[int, int]] = None
+    # (check, count, floor) when the draws ran out before every check met its
+    # hypothesis floor times (the target, or 1 in a fixed-draw suite): the
+    # first check in run order with the least count; not part of to_dict
+    shortfall: Optional[Tuple[str, int, int]] = None
 
     @property
     def passed(self) -> bool:
@@ -563,8 +565,8 @@ class Suite(NamedTuple):
             if check != self.name
         }
         floor = 1 if self.fixed_draws else target
-        least = min(counts.values())
-        shortfall = (least, floor) if least < floor else None
+        least = min(counts, key=counts.get)
+        shortfall = (least, counts[least], floor) if counts[least] < floor else None
         satisfied = draws if self.fixed_draws else sum(counts.values())
         return PropertyReport(
             self.name, draws, satisfied, violations, union_bound(bounds), details, shortfall
@@ -606,8 +608,6 @@ def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
 
     Raises ValueError for an unknown property, or for inputs that are not
     exactly those its check takes."""
-    from .cli import parse_mseg, parse_rho
-
     name = violation["property"]
     if name not in CHECKS:
         raise ValueError(f"no replay available for {name!r}")

@@ -10,15 +10,18 @@ Segments on distinct lines never interact: precedence, linking and all the
 derived conditions are blockwise per line.  The only place lines are compared
 is the global total order (label lexicographic, then coordinates), which
 exists solely to make maxima well defined.
+
+The ``str`` of a point, segment or multisegment is the text form every record
+prints; ``parse_rho`` and ``parse_mseg`` below read it back exactly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
-from .errors import EmptyMultisegmentError, EmptySegmentError
+from .errors import EmptyMultisegmentError, EmptySegmentError, ParseError, TooLargeError
 
 DEFAULT_LINE = "0"
 
@@ -251,3 +254,134 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
     else:
         raise ValueError(f"unknown filter kind {kind!r}")
     return Multisegment(tuple(keep))
+
+
+# ---------------------------------------------------------------------------
+# text form: the inverse of ``str``; the grammar is in the ``mseg.cli`` docstring
+# ---------------------------------------------------------------------------
+
+# Most segments an expression may denote, multiplicities expanded (the CLI
+# caps `suite --max-segments` at it too): far above the 128-segment inputs
+# that still decide in seconds, far below what exhausts memory.
+MAX_SEGMENTS = 4096
+
+# the digits of UINT and INT: str.isdigit also accepts "²" and "٣"
+_DIGITS = frozenset("0123456789")
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text.replace("−", "-")
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def word(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == digits:
+            raise ParseError("expected an integer", start)
+        return _literal(self.text[start : self.pos], start)
+
+
+def _literal(text: str, position: int) -> int:
+    """The value of an integer literal; Python refuses to convert more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("integer literal too long", position) from None
+
+
+def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
+    """The segments of one term; ``count`` segments precede it."""
+    sc.skip_ws()
+    mult = 1
+    label = "0"
+    if sc.peek() != "[":
+        start = sc.pos
+        w = sc.word()
+        if not w:
+            raise ParseError("expected a segment", sc.pos)
+        if sc.peek() == "*":
+            if not _DIGITS.issuperset(w):
+                raise ParseError("multiplicity must be a nonnegative integer", start)
+            mult = _literal(w, start)
+            sc.expect("*")
+            if sc.peek() != "[":
+                w2 = sc.word()
+                if not w2 or sc.peek() != ":":
+                    raise ParseError("expected a segment after '*'", sc.pos)
+                label = w2
+                sc.expect(":")
+        elif sc.peek() == ":":
+            label = w
+            sc.expect(":")
+        else:
+            raise ParseError("expected '*' or ':' after a name", sc.pos)
+    sc.expect("[")
+    b = sc.integer()
+    sc.expect(",")
+    e = sc.integer()
+    sc.expect("]")
+    if b > e:
+        raise EmptySegmentError(f"segment [{b},{e}] is empty")
+    if count + mult > MAX_SEGMENTS:
+        raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
+    return [Segment(label, b, e)] * mult
+
+
+def parse_mseg(text: str) -> Multisegment:
+    """Parse an expression into a multisegment; '0' denotes the zero one."""
+    if text.strip() == "0":
+        return Multisegment()
+    sc = _Scanner(text)
+    segs: List[Segment] = []
+    segs.extend(_parse_term(sc, 0))
+    while True:
+        sc.skip_ws()
+        if sc.pos == len(sc.text):
+            break
+        sc.expect("+")
+        segs.extend(_parse_term(sc, len(segs)))
+    return Multisegment(tuple(segs))
+
+
+def parse_rho(text: str) -> CuspidalPoint:
+    """Parse a point, LABEL:INT with the label elidable (then line "0")."""
+    sc = _Scanner(text)
+    label = sc.word()
+    if label and sc.peek() == ":":
+        sc.expect(":")
+    else:
+        label, sc.pos = "0", 0
+    pos = sc.integer()
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise ParseError("expected LABEL:INT for a point", sc.pos)
+    return CuspidalPoint(label, pos)

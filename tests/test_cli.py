@@ -77,10 +77,30 @@ class TestParse:
         assert str(m) == "[1,2]"
 
     def test_errors_carry_positions(self):
-        for text, pos in [("[1,2", 4), ("[x,2]", 1), ("[1,2]++[0,1]", 6), ("", 0)]:
+        # one input for each message of the grammar
+        nines = "9" * 5000
+        for parse, text, message, pos in [
+            (parse_mseg, "", "expected a segment", 0),
+            (parse_mseg, "[1,2]++[0,1]", "expected a segment", 6),
+            (parse_mseg, "a[0,1]", "expected '*' or ':' after a name", 1),
+            (parse_mseg, "a*[0,1]", "multiplicity must be a nonnegative integer", 0),
+            (parse_mseg, "2*a[0,1]", "expected a segment after '*'", 3),
+            (parse_mseg, "a:(0,1)", "expected '['", 2),
+            (parse_mseg, "[1;2]", "expected ','", 2),
+            (parse_mseg, "[1,2", "expected ']'", 4),
+            (parse_mseg, "[1,2][0,1]", "expected '+'", 5),
+            (parse_mseg, "[x,2]", "expected an integer", 1),
+            (parse_mseg, f"[0,{nines}]", "integer literal too long", 3),
+            (parse_rho, "3 4", "expected LABEL:INT for a point", 2),
+        ]:
             with pytest.raises(ParseError) as exc:
-                parse_mseg(text)
+                parse(text)
+            assert str(exc.value) == f"{message} (at position {pos})"
             assert exc.value.position == pos
+        with pytest.raises(EmptySegmentError, match=r"^segment \[3,1\] is empty$"):
+            parse_mseg("[3,1]")
+        with pytest.raises(TooLargeError, match=f"^more than {MAX_SEGMENTS} segments$"):
+            parse_mseg(f"{MAX_SEGMENTS + 1}*[0,0]")
 
     def test_empty_segment_rejected(self):
         with pytest.raises(EmptySegmentError):
@@ -293,7 +313,7 @@ class TestSubcommands:
         argv[1] = "all"
         data = json.loads(invoke(argv)[1])
         assert data["verdict"] is None and data["outputs"]["reason"] == (
-            "inconclusive: invariances met its hypothesis 0 of 1 times; "
+            "inconclusive: invariances/mw-delta-minimal met its hypothesis 0 of 1 times; "
             "mm-minus met its hypothesis 0 of 5 times; "
             "rhoext met its hypothesis 0 of 5 times"
         )
@@ -354,6 +374,10 @@ class TestExitCodes:
         assert "unrecognized arguments: --seed 1" in err
         code, out, err = invoke(["--help"])
         assert code == 0 and out.startswith("usage: mseg") and not err
+        # the grammar keeps one production a line
+        lines = out.splitlines()
+        assert "    mseg  := '0' | term ('+' term)*" in lines
+        assert "    point := (LABEL ':')? INT" in lines
         real = capsys.readouterr()
         assert real.out == "" and real.err == ""
 

@@ -157,7 +157,7 @@ class TestSuitesPass:
         # no pair of zero multisegments meets the frontier hypothesis
         rep = SUITES["mm-minus"](GenParams(max_segments=0), CFG, instances=5)
         assert rep.passed and rep.hypothesis_satisfied == 0
-        assert rep.instances_generated == 1000 and rep.shortfall == (0, 5)
+        assert rep.instances_generated == 1000 and rep.shortfall == ("mm-minus", 0, 5)
         assert "shortfall" not in rep.to_dict()
         assert SUITES["mm-minus"](P, CFG, instances=5).shortfall is None
         # a fixed-draw suite: no draw of zero multisegments holds a rho, so
@@ -165,7 +165,7 @@ class TestSuitesPass:
         invariances = SUITES["invariances"]
         rep = invariances(GenParams(max_segments=0), CFG)
         assert rep.passed and rep.instances_generated == rep.hypothesis_satisfied == 200
-        assert rep.shortfall == (0, 1)
+        assert rep.shortfall == ("invariances/mw-delta-minimal", 0, 1)
         assert len(rep.details) == len(invariances.checks) == 12
         assert sorted(name for name, n in rep.details.items() if n == 0) == [
             "best-matching-maximal",
@@ -178,7 +178,7 @@ class TestSuitesPass:
         # at seed 0, 20 draws meet every hypothesis but frontier-map's
         rep = invariances(GenParams(seed=0), CFG, instances=20)
         assert rep.passed and rep.hypothesis_satisfied == 20
-        assert rep.shortfall == (0, 1)
+        assert rep.shortfall == ("invariances/frontier-map", 0, 1)
         assert [name for name, n in rep.details.items() if n == 0] == ["frontier-map"]
         assert invariances(GenParams(seed=0), CFG, instances=25).shortfall is None
 
