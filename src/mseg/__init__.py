@@ -44,10 +44,8 @@ from .segments import (
     CuspidalPoint,
     Multisegment,
     Segment,
-    linked,
     ms_filter,
     precedes,
-    sli_sufficient,
 )
 from .zelevinsky import (
     DerivativeResult,
@@ -56,6 +54,7 @@ from .zelevinsky import (
     cross_pairs,
     derivative,
     enumerate_maximal_matchings,
+    frontier_defined,
     is_maximal_matching,
     leading_indices,
     make_matching,

@@ -41,8 +41,8 @@ from .errors import (
 )
 from .harness import SUITES, GenParams
 from .linalg import MERSENNE61, RankConfig
-from .segments import MAX_SEGMENTS, parse_mseg, parse_rho, sli_sufficient
-from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
+from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
+from .zelevinsky import cross_pairs, derivative, mw_dual, mw_step, soc_cuspidal
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -293,7 +293,8 @@ def _ladder(args, cfg: RankConfig) -> dict:
 
 def _sli(args, cfg: RankConfig) -> dict:
     m, m2 = (parse_mseg(s) for s in args.mseg)
-    return _result("sli", [str(m), str(m2)], cfg, verdict=sli_sufficient(m, m2), certified=True)
+    sli = not cross_pairs(m, m2)[0]  # X(m, m2) empty: LC(m, m2) has no rows
+    return _result("sli", [str(m), str(m2)], cfg, verdict=sli, certified=True)
 
 
 def _suite(args, cfg: RankConfig) -> dict:

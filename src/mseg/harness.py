@@ -48,6 +48,7 @@ from .zelevinsky import (
     cross_pairs,
     derivative,
     enumerate_maximal_matchings,
+    frontier_defined,
     is_maximal_matching,
     leading_indices,
     matching_equivalent,
@@ -166,21 +167,18 @@ def _violation(name: str, inputs: Dict[str, str], detail: dict, bound: Fraction)
 Outcome = Optional[Tuple[bool, dict, Tuple[Verdict, ...]]]
 
 
-def _frontier_defined(m: Multisegment, m2: Multisegment) -> bool:
-    """The hypothesis of ``mw_frontier``: m and m2 nonzero on one common
-    line, with the max end of m below that of m2."""
-    if not m or not m2 or len(set(m.lines()) | set(m2.lines())) != 1:
-        return False
-    return m.max_end() < m2.max_end()
+def _reduced(m: Multisegment, m2: Multisegment) -> Tuple[Multisegment, bool]:
+    """One reduction of m2, and whether reducing m + m2 gives m plus it."""
+    _, m2r = mw_step(m2)
+    _, sumr = mw_step(m + m2)
+    return m2r, sumr == m + m2r
 
 
 def _mm_minus(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
-    if not _frontier_defined(m, m2):
+    if not frontier_defined(m, m2):
         return None
     lhs = check_lc(m, m2, cfg)
-    _, m2r = mw_step(m2)
-    _, sumr = mw_step(m + m2)
-    commutes = sumr == m + m2r
+    m2r, commutes = _reduced(m, m2)
     rhs = check_lc(m, m2r, cfg)
     detail = {"lc": lhs.holds, "lc_reduced": rhs.holds, "reduction_commutes": commutes}
     return lhs.holds == (rhs.holds and commutes), detail, (lhs, rhs)
@@ -189,11 +187,9 @@ def _mm_minus(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
 def _splitdisj(
     cfg: RankConfig, m1: Multisegment, m1p: Multisegment, m2: Multisegment, m2p: Multisegment
 ) -> Outcome:
-    group2 = list(m2) + list(m2p)
-    for a in list(m1) + list(m1p):
-        for b in group2:
-            if precedes(a, b) or precedes(a.shift(-1), b):
-                return None
+    # the hypothesis: X and Y of (m1 + m1p, m2 + m2p) are empty
+    if any(cross_pairs(m1 + m1p, m2 + m2p)):
+        return None
     whole = check_lc(m1 + m2, m1p + m2p, cfg)
     if not whole.holds:
         return None
@@ -310,7 +306,7 @@ def _pairset_decomposition(cfg: RankConfig, m: Multisegment, m2: Multisegment) -
 
 
 def _frontier_map(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
-    if not _frontier_defined(m, m2):
+    if not frontier_defined(m, m2):
         return None
     xt, yt, f = mw_frontier(m, m2)
     pos = {idx: k for k, idx in enumerate(leading_indices(m2))}
@@ -323,9 +319,7 @@ def _frontier_map(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome
     image = set(f.values())
     injective = len(image) == len(f)
     onto = len(f) == len(xt)
-    _, sumr = mw_step(m + m2)
-    _, m2r = mw_step(m2)
-    commutes = sumr == m + m2r
+    _, commutes = _reduced(m, m2)
     held = (
         injective and monotone and image <= xt and onto == commutes
         and (len(xt) > len(yt) or onto)

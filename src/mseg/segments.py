@@ -133,10 +133,6 @@ def precedes(d: Segment, d2: Segment) -> bool:
     return d.line == d2.line and d.b < d2.b <= d.e + 1 and d2.e > d.e
 
 
-def linked(d: Segment, d2: Segment) -> bool:
-    return precedes(d, d2) or precedes(d2, d)
-
-
 @dataclass(frozen=True, slots=True)
 class Multisegment:
     """A finite multiset of segments in canonical descending order.
@@ -231,12 +227,6 @@ class Multisegment:
         )
 
 
-def sli_sufficient(m: Multisegment, m2: Multisegment) -> bool:
-    """Sufficient condition for strong linear independence of the pair:
-    no segment of m precedes any segment of m2."""
-    return not any(precedes(d, d2) for d in m.segs for d2 in m2.segs)
-
-
 def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
     """Sub-multisegment selected by one of the closure-compatible filters.
 
@@ -262,7 +252,8 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
 
 # Most segments an expression may denote, multiplicities expanded (the CLI
 # caps `suite --max-segments` at it too): far above the 128-segment inputs
-# that still decide in seconds, far below what exhausts memory.
+# that decide in seconds.  It does not bound memory: n equal segments have
+# n^2 Y pairs, so `check gls "2048*[0,0]"` peaks at about 418 MB.
 MAX_SEGMENTS = 4096
 
 # the digits of UINT and INT: str.isdigit also accepts "²" and "٣"
@@ -322,7 +313,7 @@ def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
     """The segments of one term; ``count`` segments precede it."""
     sc.skip_ws()
     mult = 1
-    label = "0"
+    label = DEFAULT_LINE
     if sc.peek() != "[":
         start = sc.pos
         w = sc.word()
@@ -373,13 +364,13 @@ def parse_mseg(text: str) -> Multisegment:
 
 
 def parse_rho(text: str) -> CuspidalPoint:
-    """Parse a point, LABEL:INT with the label elidable (then line "0")."""
+    """Parse a point, LABEL:INT with the label elidable (then DEFAULT_LINE)."""
     sc = _Scanner(text)
     label = sc.word()
     if label and sc.peek() == ":":
         sc.expect(":")
     else:
-        label, sc.pos = "0", 0
+        label, sc.pos = DEFAULT_LINE, 0
     pos = sc.integer()
     sc.skip_ws()
     if sc.pos != len(sc.text):

@@ -16,9 +16,10 @@ order, and within a line ends do not rise as the index rises.  So the
 partners of a segment of m are found in one run of m2 between two pointers
 that only move forward, and the walk costs about |m| + |m2| + the pairs it
 inspects rather than |m| * |m2|; long segments that begin early widen the
-runs.  The involution strips plain re-sorted lists and builds one
-multisegment at the end, and the matching oracle computes the rho index
-sets once per call.
+runs.  Every pair-set question of the package is read off this walk, and
+:func:`frontier_defined` states the frontier hypothesis once.  The
+involution strips plain re-sorted lists and builds one multisegment at the
+end, and the matching oracle computes the rho index sets once per call.
 """
 
 from __future__ import annotations
@@ -180,16 +181,27 @@ def mw_dual(m: Multisegment) -> Multisegment:
     return Multisegment(tuple(out))
 
 
+def frontier_defined(m: Multisegment, m2: Multisegment) -> bool:
+    """The hypothesis of :func:`mw_frontier`: m and m2 nonzero on one
+    common line, with the max end of m below that of m2."""
+    if not m or not m2 or len(set(m.lines()) | set(m2.lines())) != 1:
+        return False
+    return m.max_end() < m2.max_end()
+
+
 def mw_frontier(
     m: Multisegment, m2: Multisegment
 ) -> Tuple[Pairs, Pairs, Dict[Tuple[int, int], Tuple[int, int]]]:
     """Frontier pairs created by reducing m2, and the shift-down map f.
 
-    Requires both multisegments nonzero on one common line with
-    max end of m strictly below max end of m2.  Returns
+    Requires :func:`frontier_defined`, else raises ``PreconditionError``.
+    Filters the two lists of one :func:`cross_pairs` walk by the leading
+    chain of m2 and returns
 
-      xt -- cross pairs into m2 that disappear after one reduction of m2,
-      yt -- shifted-precedence cross pairs that disappear likewise,
+      xt -- the X pairs (i, j) with j on the chain and e_i = e_j - 1: they
+            disappear after one reduction of m2,
+      yt -- the Y pairs (i, j) with j on the chain past its first index and
+            e_i = e_j: they disappear likewise,
       f  -- the injective map yt -> xt replacing a chain index by its
             predecessor in the leading chain.
 
@@ -197,29 +209,22 @@ def mw_frontier(
     chain position); it is onto exactly when reducing m2 commutes with
     adding m.
     """
-    if not m or not m2:
-        raise PreconditionError("frontier needs nonzero multisegments")
-    lines = set(m.lines()) | set(m2.lines())
-    if len(lines) != 1:
-        raise PreconditionError("frontier is defined per line")
-    if not m.max_end() < m2.max_end():
-        raise PreconditionError("max end of m must be below max end of m2")
-
+    if not frontier_defined(m, m2):
+        raise PreconditionError(
+            "frontier needs m and m2 nonzero on one common line, "
+            "with the max end of m below that of m2"
+        )
     chain = leading_indices(m2)
-    x_cross, y_cross = map(set, cross_pairs(m, m2))
-
-    xt = set()
-    yt = set()
-    f: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for pos, idx in enumerate(chain):
-        end = m2.segs[idx - 1].e
-        for i, d in enumerate(m.segs, 1):
-            if (i, idx) in x_cross and d.e == end - 1:
-                xt.add((i, idx))
-            if pos >= 1 and (i, idx) in y_cross and d.e == end:
-                yt.add((i, idx))
-                f[(i, idx)] = (i, chain[pos - 1])
-    return frozenset(xt), frozenset(yt), f
+    pos = {idx: k for k, idx in enumerate(chain)}
+    segs, segs2 = m.segs, m2.segs
+    xs, ys = cross_pairs(m, m2)
+    xt = frozenset((i, j) for i, j in xs if j in pos and segs[i - 1].e == segs2[j - 1].e - 1)
+    f = {
+        (i, j): (i, chain[pos[j] - 1])
+        for i, j in ys
+        if pos.get(j, 0) >= 1 and segs[i - 1].e == segs2[j - 1].e
+    }
+    return xt, frozenset(f), f
 
 
 # ---------------------------------------------------------------------------

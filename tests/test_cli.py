@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import mseg
 import mseg.cli
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
+from mseg.conditions import check_lc
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
@@ -325,6 +326,36 @@ class TestSubcommands:
     def test_check_wrong_arity(self):
         code, _, err = invoke(["check", "gls", "[0,0]", "[1,1]"])
         assert code == 2 and "error" in err
+
+
+# pairs on one or two lines with small coordinates, so segments link often
+TWO_LINE_MULTISEGMENTS = st.lists(
+    st.builds(
+        lambda line, b, length: Segment(line, b, b + length),
+        st.sampled_from(["0", "a"]),
+        st.integers(-2, 3),
+        st.integers(0, 3),
+    ),
+    max_size=4,
+).map(lambda segs: Multisegment(tuple(segs)))
+
+
+class TestSli:
+    def test_examples(self):
+        # true exactly when no segment of the first input precedes one of the second
+        for argv, code in (
+            (["[1,2]", "[0,1]"], 0),
+            (["[0,1]", "[1,2]"], 1),
+            (["0", "[1,2]+[0,1]"], 0),
+        ):
+            assert invoke(["sli", *argv, "--exit-code-verdict"])[0] == code
+
+    @given(TWO_LINE_MULTISEGMENTS, TWO_LINE_MULTISEGMENTS)
+    def test_true_iff_lc_has_no_rows(self, m, m2):
+        # the only TRUE that draws no coefficients is LC with no rows
+        _, out, _ = invoke(["sli", str(m), str(m2), "--format", "json"])
+        lc = check_lc(m, m2)
+        assert json.loads(out)["verdict"] == (lc.holds and lc.trials_run == 0)
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import zlib
 from fractions import Fraction
@@ -10,6 +11,7 @@ from inspect import signature
 import pytest
 
 import mseg.harness
+from mseg.conditions import Verdict
 from mseg.harness import (
     CHECK_INPUTS,
     CHECKS,
@@ -22,7 +24,7 @@ from mseg.harness import (
     _violation,
 )
 from mseg.linalg import RankConfig
-from mseg.segments import CuspidalPoint, Multisegment, Segment
+from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
 
 P = GenParams(seed=77)
 CFG = RankConfig()
@@ -66,6 +68,37 @@ class TestHandTracedInstances:
         assert holds(
             "rhoext", m=M(S(0, 1), S(1, 2)), m2=M(S(5, 6)), rho=CuspidalPoint("0", 0)
         )
+
+
+class TestSplitdisjHypothesis:
+    def test_walk_equals_the_segment_pair_loop(self, monkeypatch):
+        # every pair of sums of at most two segments on two lines in [0, 2]:
+        # the check reaches its first LC call exactly when no segment of the
+        # first sum, nor its shift one step left, precedes one of the second
+        def old_loop(first, second):
+            return not any(
+                precedes(a, b) or precedes(a.shift(-1), b) for a in first for b in second
+            )
+
+        calls = []
+
+        def fake_lc(m, m2, cfg):
+            calls.append((m, m2))
+            return Verdict(False, None, 0, Fraction(0))
+
+        monkeypatch.setattr(mseg.harness, "check_lc", fake_lc)
+        segs = [Segment(line, b, e) for line in ("0", "a") for b in range(3) for e in range(b, 3)]
+        box = [M(*c) for k in range(3) for c in itertools.combinations_with_replacement(segs, k)]
+        passed = 0
+        for first in box:
+            for second in box:
+                calls.clear()
+                m1, m1p = M(*first.segs[:1]), M(*first.segs[1:])
+                m2, m2p = M(*second.segs[1:]), M(*second.segs[:1])
+                assert CHECKS["splitdisj"](CFG, m1, m1p, m2, m2p) is None
+                assert bool(calls) == old_loop(first, second)
+                passed += bool(calls)
+        assert len(box) ** 2 == 8281 and 0 < passed < 8281
 
 
 class TestGenerators:

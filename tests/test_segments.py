@@ -17,10 +17,8 @@ from mseg.segments import (
     CuspidalPoint,
     Multisegment,
     Segment,
-    linked,
     ms_filter,
     precedes,
-    sli_sufficient,
 )
 
 
@@ -163,13 +161,6 @@ class TestLadder:
             assert m.dual().is_ladder()
 
 
-class TestSli:
-    def test_examples(self):
-        assert sli_sufficient(M(S(1, 2)), M(S(0, 1)))
-        assert not sli_sufficient(M(S(0, 1)), M(S(1, 2)))
-        assert sli_sufficient(M(), M(S(1, 2), S(0, 1)))
-
-
 class TestFilter:
     def test_examples(self):
         m = M(S(1, 2), S(0, 1))
@@ -180,12 +171,6 @@ class TestFilter:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ms_filter(M(), "weird", S(0, 0))
-
-
-class TestFunctionalAliases:
-    def test_linked_symmetric(self):
-        assert linked(S(0, 1), S(1, 2)) and linked(S(1, 2), S(0, 1))
-        assert not linked(S(0, 1), S(0, 1))
 
 
 class TestValueTypes:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import json
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from mseg.zelevinsky import (
     cross_pairs,
     derivative,
     enumerate_maximal_matchings,
+    frontier_defined,
     is_maximal_matching,
     leading_indices,
     make_matching,
@@ -471,6 +473,34 @@ def ref_mw_dual(m):
     return Multisegment(tuple(out))
 
 
+def ref_mw_frontier(m, m2):
+    """The frontier by set lookups over chain x m, with the hypothesis
+    tested in three steps."""
+    if not m or not m2:
+        raise PreconditionError("frontier needs nonzero multisegments")
+    lines = set(m.lines()) | set(m2.lines())
+    if len(lines) != 1:
+        raise PreconditionError("frontier is defined per line")
+    if not m.max_end() < m2.max_end():
+        raise PreconditionError("max end of m must be below max end of m2")
+
+    chain = leading_indices(m2)
+    x_cross, y_cross = map(set, cross_pairs(m, m2))
+
+    xt = set()
+    yt = set()
+    f = {}
+    for pos, idx in enumerate(chain):
+        end = m2.segs[idx - 1].e
+        for i, d in enumerate(m.segs, 1):
+            if (i, idx) in x_cross and d.e == end - 1:
+                xt.add((i, idx))
+            if pos >= 1 and (i, idx) in y_cross and d.e == end:
+                yt.add((i, idx))
+                f[(i, idx)] = (i, chain[pos - 1])
+    return frozenset(xt), frozenset(yt), f
+
+
 def ref_make_matching(m, rho, pairs):
     x, y = ref_rho_sets(m, rho)
     pairs = frozenset(pairs)
@@ -700,6 +730,27 @@ class TestAgainstIndexLoops:
         assert chain[0] == 1
         assert mw_step(m) == ref_mw_step(m)
         assert mw_dual(m) == ref_mw_dual(m)
+
+    def test_mw_frontier_exhaustive(self):
+        # every pair of at most two segments in [-1, 3] on one line, and each
+        # of those beside a segment on a second line
+        segs = [S(b, e) for b in range(-1, 4) for e in range(b, 4)]
+        box = [M(*c) for k in range(3) for c in itertools.combinations_with_replacement(segs, k)]
+        box += [m + M(S(0, 1, "a")) for m in box[1:16]]
+        defined = 0
+        for m in box:
+            for m2 in box:
+                try:
+                    want = ref_mw_frontier(m, m2)
+                except PreconditionError:
+                    assert not frontier_defined(m, m2)
+                    with pytest.raises(PreconditionError):
+                        mw_frontier(m, m2)
+                    continue
+                assert frontier_defined(m, m2)
+                assert mw_frontier(m, m2) == want
+                defined += 1
+        assert len(box) ** 2 == 151 ** 2 and defined > 1000
 
     @no_deadline
     @given(matching_cases)
