@@ -42,7 +42,7 @@ from .errors import (
 from .harness import SUITES, GenParams
 from .linalg import MERSENNE61, RankConfig
 from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
-from .zelevinsky import cross_pairs, derivative, mw_dual, mw_step, soc_cuspidal
+from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -175,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     lad = command("ladder", _ladder, verdict=True, help="is the multisegment a ladder?")
     lad.add_argument("mseg")
 
-    sli = command("sli", _sli, verdict=True, help="simple sufficient independence test for a pair")
-    sli.add_argument("mseg", nargs=2)
-
     ste = sub.add_parser("suite", help="run a property suite")
     ste.set_defaults(handler=_suite)
     ste.add_argument("name", choices=sorted(SUITES) + ["all"])
@@ -289,12 +286,6 @@ def _derivative(args, cfg: RankConfig) -> dict:
 def _ladder(args, cfg: RankConfig) -> dict:
     m = parse_mseg(args.mseg)
     return _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
-
-
-def _sli(args, cfg: RankConfig) -> dict:
-    m, m2 = (parse_mseg(s) for s in args.mseg)
-    sli = not cross_pairs(m, m2)[0]  # X(m, m2) empty: LC(m, m2) has no rows
-    return _result("sli", [str(m), str(m2)], cfg, verdict=sli, certified=True)
 
 
 def _suite(args, cfg: RankConfig) -> dict:

@@ -29,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conditions import Verdict, check_gls, check_lc, union_bound
@@ -92,8 +93,20 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
     return Segment(_line_name(rng, p), b, e)
 
 
+# Six of the seven suites draw from one index space, gen_ms(p, index), so a
+# run asks for the same instances again: `mseg suite all` at seed 0 makes
+# 7,003 calls for 2,702 distinct draws.  2,048 entries catch 3,415 of the
+# 4,301 repeats and 4,096 catch all of them, but criteria 4, 5 and 8 of the
+# acceptance benchmark draw thousands of instances that never repeat, and
+# fill the memo: 4,096 entries raised its peak RSS by 1.6 MB (23.5 to
+# 25.1 MB) and 2,048 by 0.7 MB.  GenParams is frozen and multisegments are
+# immutable, so callers may share the results.
+@lru_cache(maxsize=2048)
 def gen_ms(p: GenParams, index: int) -> Multisegment:
-    """A random multisegment, deterministic in (p.seed, index)."""
+    """A random multisegment, deterministic in (p, index).
+
+    Memoised per process: a repeated (p, index) returns the same object.
+    """
     rng = _rng(p, index, 1)
     k = rng.randint(0, p.max_segments)
     r = p.coord_range

@@ -15,10 +15,10 @@ from hypothesis import given, strategies as st
 import mseg
 import mseg.cli
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
-from mseg.conditions import check_lc
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
+from mseg.zelevinsky import cross_pairs
 
 
 # labels as the grammar spells them; "0" is the default line, printed bare
@@ -274,12 +274,10 @@ class TestSubcommands:
         _, out, _ = invoke(["derivative", "--rho", "0", "[0,1]+[0,2]"])
         assert "mu: 2" in out and "derivative: [1,2]+[1,1]" in out
 
-    def test_ladder_and_sli(self):
+    def test_ladder(self):
         _, out, _ = invoke(["ladder", "[1,2]+[0,1]"])
         assert "verdict: true" in out
-        _, out, _ = invoke(["sli", "[1,2]", "[0,1]"])
-        assert "verdict: true" in out
-        _, out, _ = invoke(["sli", "[0,1]", "[1,2]"])
+        _, out, _ = invoke(["ladder", "[0,1]+[0,2]"])
         assert "verdict: false" in out
 
     def test_suite(self):
@@ -340,22 +338,27 @@ TWO_LINE_MULTISEGMENTS = st.lists(
 ).map(lambda segs: Multisegment(tuple(segs)))
 
 
-class TestSli:
+class TestNoRowLc:
+    """`check lc` holds with 0 trials exactly when LC(m, m2) has no rows: no
+    segment of m precedes one of m2, so no coefficient is drawn."""
+
     def test_examples(self):
-        # true exactly when no segment of the first input precedes one of the second
-        for argv, code in (
-            (["[1,2]", "[0,1]"], 0),
-            (["[0,1]", "[1,2]"], 1),
-            (["0", "[1,2]+[0,1]"], 0),
+        for argv, code, trials in (
+            (["[1,2]", "[0,1]"], 0, 0),
+            (["[0,1]", "[1,2]"], 1, 0),  # a Hall violator: certified FALSE
+            (["0", "[1,2]+[0,1]"], 0, 0),
+            (["[0,0]", "[1,1]+[0,0]"], 0, 1),  # X(m, m2) is not empty, yet LC holds
         ):
-            assert invoke(["sli", *argv, "--exit-code-verdict"])[0] == code
+            got, out, _ = invoke(["check", "lc", *argv, "--format", "json", "--exit-code-verdict"])
+            data = json.loads(out)
+            assert got == code and data["certified"] and data["trials"] == trials
 
     @given(TWO_LINE_MULTISEGMENTS, TWO_LINE_MULTISEGMENTS)
     def test_true_iff_lc_has_no_rows(self, m, m2):
         # the only TRUE that draws no coefficients is LC with no rows
-        _, out, _ = invoke(["sli", str(m), str(m2), "--format", "json"])
-        lc = check_lc(m, m2)
-        assert json.loads(out)["verdict"] == (lc.holds and lc.trials_run == 0)
+        _, out, _ = invoke(["check", "lc", str(m), str(m2), "--format", "json"])
+        data = json.loads(out)
+        assert (data["verdict"] is True and data["trials"] == 0) == (not cross_pairs(m, m2)[0])
 
 
 class TestExitCodes:
@@ -374,14 +377,13 @@ class TestExitCodes:
         assert code == 1
 
     def test_flags_a_command_does_not_read_are_2(self):
-        # only `check` runs rank checks; only `ladder` and `sli` of these
-        # commands have a verdict to turn into the exit code
+        # only `check` runs rank checks; only `ladder` of these commands has
+        # a verdict to turn into the exit code
         commands = {
             ("mw", "[0,0]"): True,
             ("reduce", "[1,2]+[0,1]"): True,
             ("derivative", "--rho", "0", "[0,1]"): True,
             ("ladder", "[1,2]+[0,1]"): False,
-            ("sli", "[1,2]", "[0,1]"): False,
         }
         for command, no_verdict in commands.items():
             removed = [["--prime", "4"], ["--trials", "0"], ["--seed", "1"], ["--certify"]]
@@ -393,7 +395,7 @@ class TestExitCodes:
             code, out, _ = invoke([*command, "--format", "json"])
             assert code == 0 and json.loads(out)["prime"] == MERSENNE61
         assert invoke(["ladder", "[1,2]+[0,1]", "--exit-code-verdict"])[0] == 0
-        assert invoke(["sli", "[0,1]", "[1,2]", "--exit-code-verdict"])[0] == 1
+        assert invoke(["ladder", "[0,1]+[0,2]", "--exit-code-verdict"])[0] == 1
         # no command reads --certify: every TRUE is certified without it
         for argv in (["check", "gls", "[1,2]+[0,1]"], ["suite", "gedelta"]):
             code, out, _ = invoke([*argv, "--certify"])
@@ -592,9 +594,6 @@ class TestJson:
                 '"soc":"[1,3]+[0,2]+[0,0]+[0,0]"}}',
             ("ladder", "[1,2]+[0,1]"):
                 '{"command":"ladder","inputs":["[1,2]+[0,1]"],"verdict":true,"certified":true,'
-                f'"trials":0,"false_verdict_bound":"0/1","witness":null,{default},"outputs":{{}}}}',
-            ("sli", "[0,1]", "[1,2]"):
-                '{"command":"sli","inputs":["[0,1]","[1,2]"],"verdict":false,"certified":true,'
                 f'"trials":0,"false_verdict_bound":"0/1","witness":null,{default},"outputs":{{}}}}',
         }
         for argv, line in records.items():

@@ -1,5 +1,6 @@
 """Condition matrices and the randomized verdict protocol."""
 
+import hashlib
 import io
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from exact_rank import rank_exact
 from hypothesis import assume, given, settings, strategies as st
 
-from mseg import conditions
+from mseg import conditions, harness
 from mseg.cli import parse_mseg, run
 from mseg.conditions import (
     CoeffVector,
@@ -753,15 +754,21 @@ class TestVerdictMemo:
         assert conditions._decide.cache_info().hits == 1
 
     def test_suite_json_same_cold_and_warm(self):
+        # cold: neither the verdict memo nor the instance memo holds an entry
         def suite_json():
             out = io.StringIO()
             assert run(["suite", "all", "--seed", "0", "--format", "json"], out=out) == 0
             return out.getvalue()
 
         conditions._decide.cache_clear()
+        harness.gen_ms.cache_clear()
         cold = suite_json()
         assert conditions._decide.cache_info().currsize > 0
+        assert harness.gen_ms.cache_info().currsize > 0
         assert suite_json() == cold
+        assert hashlib.sha256(cold.encode()).hexdigest() == (
+            "f98bae2af3ac35c660489a99a7938e56515b8d2a6b24a2cd4b3bb5dff6d07068"
+        )
 
     def test_threads_share_the_memo(self):
         # more threads than cores and more distinct checks than memo
