@@ -42,16 +42,9 @@ from .zelevinsky import cross_pairs
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """Integer coordinates over a set of index pairs; absent keys are zero."""
+    """Integer coordinates keyed by the index pairs of an X set; absent keys are zero."""
 
-    support: Tuple[Tuple[int, int], ...]
     values: Dict[Tuple[int, int], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(self.support)))
-        extra = set(self.values) - set(self.support)
-        if extra:
-            raise SupportMismatchError(f"values outside support: {sorted(extra)}")
 
     def get(self, i: int, j: int) -> int:
         return self.values.get((i, j), 0)
@@ -68,7 +61,8 @@ class Verdict:
     does.  A GLS or LC FALSE proved deterministically is decided before
     any trial, so its ``trials_run`` is 0.
 
-    The witness of TRUE is the coefficient vector (GLS) or pair (LC).  The
+    The witness of TRUE is the coefficient vector (GLS) or pair (LC) where
+    the rows are independent; with no rows it is zero, with no keys.  The
     witness of a structural FALSE is ``(block, rows)``: the index of a line
     block and a set of its row indices whose terms cover fewer columns than
     there are rows, a Hall violator.  Other FALSE verdicts carry None.
@@ -171,15 +165,14 @@ def lc_matrix(
     rows (column within the line -> entry).  With m2 = m and lam2 = lam the
     rows are those of the GLS condition for lam.  The blocks are built by
     the steps of :func:`_decide`: one :func:`cross_pairs` walk, the
-    supports (checked against lam and lam2 before any row is built), the
-    lines, and the term function of :func:`_row_terms`.
+    supports X(m) and X(m2), the lines, and the term function of
+    :func:`_row_terms`.  A key of lam outside X(m), or of lam2 outside
+    X(m2), raises :class:`SupportMismatchError` before any row is built.
     """
     xs, ys = cross_pairs(m, m2)
     x1, x2 = _supports(m, m2, xs)
-    if set(lam.support) != set(x1):
-        raise SupportMismatchError("first support must equal the X set of m")
-    if set(lam2.support) != set(x2):
-        raise SupportMismatchError("second support must equal the X set of m2")
+    if lam.values.keys() - x1 or lam2.values.keys() - x2:
+        raise SupportMismatchError("a coefficient key is outside the X set of its side")
     col, _, rows = _lines(m, xs, ys)
     terms = _row_terms(col, x1, x2)
     blocks = ([terms(i, j) for i, j in rows[line]] for line in sorted(rows))
@@ -212,9 +205,9 @@ def _on_demand(
         yield row
 
 
-def _witness(x1: Tuple[Pair, ...], x2: Tuple[Pair, ...], lam: Coeffs, lam2: Coeffs, shared):
-    """The TRUE witness: one vector over X(m) when shared, else the pair."""
-    return CoeffVector(x1, lam) if shared else (CoeffVector(x1, lam), CoeffVector(x2, lam2))
+def _witness(lam: Coeffs, lam2: Coeffs, shared):
+    """The TRUE witness: one vector when shared, else the pair."""
+    return CoeffVector(lam) if shared else (CoeffVector(lam), CoeffVector(lam2))
 
 
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
@@ -233,7 +226,8 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     the witness is the pair.  Deterministic steps come first, cheapest
     first, and draw no coefficient:
 
-    * no rows is trivially independent, decided before any column map;
+    * no rows is trivially independent, at the zero vector, decided before
+      any column map;
     * a line block with more rows than columns never is (pigeonhole),
       decided from the counts per line;
     * nor is a block with a Hall violator, which proves FALSE with the
@@ -252,7 +246,7 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     """
     xs, ys = cross_pairs(m, m2)
     if not xs:
-        return Verdict(True, _witness(*_supports(m, m2, xs), {}, {}, shared), 0, _ZERO)
+        return Verdict(True, _witness({}, {}, shared), 0, _ZERO)
     col, width, rows = _lines(m, xs, ys)
     if any(len(pairs) > width.get(line, 0) for line, pairs in rows.items()):
         return Verdict(False, None, 0, _ZERO)
@@ -271,7 +265,7 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
         if not shared:
             lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
         if all(rank_mod_p(block, cfg.prime) == len(block) for block in _rows(blocks, lam, lam2)):
-            return Verdict(True, _witness(x1, x2, lam, lam2, shared), t, _ZERO)
+            return Verdict(True, _witness(lam, lam2, shared), t, _ZERO)
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.

@@ -30,7 +30,7 @@ class NotApplicableError(MsegError, ValueError):
 
 
 class SupportMismatchError(MsegError, ValueError):
-    """Raised when a coefficient vector's support does not match a pair set."""
+    """Raised when a coefficient vector has a coordinate outside its pair set."""
 
 
 class ParseError(MsegError, ValueError):

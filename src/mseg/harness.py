@@ -279,10 +279,6 @@ def _rhoext(cfg: RankConfig, m: Multisegment, m2: Multisegment, rho: CuspidalPoi
     return lhs.holds == (rhs.holds and counts_match), detail, (lhs, rhs)
 
 
-def _pair_multiset(m: Multisegment, m2: Multisegment, pairs) -> Counter:
-    return Counter((m.seg(i), m2.seg(j)) for (i, j) in pairs)
-
-
 # The structural invariances use no verdict: each returns the verdicts ().
 
 
@@ -311,8 +307,8 @@ def _pairset_decomposition(cfg: RankConfig, m: Multisegment, m2: Multisegment) -
     parts = [(a, b, cross_pairs(a, b)) for a, b in ((m, m), (m2, m2), (m, m2), (m2, m))]
     whole = cross_pairs(total, total)
     held = all(
-        _pair_multiset(total, total, whole[k])
-        == sum((_pair_multiset(a, b, pairs[k]) for a, b, pairs in parts), Counter())
+        Counter((total.seg(i), total.seg(j)) for i, j in whole[k])
+        == Counter((a.seg(i), b.seg(j)) for a, b, pairs in parts for i, j in pairs[k])
         for k in (0, 1)  # X, then Y
     )
     return held, {}, ()

@@ -251,9 +251,10 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
 # ---------------------------------------------------------------------------
 
 # Most segments an expression may denote, multiplicities expanded (the CLI
-# caps `suite --max-segments` at it too): far above the 128-segment inputs
-# that decide in seconds.  It does not bound memory: n equal segments have
-# n^2 Y pairs, so `check gls "2048*[0,0]"` peaks at about 418 MB.
+# caps `suite --max-segments` at it too).  It bounds neither memory nor time:
+# n equal segments have n^2 Y pairs, so `check gls "2048*[0,0]"` peaks at
+# about 418 MB, and `check gls "32*[0,1]+32*[1,2]"` (64 segments) takes 5.1 s
+# while 128 segments of that family did not finish in 115 s.
 MAX_SEGMENTS = 4096
 
 # the digits of UINT and INT: str.isdigit also accepts "²" and "٣"

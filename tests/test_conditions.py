@@ -53,7 +53,7 @@ def random_ms(rng, max_segments=5, box=4, max_len=4, lines=("0",)):
 
 def sampled(m, seed=0):
     xs = cross_pairs(m, m)[0]
-    return CoeffVector(xs, sample_coeffs(xs, MERSENNE61, seed, 1))
+    return CoeffVector(sample_coeffs(xs, MERSENNE61, seed, 1))
 
 
 def gls_reference(m, lam):
@@ -141,24 +141,27 @@ class TestGlsMatrix:
 
     def test_single_row_example(self):
         m = M(S(1, 2), S(0, 1))
-        lam = CoeffVector(((2, 1),), {(2, 1): 1})
+        lam = CoeffVector({(2, 1): 1})
         # columns in sorted pair order: (1,1), (2,1), (2,2)
         assert lc_matrix(m, m, lam, lam) == [[{0: -1, 2: 1}]]
         assert gls_reference(m, lam) == [[-1, 0, 1]]
 
     def test_zero_coefficients_zero_row(self):
         m = M(S(1, 2), S(0, 1))
-        lam = CoeffVector(((2, 1),), {})
+        lam = CoeffVector({})
         assert dense(m, m, lc_matrix(m, m, lam, lam)) == [[0, 0, 0]]
 
     def test_single_segment_no_rows(self):
         m = M(S(0, 3))
-        assert lc_matrix(m, m, CoeffVector((), {}), CoeffVector((), {})) == []
+        assert lc_matrix(m, m, CoeffVector({}), CoeffVector({})) == []
 
     def test_support_mismatch(self):
+        # X(m) is {(2, 1)}: a key outside it is refused on either side
         m = M(S(1, 2), S(0, 1))
-        with pytest.raises(SupportMismatchError):
-            lc_matrix(m, m, CoeffVector((), {}), CoeffVector((), {}))
+        zero, outside = CoeffVector({}), CoeffVector({(1, 2): 1})
+        for lam, lam2 in ((outside, zero), (zero, outside)):
+            with pytest.raises(SupportMismatchError):
+                lc_matrix(m, m, lam, lam2)
 
     def test_cross_line_entries_vanish(self):
         m = M(S(0, 1), S(1, 2), S(0, 1, "a"), S(1, 2, "a"))
@@ -174,11 +177,11 @@ class TestGlsMatrix:
 
 class TestLcMatrix:
     def test_one_by_zero(self):
-        g = lc_matrix(M(S(0, 0)), M(S(1, 1)), CoeffVector((), {}), CoeffVector((), {}))
+        g = lc_matrix(M(S(0, 0)), M(S(1, 1)), CoeffVector({}), CoeffVector({}))
         assert g == [[{}]]
 
     def test_empty_rows(self):
-        g = lc_matrix(M(S(0, 0)), M(S(5, 5)), CoeffVector((), {}), CoeffVector((), {}))
+        g = lc_matrix(M(S(0, 0)), M(S(5, 5)), CoeffVector({}), CoeffVector({}))
         assert g == []
 
     def test_diagonal_rows_match_gls(self):
@@ -202,18 +205,18 @@ class TestLcMatrix:
         def coeffs(ms):
             xs = cross_pairs(ms, ms)[0]
             values = data.draw(st.lists(st.integers(-9, 9), min_size=len(xs), max_size=len(xs)))
-            return CoeffVector(xs, dict(zip(xs, values)))
+            return CoeffVector(dict(zip(xs, values)))
 
         lam, lam2 = coeffs(m), coeffs(m2)
         assert dense(m, m2, lc_matrix(m, m2, lam, lam2)) == lc_reference(m, m2, lam, lam2)
-        if set(lam.support) != set(lam2.support):
+        if lam.values.keys() != lam2.values.keys():
             with pytest.raises(SupportMismatchError):
                 lc_matrix(m, m2, lam2, lam)
 
     def test_leclerc_self_rows(self):
         lam = sampled(LECLERC, seed=1)
         g = lc_matrix(LECLERC, LECLERC, lam, lam)
-        assert sum(len(block) for block in g) == len(lam.support) == 4
+        assert sum(len(block) for block in g) == len(lam.values) == 4
 
 
 class TestCheckGls:
@@ -319,7 +322,7 @@ LARGE = Path(__file__).resolve().parents[1] / "msegbench" / "large.json"
 
 def ones(m):
     xs = cross_pairs(m, m)[0]
-    return CoeffVector(xs, dict.fromkeys(xs, 1))
+    return CoeffVector(dict.fromkeys(xs, 1))
 
 
 def line_blocks(m, m2):
@@ -589,7 +592,7 @@ class TestStructuralFirst:
         monkeypatch.setattr(conditions, "rank_mod_p", refuse)
         v = conditions._decide.__wrapped__(m, m, CFG, True)
         assert v.holds and v.trials_run == 1
-        assert v.witness.values == sample_coeffs(v.witness.support, CFG.prime, CFG.seed, 1)
+        assert v.witness.values == sample_coeffs(cross_pairs(m, m)[0], CFG.prime, CFG.seed, 1)
 
     def test_cancelling_terms_still_run_every_trial(self, monkeypatch):
         ranks = []

@@ -204,8 +204,8 @@ class TestSparseRows:
                 m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
                 xs, xs2 = cross_pairs(m, m)[0], cross_pairs(m2, m2)[0]
                 for p in (3, P):
-                    lam = CoeffVector(xs, sample_coeffs(xs, p, index, 1))
-                    lam2 = CoeffVector(xs2, sample_coeffs(xs2, p, index, 1, stream=1))
+                    lam = CoeffVector(sample_coeffs(xs, p, index, 1))
+                    lam2 = CoeffVector(sample_coeffs(xs2, p, index, 1, stream=1))
                     for blocks in (lc_matrix(m, m, lam, lam), lc_matrix(m, m2, lam, lam2)):
                         for rows in blocks:
                             rank = rank_exact(rows)

@@ -638,7 +638,7 @@ def sampled_sides(m):
     and 1."""
     xs = cross_pairs(m, m)[0]
     return tuple(
-        CoeffVector(xs, sample_coeffs(xs, MERSENNE61, 0, 1, stream)) for stream in (0, 1)
+        CoeffVector(sample_coeffs(xs, MERSENNE61, 0, 1, stream)) for stream in (0, 1)
     )
 
 
@@ -684,7 +684,8 @@ class TestCrossPairs:
         assert lc_matrix(m, m, lam, lam2) == lc_matrix(m, copy, lam, lam2)
 
     def test_walks_per_layout(self, monkeypatch):
-        # one walk when m2 is m, three otherwise, and no precedence calls
+        # one walk when m2 is m or there are no rows, three otherwise, and
+        # no precedence calls
         walks = []
 
         def counted(m, m2):
@@ -708,6 +709,13 @@ class TestCrossPairs:
         walks.clear()
         conditions._decide.__wrapped__(m, m, RankConfig(seed=5), True)
         assert walks == [(m, m)]
+        # no rows: one walk, though m2 is not m and X(m) is not empty
+        walks.clear()
+        m, m2 = M(S(1, 1), S(0, 0)), M(S(5, 5))
+        v = conditions._decide.__wrapped__(m, m2, RankConfig(), False)
+        assert walks == [(m, m2)] and cross_pairs(m, m)[0]
+        assert v.holds and v.witness == (CoeffVector({}), CoeffVector({}))
+        assert lc_matrix(m, m2, *v.witness) == []
 
 
 class TestAgainstIndexLoops:
