@@ -6,9 +6,9 @@ an open condition, a single random evaluation of full rank proves it: at
 the integer witness some maximal minor of every block is nonzero mod p, so
 it is a nonzero integer and the rank over the rationals is full as well.
 TRUE therefore comes with a witness and is certified.  FALSE is proved when
-it can be cheaply, before any random trial: by pigeonhole (a line block with
-more rows than columns) or by structural rank (a Hall violator: rows of one
-block whose terms cover fewer columns than there are rows).  Otherwise
+it can be cheaply, before any random trial, by structural rank: a Hall
+violator, rows of one block whose terms cover fewer columns than there are
+rows (a block with more rows than columns always has one).  Otherwise
 failure across independent trials refutes it with an explicit
 Schwartz-Zippel style error bound.
 
@@ -18,13 +18,15 @@ unique matching of its rows makes it full at every nonzero draw.  The
 matching therefore runs first, on rows built as the search reaches them;
 elimination mod p runs only on blocks the pattern leaves open.
 
-Rows are indexed by cross precedence pairs (an X set), columns by cross
-shifted precedence pairs (a Y set), both in canonical sorted pair order.
-GLS(m) is LC(m, m) with one coefficient vector on both sides, so one builder
-and one protocol serve both: :func:`lc_matrix` and the protocol build a
-condition's line blocks by the same steps, through one term function.  Pairs
-on distinct lines never interact, so the matrices are block diagonal per line
-and ranks are computed blockwise.
+Rows are indexed by cross precedence pairs (an X set) in sorted pair order,
+columns by cross shifted precedence pairs (a Y set): X and Y are the one
+relation :func:`~mseg.segments.precedes` at shifts 0 and 1.  A column is
+keyed by its Y pair and tested only by the rows that could hold it, so no
+check lists Y.  GLS(m) is LC(m, m) with one coefficient vector on both
+sides, so one builder and one protocol serve both: :func:`lc_matrix` and the
+protocol build a condition's line blocks by the same steps, through one term
+function.  Pairs on distinct lines never interact, so the matrices are block
+diagonal per line and ranks are computed blockwise.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import NotApplicableError, SupportMismatchError
 from .linalg import RankConfig, Row, hall_violator, rank_mod_p, sample_coeffs
-from .segments import Multisegment
+from .segments import Multisegment, precedes
 from .zelevinsky import cross_pairs
 
 
@@ -55,17 +57,17 @@ class Verdict:
     """Outcome of a randomized condition check.
 
     ``false_verdict_bound`` bounds the probability that a reported FALSE is
-    wrong; it is 0 for TRUE and for deterministic FALSE (pigeonhole or
-    structural rank).  ``certified``, derived from it, means the verdict
-    does not rest on a random evaluation: only a FALSE after failed trials
-    does.  A GLS or LC FALSE proved deterministically is decided before
-    any trial, so its ``trials_run`` is 0.
+    wrong; it is 0 for TRUE and for deterministic FALSE (structural rank).
+    ``certified``, derived from it, means the verdict does not rest on a
+    random evaluation: only a FALSE after failed trials does.  A GLS or LC
+    FALSE proved deterministically is decided before any trial, so its
+    ``trials_run`` is 0.
 
     The witness of TRUE is the coefficient vector (GLS) or pair (LC) where
     the rows are independent; with no rows it is zero, with no keys.  The
     witness of a structural FALSE is ``(block, rows)``: the index of a line
     block and a set of its row indices whose terms cover fewer columns than
-    there are rows, a Hall violator.  Other FALSE verdicts carry None.
+    there are rows, a Hall violator.  A probabilistic FALSE carries None.
     """
 
     holds: bool
@@ -82,9 +84,9 @@ Pair = Tuple[int, int]
 # One term of a symbolic row: (side, coefficient key, sign), the entry
 # sign * lam[key] on side 0 and sign * lam2[key] on side 1.
 Term = Tuple[int, Pair, int]
-# A symbolic row maps each of its columns to its term, so iterating the row
-# gives its column pattern.
-SymRow = Dict[int, Term]
+# A symbolic row maps each of its columns, a Y pair, to its term, so
+# iterating the row gives its column pattern.
+SymRow = Dict[Pair, Term]
 # A line block: its rows, in sorted pair order.
 Block = List[SymRow]
 # Coefficients keyed by index pair, as CoeffVector.values.
@@ -101,41 +103,33 @@ def _supports(
     if m2 is m:
         x = tuple(xs)
         return x, x
-    return tuple(cross_pairs(m, m)[0]), tuple(cross_pairs(m2, m2)[0])
+    return tuple(cross_pairs(m, m)), tuple(cross_pairs(m2, m2))
 
 
-def _lines(
-    m: Multisegment, xs: List[Pair], ys: List[Pair]
-) -> Tuple[Dict[Pair, int], Dict[str, int], Dict[str, List[Pair]]]:
-    """The column map of Y(m, m2), the column count of each line, and the
-    rows X(m, m2) of each line, in sorted pair order.  Columns are
-    numbered from 0 per line."""
+def _lines(m: Multisegment, xs: List[Pair]) -> Dict[str, List[Pair]]:
+    """The rows X(m, m2) of each line, in sorted pair order."""
     segs = m.segs
-    col: Dict[Pair, int] = {}
-    width: Dict[str, int] = {}
-    for pair in ys:
-        line = segs[pair[0] - 1].line
-        c = col[pair] = width.get(line, 0)
-        width[line] = c + 1
     rows: Dict[str, List[Pair]] = {}
     for pair in xs:
         rows.setdefault(segs[pair[0] - 1].line, []).append(pair)
-    return col, width, rows
+    return rows
 
 
 def _row_terms(
-    col: Dict[Pair, int], x1: Tuple[Pair, ...], x2: Tuple[Pair, ...]
+    m: Multisegment, m2: Multisegment, x1: Tuple[Pair, ...], x2: Tuple[Pair, ...]
 ) -> Callable[[int, int], SymRow]:
     """The term function of LC(m, m2): row (i, j) -> its symbolic row.
 
     Row (i, j) holds +lam2[s, j] at column (i, s) for every precedence pair
     (s, j) of m2, and -lam[i, r] at column (r, j) for every precedence pair
-    (i, r) of m, wherever that column is a cross shifted pair.  The columns
-    of a row are distinct (the two kinds meet only if (i, i) were in X(m)),
-    so no term overwrites another.  Each candidate term costs one probe of
-    the column map, so a row costs the precedence pairs leaving i in m and
-    entering j in m2.
+    (i, r) of m, wherever that column is a cross shifted pair: a pair of
+    Y(m, m2), where a segment of m precedes the right shift of one of m2.
+    Each candidate column is asked that one :func:`precedes` question, so Y
+    is never listed, and a row costs the precedence pairs leaving i in m
+    and entering j in m2.  The columns of a row are distinct (the two kinds
+    meet only if (i, i) were in X(m)), so no term overwrites another.
     """
+    segs, segs2 = m.segs, m2.segs
     into: Dict[int, List[Pair]] = {}  # j -> the pairs (s, j) of X(m2)
     for key in x2:
         into.setdefault(key[1], []).append(key)
@@ -144,13 +138,14 @@ def _row_terms(
         out.setdefault(key[0], []).append(key)
 
     def terms(i: int, j: int) -> SymRow:
-        found = {
-            c: (1, key, 1) for key in into.get(j, ()) if (c := col.get((i, key[0]))) is not None
-        }
+        d, d2 = segs[i - 1], segs2[j - 1]
+        found: SymRow = {}
+        for key in into.get(j, ()):
+            if precedes(d, segs2[key[0] - 1], 1):
+                found[i, key[0]] = (1, key, 1)
         for key in out.get(i, ()):
-            c = col.get((key[1], j))
-            if c is not None:
-                found[c] = (0, key, -1)
+            if precedes(segs[key[1] - 1], d2, 1):
+                found[key[1], j] = (0, key, -1)
         return found
 
     return terms
@@ -162,19 +157,20 @@ def lc_matrix(
     """Row vectors of the LC condition for the coefficient pair (lam, lam2).
 
     Returns the line blocks with rows, in line order, each a list of sparse
-    rows (column within the line -> entry).  With m2 = m and lam2 = lam the
-    rows are those of the GLS condition for lam.  The blocks are built by
-    the steps of :func:`_decide`: one :func:`cross_pairs` walk, the
-    supports X(m) and X(m2), the lines, and the term function of
-    :func:`_row_terms`.  A key of lam outside X(m), or of lam2 outside
-    X(m2), raises :class:`SupportMismatchError` before any row is built.
+    rows keyed by the Y pair of each column: ``{(r, s): entry}``.  With
+    m2 = m and lam2 = lam the rows are those of the GLS condition for lam.
+    The blocks are built by the steps of :func:`_decide`: the
+    :func:`cross_pairs` walk for X(m, m2), the supports X(m) and X(m2), the
+    lines, and the term function of :func:`_row_terms`.  A key of lam
+    outside X(m), or of lam2 outside X(m2), raises
+    :class:`SupportMismatchError` before any row is built.
     """
-    xs, ys = cross_pairs(m, m2)
+    xs = cross_pairs(m, m2)
     x1, x2 = _supports(m, m2, xs)
     if lam.values.keys() - x1 or lam2.values.keys() - x2:
         raise SupportMismatchError("a coefficient key is outside the X set of its side")
-    col, _, rows = _lines(m, xs, ys)
-    terms = _row_terms(col, x1, x2)
+    rows = _lines(m, xs)
+    terms = _row_terms(m, m2, x1, x2)
     blocks = ([terms(i, j) for i, j in rows[line]] for line in sorted(rows))
     return _rows(blocks, lam.values, lam2.values)
 
@@ -205,6 +201,13 @@ def _on_demand(
         yield row
 
 
+def _numbered(block: Block) -> Block:
+    """The block with its columns numbered in sorted pair order: the pivot
+    order of :func:`rank_mod_p` stays, and it runs faster on integers."""
+    number = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
+    return [{number[c]: term for c, term in row.items()} for row in block]
+
+
 def _witness(lam: Coeffs, lam2: Coeffs, shared):
     """The TRUE witness: one vector when shared, else the pair."""
     return CoeffVector(lam) if shared else (CoeffVector(lam), CoeffVector(lam2))
@@ -223,43 +226,40 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
 
     With ``shared`` (and m2 = m) one stream-0 vector stands on both sides and
     is itself the witness; otherwise the sides draw from streams 0 and 1 and
-    the witness is the pair.  Deterministic steps come first, cheapest
-    first, and draw no coefficient:
+    the witness is the pair.  It walks X(m, m2), then X(m) and X(m2) if
+    there are rows, and never lists Y.  Deterministic steps come first,
+    cheapest first, and draw no coefficient:
 
-    * no rows is trivially independent, at the zero vector, decided before
-      any column map;
-    * a line block with more rows than columns never is (pigeonhole),
-      decided from the counts per line;
-    * nor is a block with a Hall violator, which proves FALSE with the
-      violator as witness.  The search of :func:`hall_violator` takes the
-      block's rows as the term function builds them, block by block in line
-      order, and stops at the first violator: rows and blocks it never
-      reaches are never built.  Both FALSEs report 0 trials;
+    * no rows is trivially independent, at the zero vector;
+    * a block with a Hall violator never is, one with more rows than columns
+      among them: FALSE in 0 trials, with the violator as witness.  The
+      search of :func:`hall_violator` takes the block's rows as the term
+      function builds them, block by block in line order, and stops at the
+      first violator: rows and blocks it never reaches are never built;
     * a block whose matching is unique has a minor that is a signed product
       of coefficients, nonzero at every draw, so it has full rank at every
       trial and its elimination is skipped.
 
-    The trials then run :func:`rank_mod_p` on the other blocks only, each
-    instantiated by :func:`_rows` as in :func:`lc_matrix`.  A trial is still
-    drawn when every block was skipped, so TRUE always carries the first
-    trial's coefficients as its witness.
+    The other blocks are numbered once, by :func:`_numbered`, and the trials
+    run :func:`rank_mod_p` on them only, each instantiated by :func:`_rows`
+    as in :func:`lc_matrix`.  A trial is still drawn when every block was
+    skipped, so TRUE always carries the first trial's coefficients as its
+    witness.
     """
-    xs, ys = cross_pairs(m, m2)
+    xs = cross_pairs(m, m2)
     if not xs:
         return Verdict(True, _witness({}, {}, shared), 0, _ZERO)
-    col, width, rows = _lines(m, xs, ys)
-    if any(len(pairs) > width.get(line, 0) for line, pairs in rows.items()):
-        return Verdict(False, None, 0, _ZERO)
+    rows = _lines(m, xs)
     x1, x2 = _supports(m, m2, xs)
-    terms = _row_terms(col, x1, x2)
+    terms = _row_terms(m, m2, x1, x2)
     blocks: List[Block] = []  # the blocks whose rank a trial must compute
     for index, line in enumerate(sorted(rows)):
         built: List[SymRow] = []
-        hall, unique = hall_violator(_on_demand(rows[line], terms, built), width[line])
+        hall, unique = hall_violator(_on_demand(rows[line], terms, built))
         if hall is not None:
             return Verdict(False, (index, hall), 0, _ZERO)
         if not unique:
-            blocks.append(built)
+            blocks.append(_numbered(built))
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:

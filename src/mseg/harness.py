@@ -16,11 +16,11 @@ propositions), or for a fixed number of draws (the invariances).
 ``replay_violation`` re-runs any recorded violation through ``CHECKS``.
 
 Verdicts of the condition checks are treated as ground truth.  A FALSE
-verdict is certified when pigeonhole or a Hall violator (structural rank,
-tested before any random trial) proves it, and probabilistic otherwise;
-so every report carries the accumulated error bound (the union bound, capped
-at 1), and each violation is flagged as possibly spurious when its evidence
-includes a probabilistic FALSE.
+verdict is certified when a Hall violator (structural rank, tested before
+any random trial) proves it, and probabilistic otherwise; so every report
+carries the accumulated error bound (the union bound, capped at 1), and each
+violation is flagged as possibly spurious when its evidence includes a
+probabilistic FALSE.
 """
 
 from __future__ import annotations
@@ -201,7 +201,8 @@ def _splitdisj(
     cfg: RankConfig, m1: Multisegment, m1p: Multisegment, m2: Multisegment, m2p: Multisegment
 ) -> Outcome:
     # the hypothesis: X and Y of (m1 + m1p, m2 + m2p) are empty
-    if any(cross_pairs(m1 + m1p, m2 + m2p)):
+    left, right = m1 + m1p, m2 + m2p
+    if cross_pairs(left, right) or cross_pairs(left, right, 1):
         return None
     whole = check_lc(m1 + m2, m1p + m2p, cfg)
     if not whole.holds:
@@ -297,19 +298,18 @@ def _mw_delta_minimal(cfg: RankConfig, m: Multisegment) -> Outcome:
 
 
 def _y_diagonal(cfg: RankConfig, m: Multisegment) -> Outcome:
-    ys = set(cross_pairs(m, m)[1])
+    ys = set(cross_pairs(m, m, 1))
     return all((i, i) in ys for i in range(1, len(m) + 1)), {}, ()
 
 
 def _pairset_decomposition(cfg: RankConfig, m: Multisegment, m2: Multisegment) -> Outcome:
     # the X and Y pairs of m + m2 are those within m, within m2 and across
     total = m + m2
-    parts = [(a, b, cross_pairs(a, b)) for a, b in ((m, m), (m2, m2), (m, m2), (m2, m))]
-    whole = cross_pairs(total, total)
+    parts = ((m, m), (m2, m2), (m, m2), (m2, m))
     held = all(
-        Counter((total.seg(i), total.seg(j)) for i, j in whole[k])
-        == Counter((a.seg(i), b.seg(j)) for a, b, pairs in parts for i, j in pairs[k])
-        for k in (0, 1)  # X, then Y
+        Counter((total.seg(i), total.seg(j)) for i, j in cross_pairs(total, total, k))
+        == Counter((a.seg(i), b.seg(j)) for a, b in parts for i, j in cross_pairs(a, b, k))
+        for k in (0, 1)  # the shift: X, then Y
     )
     return held, {}, ()
 

@@ -6,6 +6,7 @@
 * :func:`hall_violator` -- structural (term) rank: whether the rows, taken
   one at a time, can be matched to distinct columns of their pattern, a
   Hall violator when they cannot, and whether the matching is unique.
+  Its columns are any hashable labels, so it needs no column count.
 
 Coefficient sampling is a fixed, documented 64-bit mixing generator
 (splitmix64 finalizer chain) so verdicts reproduce across platforms:
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Collection, Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import TooLargeError
 
@@ -140,16 +141,14 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
     return len(pivots)
 
 
-def hall_violator(
-    rows: Iterable[Collection[int]], ncols: int
-) -> Tuple[Optional[Tuple[int, ...]], bool]:
+def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[int, ...]], bool]:
     """Structural rank of the rows: ``(None, unique)`` when they can be
     matched to distinct columns, else ``(R, False)`` for a Hall violator R,
     row indices whose columns N(R) number fewer than R.
 
-    Each row is a collection of the columns of its pattern, numbered from 0
-    to ncols - 1.  Rows are taken from the iterable one at a time and
-    matched in order, each by a breadth-first augmenting-path search (no
+    Each row is a collection of the columns of its pattern, any hashable
+    labels other than None.  Rows are taken from the iterable one at a time
+    and matched in order, each by a breadth-first augmenting-path search (no
     recursion, so large blocks need no raised recursion limit).  When the
     search from a row reaches no free column, the rows it reached are
     returned at once, and no later row is taken: their columns are exactly
@@ -157,7 +156,8 @@ def hall_violator(
     start, so |N(R)| = |R| - 1.  No matching then covers every row, every
     maximal minor of a matrix with this pattern has an empty Leibniz
     expansion, and the rows are dependent whatever the entries (Edmonds
-    1967; Hall's theorem).
+    1967; Hall's theorem).  Rows outnumbering the columns are such a case:
+    the search fails by the row after the last column is taken.
 
     ``unique`` says whether the final matching is the only one of the rows
     onto its columns: it is when no alternating cycle exists, that is when
@@ -166,35 +166,36 @@ def hall_violator(
     then has a single Leibniz term, the signed product of the matched
     entries, so it is nonzero wherever they all are.
 
-    The search state is kept in lists indexed by column and shared by all
+    The search state is kept in dicts keyed by column and shared by all
     searches: a per-search table raised the peak memory of a 382-row block.
     """
-    owner = [-1] * ncols  # column -> the row matched to it, -1 when free
-    matched: List[int] = []  # row -> its column
-    search = [-1] * ncols  # column -> the last search that reached it
-    via = [0] * ncols  # column -> the row that search reached it from
-    taken: List[Collection[int]] = []
+    owner: Dict[Hashable, int] = {}  # column -> the row matched to it
+    matched: List[Hashable] = []  # row -> its column
+    search: Dict[Hashable, int] = {}  # column -> the last search that reached it
+    via: Dict[Hashable, int] = {}  # column -> the row that search reached it from
+    taken: List[Collection[Hashable]] = []
     for start, row in enumerate(rows):
         taken.append(row)
-        matched.append(-1)
+        matched.append(None)
         reached = [start]
-        free = -1
+        free = None
         for u in reached:  # the list grows while it is walked: a queue
             for c in taken[u]:
-                if search[c] == start:
+                if search.get(c) == start:
                     continue
                 search[c] = start
                 via[c] = u
-                if owner[c] < 0:
+                v = owner.get(c)
+                if v is None:
                     free = c
                     break
-                reached.append(owner[c])
-            if free >= 0:
+                reached.append(v)
+            if free is not None:
                 break
-        if free < 0:
+        if free is None:
             return tuple(sorted(reached)), False
         c = free
-        while c >= 0:  # flip the path back to the start, which was unmatched
+        while c is not None:  # flip the path back to the start, which was unmatched
             u = via[c]
             prev = matched[u]
             owner[c] = u
@@ -202,7 +203,7 @@ def hall_violator(
             c = prev
     # Kahn's peeling: a row that no other row points at leaves with its edges
     into = [0] * len(taken)
-    edges = [[v for c in row if (v := owner[c]) != u and v >= 0] for u, row in enumerate(taken)]
+    edges = [[v for c in row if (v := owner.get(c, u)) != u] for u, row in enumerate(taken)]
     for targets in edges:
         for v in targets:
             into[v] += 1

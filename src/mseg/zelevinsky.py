@@ -8,18 +8,20 @@ by the leading-index scan; matchings pair segments beginning at a point with
 segments beginning one step to its right.
 
 The kernels walk the canonical segment tuple ``m.segs`` once, numbering it
-as they go, instead of looking segments up by index.  One merge walk over
-m and m2, :func:`cross_pairs`, yields both cross pair sets X and Y as
-lists in sorted pair order; X(m) and Y(m) are the walk over (m, m).  It
-relies on two facts of the canonical order: lines come in descending label
-order, and within a line ends do not rise as the index rises.  So the
-partners of a segment of m are found in one run of m2 between two pointers
-that only move forward, and the walk costs about |m| + |m2| + the pairs it
-inspects rather than |m| * |m2|; long segments that begin early widen the
-runs.  Every pair-set question of the package is read off this walk, and
-:func:`frontier_defined` states the frontier hypothesis once.  The
-involution strips plain re-sorted lists and builds one multisegment at the
-end, and the matching oracle computes the rho index sets once per call.
+as they go, instead of looking segments up by index.  The cross pair sets
+X and Y are one relation, precedence of a segment of m over a segment of m2
+moved right by a shift: X at shift 0, Y at shift 1.  One merge walk over m
+and m2, :func:`cross_pairs`, lists either in sorted pair order; X(m) and
+Y(m) are the walks over (m, m).  It relies on two facts of the canonical
+order: lines come in descending label order, and within a line ends do not
+rise as the index rises.  So the partners of a segment of m are found in
+one run of m2 between two pointers that only move forward, and the walk
+costs about |m| + |m2| + the pairs it inspects rather than |m| * |m2|; long
+segments that begin early widen the runs.  Every pair-set question of the
+package is read off this walk, and :func:`frontier_defined` states the
+frontier hypothesis once.  The involution strips plain re-sorted lists and
+builds one multisegment at the end, and the matching oracle computes the rho
+index sets once per call.
 """
 
 from __future__ import annotations
@@ -41,58 +43,45 @@ from .segments import CuspidalPoint, Multisegment, Segment, precedes
 Pairs = FrozenSet[Tuple[int, int]]
 
 
-def cross_pairs(
-    m: Multisegment, m2: Multisegment
-) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """The cross pair sets X(m, m2) and Y(m, m2) from one walk, each sorted.
+def cross_pairs(m: Multisegment, m2: Multisegment, shift: int = 0) -> List[Tuple[int, int]]:
+    """The pairs (i, j) where seg_i of m precedes seg_j of m2 moved right by
+    ``shift``, in sorted pair order: X(m, m2) at shift 0, Y(m, m2) at shift 1.
 
-    (i, j) is in X when seg_i of m precedes seg_j of m2, and in Y when seg_i
-    precedes the right shift of seg_j (b_i <= b_j <= e_i <= e_j on a common
-    line).  Both need a common line with b_i <= b_j <= e_i + 1 and
-    e_i <= e_j; X adds b_i < b_j and e_i < e_j, Y adds b_j <= e_i.  With
-    m2 = m they are X(m), which never holds (i, i), and Y(m), which always
-    does.
-
-    The walk merges the two canonical orders instead of testing every pair.
-    Lines come in descending label order on both sides, so ``hi`` moves
-    forward to the line run of m2 for each line of m.  Within a line ends
-    do not rise as the index rises, on either side, so the segments with
-    e_j >= e_i end at ``hi``, which only moves forward.  They start at
-    ``lo``: a segment of m2 beginning past e_i + 1 also begins past the end
-    plus one of every later segment of the line, so ``lo`` moves forward
-    past it for good.  The pairs between the pointers, a subset of all
-    |m| * |m2| pairs, are the ones tested, so the walk costs about
-    |m| + |m2| + the pairs it tests.  A long segment of m2 that begins
-    early stops ``lo`` and widens every later run of its line.  Pairs come
-    out in sorted order.
+    This is :func:`~mseg.segments.precedes` for every pair, read off one
+    merge walk of the two canonical orders instead of |m| * |m2| tests.
+    With b, e = b_i - shift, e_i - shift the test is b < b_j <= e + 1 on a
+    common line with e_j > e.  Lines come in descending label order on both
+    sides, so ``hi`` moves forward to the line run of m2 for each line of m.
+    Within a line ends do not rise as the index rises, on either side, so
+    the segments with e_j > e end at ``hi``, which only moves forward.  They
+    start at ``lo``: a segment of m2 beginning past e + 1 also begins past
+    the end plus one of every later segment of the line, so ``lo`` moves
+    forward past it for good.  The pairs between the pointers are the ones
+    tested, so the walk costs about |m| + |m2| + the pairs it tests.  A long
+    segment of m2 that begins early stops ``lo`` and widens every later run
+    of its line.  With m2 = m, X(m) never holds (i, i) and Y(m) always does.
     """
     segs2 = m2.segs
     n2 = len(segs2)
-    xs: List[Tuple[int, int]] = []
-    ys: List[Tuple[int, int]] = []
+    pairs: List[Tuple[int, int]] = []
     line = None
     lo = hi = 0
     for i, d in enumerate(m.segs, 1):
-        b, e = d.b, d.e
+        b, e = d.b - shift, d.e - shift
         if d.line != line:
             line = d.line
             while hi < n2 and segs2[hi].line > line:
                 hi += 1
             lo = hi
-        while hi < n2 and segs2[hi].e >= e and segs2[hi].line == line:
+        while hi < n2 and segs2[hi].e > e and segs2[hi].line == line:
             hi += 1
         top = e + 1
         while lo < hi and segs2[lo].b > top:
             lo += 1
         for j in range(lo, hi):
-            d2 = segs2[j]
-            b2 = d2.b
-            if b <= b2 <= top:
-                if b < b2 and e < d2.e:
-                    xs.append((i, j + 1))
-                if b2 <= e:
-                    ys.append((i, j + 1))
-    return xs, ys
+            if b < segs2[j].b <= top:
+                pairs.append((i, j + 1))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +184,8 @@ def mw_frontier(
     """Frontier pairs created by reducing m2, and the shift-down map f.
 
     Requires :func:`frontier_defined`, else raises ``PreconditionError``.
-    Filters the two lists of one :func:`cross_pairs` walk by the leading
-    chain of m2 and returns
+    Filters the :func:`cross_pairs` walks for X and Y by the leading chain
+    of m2 and returns
 
       xt -- the X pairs (i, j) with j on the chain and e_i = e_j - 1: they
             disappear after one reduction of m2,
@@ -217,7 +206,7 @@ def mw_frontier(
     chain = leading_indices(m2)
     pos = {idx: k for k, idx in enumerate(chain)}
     segs, segs2 = m.segs, m2.segs
-    xs, ys = cross_pairs(m, m2)
+    xs, ys = cross_pairs(m, m2), cross_pairs(m, m2, 1)
     xt = frozenset((i, j) for i, j in xs if j in pos and segs[i - 1].e == segs2[j - 1].e - 1)
     f = {
         (i, j): (i, chain[pos[j] - 1])
@@ -443,7 +432,6 @@ def rho_frontier(
     and whose second index sits on the matching side of m2."""
     a = derivative(m, rho).a_set
     x2, y2 = rho_sets(m2, rho)
-    xs, ys = cross_pairs(m, m2)
-    xt = frozenset((i, j) for (i, j) in xs if i in a and j in x2)
-    yt = frozenset((i, j) for (i, j) in ys if i in a and j in y2)
+    xt = frozenset((i, j) for (i, j) in cross_pairs(m, m2) if i in a and j in x2)
+    yt = frozenset((i, j) for (i, j) in cross_pairs(m, m2, 1) if i in a and j in y2)
     return xt, yt

@@ -190,8 +190,9 @@ class TestSubcommands:
         assert code == 0 and "verdict: false" in out
 
     def test_false_witness_null(self):
-        # structural (Hall violator before any trial), pigeonhole and
-        # probabilistic FALSE all print a null witness
+        # structural FALSE (a Hall violator before any trial; for [0,0]
+        # against [1,1], one row with no column) and probabilistic FALSE all
+        # print a null witness
         cases = {
             ("lc", "[1,3]+[0,1]+[0,0]", "[1,3]"): (True, 0, "0/1"),
             ("lc", "[0,0]", "[1,1]"): (True, 0, "0/1"),
@@ -358,7 +359,7 @@ class TestNoRowLc:
         # the only TRUE that draws no coefficients is LC with no rows
         _, out, _ = invoke(["check", "lc", str(m), str(m2), "--format", "json"])
         data = json.loads(out)
-        assert (data["verdict"] is True and data["trials"] == 0) == (not cross_pairs(m, m2)[0])
+        assert (data["verdict"] is True and data["trials"] == 0) == (not cross_pairs(m, m2))
 
 
 class TestExitCodes:

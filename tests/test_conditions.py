@@ -6,6 +6,8 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,7 +54,7 @@ def random_ms(rng, max_segments=5, box=4, max_len=4, lines=("0",)):
 
 
 def sampled(m, seed=0):
-    xs = cross_pairs(m, m)[0]
+    xs = cross_pairs(m, m)
     return CoeffVector(sample_coeffs(xs, MERSENNE61, seed, 1))
 
 
@@ -63,7 +65,7 @@ def gls_reference(m, lam):
     column (i, k) when (k, j) is a precedence pair and (i, k) a shifted one,
     and a -lam[i, k] contribution at column (k, j) in the mirrored case.
     """
-    xs, ys = cross_pairs(m, m)
+    xs, ys = cross_pairs(m, m), cross_pairs(m, m, 1)
     xset = set(xs)
     col = {pair: c for c, pair in enumerate(ys)}
     rows = []
@@ -88,8 +90,8 @@ def lc_reference(m, m2, lam, lam2):
     -lam[i, k] contribution at column (k, j) when (i, k) is a precedence
     pair of m and (k, j) a cross shifted one.
     """
-    x1, x2 = set(cross_pairs(m, m)[0]), set(cross_pairs(m2, m2)[0])
-    xs, ys = cross_pairs(m, m2)
+    x1, x2 = set(cross_pairs(m, m)), set(cross_pairs(m2, m2))
+    xs, ys = cross_pairs(m, m2), cross_pairs(m, m2, 1)
     col = {pair: c for c, pair in enumerate(ys)}
     rows = []
     for i, j in xs:
@@ -117,8 +119,11 @@ def multisegments(lines):
 
 
 def dense(m, m2, blocks):
-    """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted pairs."""
-    xs, ys = cross_pairs(m, m2)
+    """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted
+    pairs; each row is keyed by the Y pairs of its columns, which lie on its
+    block's line."""
+    xs, ys = cross_pairs(m, m2), cross_pairs(m, m2, 1)
+    col = {y: c for c, y in enumerate(ys)}
 
     def line(pair):
         return m.seg(pair[0]).line
@@ -128,11 +133,11 @@ def dense(m, m2, blocks):
     out = {x: [0] * len(ys) for x in xs}
     for ln, block in zip(lines, blocks):
         rows = [x for x in xs if line(x) == ln]
-        cols = [c for c, y in enumerate(ys) if line(y) == ln]
         assert len(block) == len(rows)
         for x, row in zip(rows, block):
-            for c, v in row.items():
-                out[x][cols[c]] = v
+            for y, v in row.items():
+                assert line(y) == ln
+                out[x][col[y]] = v
     return [out[x] for x in xs]
 
 
@@ -142,8 +147,8 @@ class TestGlsMatrix:
     def test_single_row_example(self):
         m = M(S(1, 2), S(0, 1))
         lam = CoeffVector({(2, 1): 1})
-        # columns in sorted pair order: (1,1), (2,1), (2,2)
-        assert lc_matrix(m, m, lam, lam) == [[{0: -1, 2: 1}]]
+        # columns keyed by their Y pairs (1,1), (2,1), (2,2)
+        assert lc_matrix(m, m, lam, lam) == [[{(1, 1): -1, (2, 2): 1}]]
         assert gls_reference(m, lam) == [[-1, 0, 1]]
 
     def test_zero_coefficients_zero_row(self):
@@ -167,7 +172,7 @@ class TestGlsMatrix:
         m = M(S(0, 1), S(1, 2), S(0, 1, "a"), S(1, 2, "a"))
         lam = sampled(m)
         ref = gls_reference(m, lam)
-        xs, ys = cross_pairs(m, m)
+        xs, ys = cross_pairs(m, m), cross_pairs(m, m, 1)
         for r, (i, _) in enumerate(xs):
             for c, (a, _) in enumerate(ys):
                 if m.seg(i).line != m.seg(a).line:
@@ -203,7 +208,7 @@ class TestLcMatrix:
         assume(m != m2)
 
         def coeffs(ms):
-            xs = cross_pairs(ms, ms)[0]
+            xs = cross_pairs(ms, ms)
             values = data.draw(st.lists(st.integers(-9, 9), min_size=len(xs), max_size=len(xs)))
             return CoeffVector(dict(zip(xs, values)))
 
@@ -234,7 +239,7 @@ class TestCheckGls:
 
     def test_false_bound_formula(self):
         v = check_gls(LECLERC, CFG)
-        xs = len(cross_pairs(LECLERC, LECLERC)[0])
+        xs = len(cross_pairs(LECLERC, LECLERC))
         # coefficients are drawn from [1, p-1], so each trial misses with
         # probability at most |X|/(p-1)
         assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
@@ -257,7 +262,7 @@ class TestCheckGls:
         v = check_gls(m, CFG)
         assert v.holds and v.certified
         blocks = lc_matrix(m, m, v.witness, v.witness)
-        assert sum(rank_exact(block) for block in blocks) == len(cross_pairs(m, m)[0])
+        assert sum(rank_exact(block) for block in blocks) == len(cross_pairs(m, m))
 
     def test_certify_long_ladder(self):
         # 126 segments give one block of 166 rows and 418 nonzeros, the size
@@ -276,6 +281,20 @@ class TestCheckGls:
         assert [len(rows) for rows in blocks] == [166]
         assert all(rank_exact(rows) == len(rows) for rows in blocks)
 
+    def test_equal_segments_never_list_y(self):
+        # 2,048 equal segments have no precedence pair but 2,048^2 Y pairs:
+        # TRUE with no trial, from a walk that lists X only
+        m = parse_mseg("2048*[0,0]")
+        conditions._decide.cache_clear()
+        tracemalloc.start()
+        try:
+            v = check_gls(m, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.holds and v.trials_run == 0
+        assert peak < 1 << 20
+
     def test_multiline_conjunction(self):
         good = M(S(1, 2), S(0, 1))
         two_lines = Multisegment(
@@ -293,8 +312,10 @@ class TestCheckLc:
         assert check_lc(LECLERC, LECLERC, CFG).holds is True
 
     def test_pigeonhole_false(self):
+        # one row and no column: the row alone is a Hall violator
         v = check_lc(M(S(0, 0)), M(S(1, 1)), CFG)
         assert v.holds is False and v.certified and v.false_verdict_bound == 0
+        assert is_hall_violator(M(S(0, 0)), M(S(1, 1)), v.witness)
 
     def test_vacuous_true(self):
         v = check_lc(M(S(1, 1)), M(S(0, 0)), CFG)
@@ -321,18 +342,19 @@ LARGE = Path(__file__).resolve().parents[1] / "msegbench" / "large.json"
 
 
 def ones(m):
-    xs = cross_pairs(m, m)[0]
+    xs = cross_pairs(m, m)
     return CoeffVector(dict.fromkeys(xs, 1))
 
 
 def line_blocks(m, m2):
     """The line blocks of LC(m, m2) as (column count, rows), the rows read
     from lc_matrix at all-ones coefficients: every entry is a single +-lam
-    term, so none vanishes and each row's keys are its column pattern."""
-    xs, ys = cross_pairs(m, m2)
-    _, width, rows = conditions._lines(m, xs, ys)
+    term, so none vanishes and each row's keys, Y pairs, are its column
+    pattern.  The column count is the number of Y pairs on the line."""
+    width = Counter(m.seg(i).line for i, _ in cross_pairs(m, m2, 1))
+    lines = sorted({m.seg(i).line for i, _ in cross_pairs(m, m2)})
     blocks = lc_matrix(m, m2, ones(m), ones(m2))
-    return [(width.get(line, 0), block) for line, block in zip(sorted(rows), blocks)]
+    return [(width[line], block) for line, block in zip(lines, blocks)]
 
 
 def is_hall_violator(m, m2, witness):
@@ -360,7 +382,7 @@ class TestStructuralFalse:
             conditions._decide.cache_clear()
             return [check(*args, CFG) for check, args, _ in cases]
 
-        def no_structure(rows, ncols):
+        def no_structure(rows):
             # every row is still built, none is found deficient or unique
             for _ in rows:
                 pass
@@ -375,7 +397,7 @@ class TestStructuralFalse:
         for (_, _, pair), v, ref in zip(cases, new, old):
             assert v.holds == ref.holds
             if v.holds or not v.certified or v.witness is None:
-                assert v == ref  # TRUE, pigeonhole and structurally full FALSE
+                assert v == ref  # TRUE and structurally full FALSE
                 continue
             structural += 1
             assert v.trials_run == 0 and v.false_verdict_bound == 0
@@ -399,8 +421,9 @@ class TestStructuralFalse:
                 else:
                     hall += 1
                     assert is_hall_violator(ms[0], ms[-1], v.witness)
-        # one lc_n64 pair is FALSE by pigeonhole, the others by a Hall violator
-        assert (hall, pigeonhole) == (6, 1)
+        # every FALSE has a Hall violator, the lc_n64 pair whose block has
+        # more rows than columns too
+        assert (hall, pigeonhole) == (7, 0)
 
     def test_no_coefficients_drawn(self, monkeypatch):
         def drawn(*args, **kwargs):
@@ -446,7 +469,7 @@ class TestOneLayoutPerCheck:
         v, layouts, built = self.decide_layouts(monkeypatch, LECLERC, LECLERC, True)
         assert v.holds is False and v.trials_run == CFG.trials == 8
         assert len(layouts) == 1
-        assert built == cross_pairs(LECLERC, LECLERC)[0]  # one line, every row once
+        assert built == cross_pairs(LECLERC, LECLERC)  # one line, every row once
 
     def test_two_line_lc_true(self, monkeypatch):
         m = parse_mseg("a:[0,1]+a:[0,0]+b:[0,1]+b:[0,0]")
@@ -455,7 +478,7 @@ class TestOneLayoutPerCheck:
         v, layouts, built = self.decide_layouts(monkeypatch, m, m2, False)
         assert v.holds and v.trials_run >= 1
         assert len(layouts) == 1
-        assert sorted(built) == cross_pairs(m, m2)[0] and len(set(built)) == len(built)
+        assert sorted(built) == cross_pairs(m, m2) and len(set(built)) == len(built)
 
 
 def large_cases():
@@ -483,16 +506,16 @@ def random_cases():
 
 
 def structural_reference(m, m2):
-    """'pigeonhole', the first Hall violator of the fully built blocks of
-    LC(m, m2) as (block, rows), or None."""
+    """The first Hall violator of the fully built blocks of LC(m, m2) as
+    (block, rows), or None; and whether some block has more rows than
+    columns."""
     blocks = line_blocks(m, m2)
-    if any(len(rows) > cols for cols, rows in blocks):
-        return "pigeonhole"
-    for index, (cols, rows) in enumerate(blocks):
-        hall = hall_violator(rows, cols)[0]
+    pigeonhole = any(len(rows) > cols for cols, rows in blocks)
+    for index, (_, rows) in enumerate(blocks):
+        hall = hall_violator(rows)[0]
         if hall is not None:
-            return index, hall
-    return None
+            return (index, hall), pigeonhole
+    return None, pigeonhole
 
 
 class TestStructuralFirst:
@@ -502,17 +525,19 @@ class TestStructuralFirst:
 
     def test_on_demand_witness_equals_full_layout(self):
         conditions._decide.cache_clear()
-        hall = 0
+        hall = pigeonholes = 0
         for check, args, pair in random_cases():
-            v, ref = check(*args, CFG), structural_reference(*pair)
+            v = check(*args, CFG)
+            ref, pigeonhole = structural_reference(*pair)
+            # a block with more rows than columns has a Hall violator
+            assert ref is not None or not pigeonhole
+            pigeonholes += pigeonhole
             if ref is None:
                 assert v.holds or v.trials_run == CFG.trials
-            elif ref == "pigeonhole":
-                assert (v.holds, v.witness, v.trials_run) == (False, None, 0)
             else:
                 hall += 1
                 assert v == conditions.Verdict(False, ref, 0, Fraction(0))
-        assert hall >= 70
+        assert hall >= 70 and pigeonholes >= 10
 
     @pytest.mark.parametrize("prime", [2, 3, 97, MERSENNE61])
     def test_same_verdicts_without_the_skip(self, monkeypatch, prime):
@@ -525,8 +550,8 @@ class TestStructuralFirst:
 
         search = conditions.hall_violator
 
-        def never_unique(rows, ncols):
-            return search(rows, ncols)[0], False
+        def never_unique(rows):
+            return search(rows)[0], False
 
         new = verdicts()
         with monkeypatch.context() as patched:
@@ -542,9 +567,9 @@ class TestStructuralFirst:
         search = conditions.hall_violator
         calls = []
 
-        def recorded(rows, ncols):
+        def recorded(rows):
             rows = list(rows)
-            result = search(rows, ncols)
+            result = search(rows)
             calls.append((rows, result[1]))
             return result
 
@@ -580,8 +605,8 @@ class TestStructuralFirst:
         v = conditions._decide.__wrapped__(m, m, CFG, True)
         assert not v.holds and v.trials_run == 0 and v.witness[0] == 0
         # the search fails at row 45 of 382, having reached rows 0 to 45
-        assert max(v.witness[1]) == 45 and len(cross_pairs(m, m)[0]) == 382
-        assert built == cross_pairs(m, m)[0][:46]
+        assert max(v.witness[1]) == 45 and len(cross_pairs(m, m)) == 382
+        assert built == cross_pairs(m, m)[:46]
 
     def test_unique_ladder_runs_no_elimination(self, monkeypatch):
         (m,) = [ms[0] for name, _, ms in large_cases() if name == "gls_true_n128"]
@@ -592,7 +617,7 @@ class TestStructuralFirst:
         monkeypatch.setattr(conditions, "rank_mod_p", refuse)
         v = conditions._decide.__wrapped__(m, m, CFG, True)
         assert v.holds and v.trials_run == 1
-        assert v.witness.values == sample_coeffs(cross_pairs(m, m)[0], CFG.prime, CFG.seed, 1)
+        assert v.witness.values == sample_coeffs(cross_pairs(m, m), CFG.prime, CFG.seed, 1)
 
     def test_cancelling_terms_still_run_every_trial(self, monkeypatch):
         ranks = []
@@ -604,7 +629,7 @@ class TestStructuralFirst:
 
         monkeypatch.setattr(conditions, "rank_mod_p", counted)
         v = conditions._decide.__wrapped__(LECLERC, LECLERC, CFG, True)
-        nrows = len(cross_pairs(LECLERC, LECLERC)[0])
+        nrows = len(cross_pairs(LECLERC, LECLERC))
         assert (v.holds, v.witness, v.trials_run) == (False, None, 8)
         assert v.false_verdict_bound == Fraction(nrows, CFG.prime - 1) ** 8
         assert ranks == [nrows] * 8

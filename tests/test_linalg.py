@@ -202,7 +202,7 @@ class TestSparseRows:
             gen = GenParams(max_segments=8, lines=lines, seed=lines)
             for index in range(40):
                 m, m2 = gen_ms(gen, 2 * index), gen_ms(gen, 2 * index + 1)
-                xs, xs2 = cross_pairs(m, m)[0], cross_pairs(m2, m2)[0]
+                xs, xs2 = cross_pairs(m, m), cross_pairs(m2, m2)
                 for p in (3, P):
                     lam = CoeffVector(sample_coeffs(xs, p, index, 1))
                     lam2 = CoeffVector(sample_coeffs(xs2, p, index, 1, stream=1))
@@ -285,12 +285,12 @@ def planted_patterns(draw):
 
 class TestHallViolator:
     def test_examples(self):
-        assert hall_violator([], 0) == (None, True)
-        assert hall_violator([[0, 1], [0]], 2) == (None, True)  # needs one augmenting step
-        assert hall_violator([[0, 1], [0, 1]], 2) == (None, False)  # two matchings
-        assert hall_violator([[0], [0]], 1) == ((0, 1), False)
-        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]], 3) == ((0, 1, 2, 3), False)
-        assert hall_violator([[5], []], 6) == ((1,), False)
+        assert hall_violator([]) == (None, True)
+        assert hall_violator([[0, 1], [0]]) == (None, True)  # needs one augmenting step
+        assert hall_violator([[0, 1], [0, 1]]) == (None, False)  # two matchings
+        assert hall_violator([[0], [0]]) == ((0, 1), False)
+        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]]) == ((0, 1, 2, 3), False)
+        assert hall_violator([[5], []]) == ((1,), False)
 
     def test_rows_after_a_violator_are_not_taken(self):
         taken = []
@@ -300,7 +300,7 @@ class TestHallViolator:
                 taken.append(row)
                 yield row
 
-        assert hall_violator(rows(), 2) == ((0, 1), False)
+        assert hall_violator(rows()) == ((0, 1), False)
         assert taken == [[0], [0]]
 
     def test_long_augmenting_paths_without_recursion(self):
@@ -310,14 +310,14 @@ class TestHallViolator:
         # row is blocked by it alone.  The matching is unique: its
         # alternating graph is one path through all 2,001 rows
         chain = [[k, k + 1] for k in range(2000)] + [[0]]
-        assert hall_violator(chain, 2001) == (None, True)
-        assert hall_violator(chain + [[0]], 2001) == ((2000, 2001), False)
-        assert hall_violator(chain[:-1] + [[0, 2000]], 2001) == (None, False)
+        assert hall_violator(chain) == (None, True)
+        assert hall_violator(chain + [[0]]) == ((2000, 2001), False)
+        assert hall_violator(chain[:-1] + [[0, 2000]]) == (None, False)
 
     @settings(deadline=None, max_examples=300)
     @given(planted_patterns())
     def test_violator_exactly_when_no_covering_matching(self, rows):
-        found, unique = hall_violator(rows, 9)
+        found, unique = hall_violator(rows)
         deficiency = hall_deficiency(rows)
         assert (found is None) == (deficiency == 0)
         if found is None:
@@ -341,10 +341,19 @@ class TestHallViolator:
         covered = [set(row) for row in rows]
         covered[found[-1]].add(fresh)
         assert len(neighbours(covered, found)) >= len(found)
-        again = hall_violator(covered, 9)[0]
+        again = hall_violator(covered)[0]
         assert again != found
         if deficiency == 1:
             assert again is None
+
+    @settings(deadline=None, max_examples=300)
+    @given(planted_patterns())
+    def test_any_hashable_column_labels(self, rows):
+        # the same patterns with each column c relabelled as the pair (c, -c),
+        # every row kept in its order: the same violator and uniqueness
+        ordered = [list(row) for row in rows]
+        pairs = [[(c, -c) for c in row] for row in ordered]
+        assert hall_violator(pairs) == hall_violator(ordered)
 
 
 class TestSampler:

@@ -87,6 +87,17 @@ class TestPrecedes:
                 rhs = d.contains(d2.begin_point()) and d2.contains(d.end_point())
                 assert lhs == mid == rhs
 
+    def test_shift_one_is_the_y_relation(self):
+        # precedes at shift 1 is the relation of the Y pairs, and at any
+        # shift it is precedence over the moved segment, on two lines
+        box = [S(b, e, line) for line in ("0", "a") for b in range(-2, 4) for e in range(b, 4)]
+        for d in box:
+            for d2 in box:
+                y = d.line == d2.line and d.b <= d2.b <= d.e <= d2.e
+                assert precedes(d, d2, 1) == y
+                assert precedes(d, d2, 1) == precedes(d, d2.shift(1))
+                assert precedes(d, d2, 0) == precedes(d, d2)
+
 
 class TestTotalOrder:
     def test_examples(self):

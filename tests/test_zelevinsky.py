@@ -65,19 +65,23 @@ def random_ms(rng, max_segments=6, box=4, max_len=4):
 class TestPairSets:
     def test_examples(self):
         m = M(S(1, 2), S(0, 1))
-        assert cross_pairs(m, m) == ([(2, 1)], [(1, 1), (2, 1), (2, 2)])
-        assert cross_pairs(M(S(3, 5)), M(S(3, 5))) == ([], [(1, 1)])
+        assert cross_pairs(m, m) == [(2, 1)]
+        assert cross_pairs(m, m, 1) == [(1, 1), (2, 1), (2, 2)]
+        assert cross_pairs(M(S(3, 5)), M(S(3, 5))) == []
+        assert cross_pairs(M(S(3, 5)), M(S(3, 5)), 1) == [(1, 1)]
 
     def test_cross_examples(self):
-        assert cross_pairs(M(S(0, 0)), M(S(1, 1))) == ([(1, 1)], [])
-        assert cross_pairs(M(S(0, 1)), M(S(1, 2)))[1] == [(1, 1)]
-        assert cross_pairs(M(S(0, 1, "a")), M(S(1, 2, "b"))) == ([], [])
+        assert cross_pairs(M(S(0, 0)), M(S(1, 1))) == [(1, 1)]
+        assert cross_pairs(M(S(0, 0)), M(S(1, 1)), 1) == []
+        assert cross_pairs(M(S(0, 1)), M(S(1, 2)), 1) == [(1, 1)]
+        assert cross_pairs(M(S(0, 1, "a")), M(S(1, 2, "b"))) == []
+        assert cross_pairs(M(S(0, 1, "a")), M(S(1, 2, "b")), 1) == []
 
     def test_diagonal_always_in_y(self):
         rng = random.Random(7)
         for _ in range(50):
             m = random_ms(rng)
-            ys = cross_pairs(m, m)[1]
+            ys = cross_pairs(m, m, 1)
             assert all((i, i) in ys for i in range(1, len(m) + 1))
 
     def test_sum_decomposition(self):
@@ -87,10 +91,10 @@ class TestPairSets:
             total = m + m2
 
             def values(ms, other, k):
-                pairs = cross_pairs(ms, other)[k]
+                pairs = cross_pairs(ms, other, k)
                 return Counter((ms.seg(i), other.seg(j)) for i, j in pairs)
 
-            for k in (0, 1):  # X, then Y
+            for k in (0, 1):  # the shift: X, then Y
                 assert values(total, total, k) == (
                     values(m, m, k) + values(m2, m2, k) + values(m, m2, k) + values(m2, m, k)
                 )
@@ -212,7 +216,7 @@ class TestFrontier:
                 return keep
 
             shifted = lambda a, b: a.line == b.line and a.b <= b.b <= a.e <= b.e
-            xs, ys = cross_pairs(m, m2)
+            xs, ys = cross_pairs(m, m2), cross_pairs(m, m2, 1)
             assert set(xt) == set(xs) - cross_with_reduced(precedes)
             assert set(yt) == set(ys) - cross_with_reduced(shifted)
 
@@ -485,7 +489,7 @@ def ref_mw_frontier(m, m2):
         raise PreconditionError("max end of m must be below max end of m2")
 
     chain = leading_indices(m2)
-    x_cross, y_cross = map(set, cross_pairs(m, m2))
+    x_cross, y_cross = set(cross_pairs(m, m2)), set(cross_pairs(m, m2, 1))
 
     xt = set()
     yt = set()
@@ -633,10 +637,15 @@ def ref_cross_pairs(m, m2):
     return sorted(ref_pairset_x_cross(m, m2)), sorted(ref_pairset_y_cross(m, m2))
 
 
+def both_walks(m, m2):
+    """X(m, m2) and Y(m, m2): the walks at shift 0 and 1."""
+    return cross_pairs(m, m2), cross_pairs(m, m2, 1)
+
+
 def sampled_sides(m):
     """Coefficients over X(m) for both sides of LC(m, m), drawn on streams 0
     and 1."""
-    xs = cross_pairs(m, m)[0]
+    xs = cross_pairs(m, m)
     return tuple(
         CoeffVector(sample_coeffs(xs, MERSENNE61, 0, 1, stream)) for stream in (0, 1)
     )
@@ -647,14 +656,14 @@ class TestCrossPairs:
     @given(wide_ms, wide_ms)
     def test_one_walk_against_index_loops(self, m, m2):
         # both lists, in sorted pair order
-        assert cross_pairs(m, m2) == ref_cross_pairs(m, m2)
-        assert cross_pairs(m, m) == ref_cross_pairs(m, m)
+        assert both_walks(m, m2) == ref_cross_pairs(m, m2)
+        assert both_walks(m, m) == ref_cross_pairs(m, m)
 
     @no_deadline
     @given(long_ms(["a", "b", "c"]), long_ms(["b", "c", "d"]))
     def test_long_segments_and_one_sided_lines(self, m, m2):
         for a, b in ((m, m2), (m, m), (m2, m2), (m2, m)):
-            assert cross_pairs(a, b) == ref_cross_pairs(a, b)
+            assert both_walks(a, b) == ref_cross_pairs(a, b)
 
     def test_large_benchmark_inputs(self):
         # every input of the large workload, read and left as it is
@@ -663,7 +672,7 @@ class TestCrossPairs:
                 ms = [parse_mseg(text) for text in item["inputs"]]
                 for a in ms:
                     for b in ms:
-                        assert cross_pairs(a, b) == ref_cross_pairs(a, b)
+                        assert both_walks(a, b) == ref_cross_pairs(a, b)
 
     def test_partner_behind_a_held_lower_pointer(self):
         # [0,12] heads m2's line and begins before every segment of m, so
@@ -671,7 +680,7 @@ class TestCrossPairs:
         # but sits behind it, and the short partner [4,5] comes after both
         m, m2 = M(S(8, 9), S(3, 4)), M(S(0, 12), S(10, 11), S(4, 5))
         assert m2.segs == (S(0, 12), S(10, 11), S(4, 5))
-        assert cross_pairs(m, m2) == ([(1, 2), (2, 3)], [(2, 3)]) == ref_cross_pairs(m, m2)
+        assert both_walks(m, m2) == ([(1, 2), (2, 3)], [(2, 3)]) == ref_cross_pairs(m, m2)
 
     @no_deadline
     @given(wide_ms)
@@ -684,13 +693,15 @@ class TestCrossPairs:
         assert lc_matrix(m, m, lam, lam2) == lc_matrix(m, copy, lam, lam2)
 
     def test_walks_per_layout(self, monkeypatch):
-        # one walk when m2 is m or there are no rows, three otherwise, and
-        # no precedence calls
-        walks = []
+        # one walk when m2 is m or there are no rows, three otherwise, no
+        # precedence calls in the walk, and every walk at shift 0: a check
+        # and the matrix builder list X only, never Y
+        walks, shifts = [], []
 
-        def counted(m, m2):
+        def counted(m, m2, shift=0):
             walks.append((m, m2))
-            return cross_pairs(m, m2)
+            shifts.append(shift)
+            return cross_pairs(m, m2, shift)
 
         def refuse(*args):
             raise AssertionError("precedence tested outside the walk")
@@ -713,9 +724,22 @@ class TestCrossPairs:
         walks.clear()
         m, m2 = M(S(1, 1), S(0, 0)), M(S(5, 5))
         v = conditions._decide.__wrapped__(m, m2, RankConfig(), False)
-        assert walks == [(m, m2)] and cross_pairs(m, m)[0]
+        assert walks == [(m, m2)] and cross_pairs(m, m)
         assert v.holds and v.witness == (CoeffVector({}), CoeffVector({}))
         assert lc_matrix(m, m2, *v.witness) == []
+        assert shifts == [0] * 9  # 1 + 3 + 1 + 1 walks above, and 3 for the last matrix
+
+    @no_deadline
+    @given(wide_ms, wide_ms)
+    def test_walk_is_precedes_at_each_shift(self, m, m2):
+        # the walk at shift k against index loops over the one relation
+        for k in (0, 1):
+            assert cross_pairs(m, m2, k) == [
+                (i, j)
+                for i in range(1, len(m) + 1)
+                for j in range(1, len(m2) + 1)
+                if precedes(m.seg(i), m2.seg(j), k)
+            ]
 
 
 class TestAgainstIndexLoops:
