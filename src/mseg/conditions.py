@@ -3,30 +3,28 @@
 Each condition asks whether a family of coefficient-dependent row vectors is
 linearly independent for some choice of coefficients.  Since independence is
 an open condition, a single random evaluation of full rank proves it: at
-the integer witness some maximal minor of every block is nonzero mod p, so
-it is a nonzero integer and the rank over the rationals is full as well.
-TRUE therefore comes with a witness and is certified.  FALSE is proved when
-it can be cheaply, before any random trial, by structural rank: a Hall
-violator, rows of one block whose terms cover fewer columns than there are
-rows (a block with more rows than columns always has one).  Otherwise
-failure across independent trials refutes it with an explicit
-Schwartz-Zippel style error bound.
+the integer witness some maximal minor is nonzero mod p, so it is a nonzero
+integer and the rank over the rationals is full as well.  TRUE therefore
+comes with a witness and is certified.  FALSE is proved when it can be
+cheaply, before any random trial, by structural rank: a Hall violator, rows
+whose terms cover fewer columns than there are rows (more rows than columns
+always give one).  Otherwise failure across independent trials refutes it
+with an explicit Schwartz-Zippel style error bound.
 
-Every entry of a block is one monomial, so its pattern alone settles two
-cases (Edmonds 1967): a Hall violator makes it deficient everywhere, and a
-unique matching of its rows makes it full at every nonzero draw.  The
+Every entry is one monomial, so the pattern alone settles two cases
+(Edmonds 1967): a Hall violator makes the rows deficient everywhere, and a
+unique matching of them makes them full at every nonzero draw.  The
 matching therefore runs first, on rows built as the search reaches them;
-elimination mod p runs only on blocks the pattern leaves open.
+elimination mod p runs only when the pattern leaves the rank open.
 
-Rows are indexed by cross precedence pairs (an X set) in sorted pair order,
+Rows are indexed by cross precedence pairs (an X set), line by line,
 columns by cross shifted precedence pairs (a Y set): X and Y are the one
 relation :func:`~mseg.segments.precedes` at shifts 0 and 1.  A column is
 keyed by its Y pair and tested only by the rows that could hold it, so no
 check lists Y.  GLS(m) is LC(m, m) with one coefficient vector on both
-sides, so one builder and one protocol serve both: :func:`lc_matrix` and the
-protocol build a condition's line blocks by the same steps, through one term
-function.  Pairs on distinct lines never interact, so the matrices are block
-diagonal per line and ranks are computed blockwise.
+sides, so one builder and one protocol serve both, through one term
+function.  Rows of distinct lines share no column, so one matching search
+and one elimination never mix lines, and a check ranks one matrix.
 """
 
 from __future__ import annotations
@@ -65,9 +63,10 @@ class Verdict:
 
     The witness of TRUE is the coefficient vector (GLS) or pair (LC) where
     the rows are independent; with no rows it is zero, with no keys.  The
-    witness of a structural FALSE is ``(block, rows)``: the index of a line
-    block and a set of its row indices whose terms cover fewer columns than
-    there are rows, a Hall violator.  A probabilistic FALSE carries None.
+    witness of a structural FALSE is ``rows``: sorted indices into the rows
+    of :func:`lc_matrix`, all on one line, whose terms cover fewer columns
+    than there are rows, a Hall violator.  A probabilistic FALSE carries
+    None.
     """
 
     holds: bool
@@ -87,7 +86,7 @@ Term = Tuple[int, Pair, int]
 # A symbolic row maps each of its columns, a Y pair, to its term, so
 # iterating the row gives its column pattern.
 SymRow = Dict[Pair, Term]
-# A line block: its rows, in sorted pair order.
+# The rows of a check, line by line (see _by_line).
 Block = List[SymRow]
 # Coefficients keyed by index pair, as CoeffVector.values.
 Coeffs = Dict[Pair, int]
@@ -106,13 +105,12 @@ def _supports(
     return tuple(cross_pairs(m, m)), tuple(cross_pairs(m2, m2))
 
 
-def _lines(m: Multisegment, xs: List[Pair]) -> Dict[str, List[Pair]]:
-    """The rows X(m, m2) of each line, in sorted pair order."""
+def _by_line(m: Multisegment, xs: List[Pair]) -> List[Pair]:
+    """The row order: X(m, m2) stably sorted by the line of each pair's
+    first index, so each line keeps its sorted pair order.  It fixes the
+    rows the Hall search reaches and the violator it returns."""
     segs = m.segs
-    rows: Dict[str, List[Pair]] = {}
-    for pair in xs:
-        rows.setdefault(segs[pair[0] - 1].line, []).append(pair)
-    return rows
+    return sorted(xs, key=lambda pair: segs[pair[0] - 1].line)
 
 
 def _row_terms(
@@ -153,15 +151,15 @@ def _row_terms(
 
 def lc_matrix(
     m: Multisegment, m2: Multisegment, lam: CoeffVector, lam2: CoeffVector
-) -> List[List[Row]]:
+) -> List[Row]:
     """Row vectors of the LC condition for the coefficient pair (lam, lam2).
 
-    Returns the line blocks with rows, in line order, each a list of sparse
-    rows keyed by the Y pair of each column: ``{(r, s): entry}``.  With
-    m2 = m and lam2 = lam the rows are those of the GLS condition for lam.
-    The blocks are built by the steps of :func:`_decide`: the
+    Returns the rows in the order of :func:`_by_line`, line by line, each a
+    sparse row keyed by the Y pair of each column: ``{(r, s): entry}``.
+    With m2 = m and lam2 = lam the rows are those of the GLS condition for
+    lam.  The rows are built by the steps of :func:`_decide`: the
     :func:`cross_pairs` walk for X(m, m2), the supports X(m) and X(m2), the
-    lines, and the term function of :func:`_row_terms`.  A key of lam
+    row order, and the term function of :func:`_row_terms`.  A key of lam
     outside X(m), or of lam2 outside X(m2), raises
     :class:`SupportMismatchError` before any row is built.
     """
@@ -169,19 +167,16 @@ def lc_matrix(
     x1, x2 = _supports(m, m2, xs)
     if lam.values.keys() - x1 or lam2.values.keys() - x2:
         raise SupportMismatchError("a coefficient key is outside the X set of its side")
-    rows = _lines(m, xs)
     terms = _row_terms(m, m2, x1, x2)
-    blocks = ([terms(i, j) for i, j in rows[line]] for line in sorted(rows))
-    return _rows(blocks, lam.values, lam2.values)
+    return _rows([terms(i, j) for i, j in _by_line(m, xs)], lam.values, lam2.values)
 
 
-def _rows(blocks: Iterable[Block], lam: Coeffs, lam2: Coeffs) -> List[List[Row]]:
-    """The symbolic line blocks instantiated at lam (side 0) and lam2 (side
-    1); keys absent from a map are zero."""
+def _rows(block: Block, lam: Coeffs, lam2: Coeffs) -> List[Row]:
+    """The symbolic rows instantiated at lam (side 0) and lam2 (side 1);
+    keys absent from a map are zero."""
     sides = (lam, lam2)
     return [
-        [{c: sign * sides[side].get(key, 0) for c, (side, key, sign) in r.items()} for r in rows]
-        for rows in blocks
+        {c: sign * sides[side].get(key, 0) for c, (side, key, sign) in r.items()} for r in block
     ]
 
 
@@ -202,7 +197,7 @@ def _on_demand(
 
 
 def _numbered(block: Block) -> Block:
-    """The block with its columns numbered in sorted pair order: the pivot
+    """The rows with their columns numbered in sorted pair order: the pivot
     order of :func:`rank_mod_p` stays, and it runs faster on integers."""
     number = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
     return [{number[c]: term for c, term in row.items()} for row in block]
@@ -231,45 +226,40 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
     cheapest first, and draw no coefficient:
 
     * no rows is trivially independent, at the zero vector;
-    * a block with a Hall violator never is, one with more rows than columns
-      among them: FALSE in 0 trials, with the violator as witness.  The
-      search of :func:`hall_violator` takes the block's rows as the term
-      function builds them, block by block in line order, and stops at the
-      first violator: rows and blocks it never reaches are never built;
-    * a block whose matching is unique has a minor that is a signed product
-      of coefficients, nonzero at every draw, so it has full rank at every
-      trial and its elimination is skipped.
+    * rows with a Hall violator never are, nor more rows than columns among
+      them: FALSE in 0 trials, with the violator as witness.  The search of
+      :func:`hall_violator` takes the rows as the term function builds
+      them, in the order of :func:`_by_line`, and stops at the first
+      violator: rows it never reaches are never built;
+    * rows whose matching is unique have a minor that is a signed product
+      of coefficients, nonzero at every draw, so they have full rank at
+      every trial and no elimination runs.
 
-    The other blocks are numbered once, by :func:`_numbered`, and the trials
-    run :func:`rank_mod_p` on them only, each instantiated by :func:`_rows`
-    as in :func:`lc_matrix`.  A trial is still drawn when every block was
-    skipped, so TRUE always carries the first trial's coefficients as its
-    witness.
+    Otherwise the rows are numbered once, by :func:`_numbered`, and each
+    trial runs :func:`rank_mod_p` once on them, instantiated by
+    :func:`_rows` as in :func:`lc_matrix`.  A trial is still drawn when the
+    matching is unique, so TRUE always carries the first trial's
+    coefficients as its witness.
     """
     xs = cross_pairs(m, m2)
     if not xs:
         return Verdict(True, _witness({}, {}, shared), 0, _ZERO)
-    rows = _lines(m, xs)
     x1, x2 = _supports(m, m2, xs)
     terms = _row_terms(m, m2, x1, x2)
-    blocks: List[Block] = []  # the blocks whose rank a trial must compute
-    for index, line in enumerate(sorted(rows)):
-        built: List[SymRow] = []
-        hall, unique = hall_violator(_on_demand(rows[line], terms, built))
-        if hall is not None:
-            return Verdict(False, (index, hall), 0, _ZERO)
-        if not unique:
-            blocks.append(_numbered(built))
+    built: List[SymRow] = []
+    hall, unique = hall_violator(_on_demand(_by_line(m, xs), terms, built))
+    if hall is not None:
+        return Verdict(False, hall, 0, _ZERO)
+    block = [] if unique else _numbered(built)
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:
             lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
-        if all(rank_mod_p(block, cfg.prime) == len(block) for block in _rows(blocks, lam, lam2)):
+        if unique or rank_mod_p(_rows(block, lam, lam2), cfg.prime) == len(block):
             return Verdict(True, _witness(lam, lam2, shared), t, _ZERO)
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of
     # [1, p-1] it vanishes with probability at most |X|/(p-1) per trial.
-    # |X| counts the rows of every block, the skipped ones included.
     bound = min(_ONE, Fraction(len(xs), cfg.prime - 1) ** cfg.trials)
     return Verdict(False, None, cfg.trials, bound)
 

@@ -606,11 +606,19 @@ prop_rhoext_geom = SUITES["rhoext"]
 suite_invariances = SUITES["invariances"]
 
 
+def _parse_delta(text: str) -> Segment:
+    """The one segment of a recorded delta; ValueError for any other count."""
+    segs = parse_mseg(text).segs
+    if len(segs) != 1:
+        raise ValueError(f"delta must be exactly one segment, not {text!r}")
+    return segs[0]
+
+
 def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
     """Re-run a recorded violation in isolation; True when it reproduces.
 
-    Raises ValueError for an unknown property, or for inputs that are not
-    exactly those its check takes."""
+    Raises ValueError for an unknown property, for inputs that are not
+    exactly those its check takes, or for a delta that is not one segment."""
     name = violation["property"]
     if name not in CHECKS:
         raise ValueError(f"no replay available for {name!r}")
@@ -618,7 +626,7 @@ def replay_violation(violation: dict, cfg: RankConfig = RankConfig()) -> bool:
     if set(violation["inputs"]) != set(keys):
         given = ", ".join(violation["inputs"]) or "none"
         raise ValueError(f"{name!r} takes the inputs {', '.join(keys)}, not {given}")
-    parsers = {"rho": parse_rho, "delta": lambda text: parse_mseg(text).seg(1)}
+    parsers = {"rho": parse_rho, "delta": _parse_delta}
     inputs = {
         key: parsers.get(key, parse_mseg)(text) for key, text in violation["inputs"].items()
     }

@@ -80,8 +80,8 @@ class RankConfig:
 
     ``certify`` has no effect and takes no part in equality or hashing, so
     configurations that differ only in it share one verdict: a TRUE witness
-    is an integer vector at which some maximal minor of every block is
-    nonzero mod p, hence a nonzero integer, so every TRUE is already exact.
+    is an integer vector at which some maximal minor of the condition matrix
+    is nonzero mod p, hence a nonzero integer, so every TRUE is already exact.
     It remains only because `msegbench` still builds configurations with it.
     """
 
@@ -149,7 +149,7 @@ def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[
     Each row is a collection of the columns of its pattern, any hashable
     labels other than None.  Rows are taken from the iterable one at a time
     and matched in order, each by a breadth-first augmenting-path search (no
-    recursion, so large blocks need no raised recursion limit).  When the
+    recursion, so many rows need no raised recursion limit).  When the
     search from a row reaches no free column, the rows it reached are
     returned at once, and no later row is taken: their columns are exactly
     the columns reached, each matched to one of those rows other than the
@@ -167,7 +167,7 @@ def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[
     entries, so it is nonzero wherever they all are.
 
     The search state is kept in dicts keyed by column and shared by all
-    searches: a per-search table raised the peak memory of a 382-row block.
+    searches: a per-search table raised the peak memory of a 382-row matrix.
     """
     owner: Dict[Hashable, int] = {}  # column -> the row matched to it
     matched: List[Hashable] = []  # row -> its column

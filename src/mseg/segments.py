@@ -7,7 +7,7 @@ order so that 1-based positional indices are reproducible everywhere
 downstream (pair sets, matchings, matrices).
 
 Segments on distinct lines never interact: precedence, linking and all the
-derived conditions are blockwise per line.  The only place lines are compared
+derived conditions decompose over the lines.  The only place lines are compared
 is the global total order (label lexicographic, then coordinates), which
 exists solely to make maxima well defined.
 

@@ -155,18 +155,17 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
 def mw_dual(m: Multisegment) -> Multisegment:
     """The Moeglin-Waldspurger involution, by repeated end-chain stripping.
 
-    Lines are processed independently and the results summed; all chain
-    conditions are intra-line so this agrees with stripping the global
-    maximum first.  Each line is stripped on a plain list, re-sorted into
-    canonical order after every step.
+    The segments are stripped on one plain list, re-sorted into canonical
+    order after every step.  A chain never leaves the line of its first
+    segment, so this equals the sum over the lines of m of the involution
+    of each line's part.
     """
     out: List[Segment] = []
-    for line in m.lines():
-        sub = [s for s in m.segs if s.line == line]
-        while sub:
-            delta, sub = _strip(sub)
-            sub.sort(key=Segment.sort_key, reverse=True)
-            out.append(delta)
+    segs = list(m.segs)
+    while segs:
+        delta, segs = _strip(segs)
+        segs.sort(key=Segment.sort_key, reverse=True)
+        out.append(delta)
     return Multisegment(tuple(out))
 
 

@@ -32,7 +32,7 @@ def rank_exact(rows: List[Row]) -> int:
     whole matrix.  After k steps a remaining row is, up to sign, a vector of
     order-(k+1) minors of the input divided by their gcd, so its entries are
     bounded by those minors.  On fully dense input this is slower than
-    Bareiss elimination (about 1.4x at 60x60); the condition blocks are
+    Bareiss elimination (about 1.4x at 60x60); the condition matrices are
     1-10 % dense, where it is far faster.
     """
     live = [{c: v for c, v in row.items() if v} for row in rows]

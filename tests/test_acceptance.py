@@ -72,9 +72,9 @@ def _recording_checks():
 
 
 def _exact_full_rank(m, m2, lam, lam2) -> bool:
-    """Every line block of LC(m, m2) at (lam, lam2) has full row rank over
-    the rationals."""
-    return all(rank_exact(rows) == len(rows) for rows in lc_matrix(m, m2, lam, lam2))
+    """LC(m, m2) at (lam, lam2) has full row rank over the rationals."""
+    rows = lc_matrix(m, m2, lam, lam2)
+    return rank_exact(rows) == len(rows)
 
 
 def _report(num: int, ok: bool, elapsed: float, detail: str):

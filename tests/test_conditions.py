@@ -106,7 +106,7 @@ def lc_reference(m, m2, lam, lam2):
     return rows
 
 
-def multisegments(lines):
+def multisegments(lines, max_size=5):
     return st.lists(
         st.builds(
             lambda line, b, length: S(b, b + length, line),
@@ -114,30 +114,30 @@ def multisegments(lines):
             st.integers(-3, 3),
             st.integers(0, 3),
         ),
-        max_size=5,
+        max_size=max_size,
     ).map(lambda segs: M(*segs))
 
 
-def dense(m, m2, blocks):
-    """Place lc_matrix's line blocks into the |X| x |Y| matrix of sorted
-    pairs; each row is keyed by the Y pairs of its columns, which lie on its
-    block's line."""
+def by_line(m, xs):
+    """The pairs xs line by line, in ascending line order, each line in
+    sorted pair order: the row order of lc_matrix."""
+    lines = sorted({m.seg(x[0]).line for x in xs})
+    return [x for ln in lines for x in xs if m.seg(x[0]).line == ln]
+
+
+def dense(m, m2, rows):
+    """Place lc_matrix's rows into the |X| x |Y| matrix of sorted pairs;
+    each row is keyed by the Y pairs of its columns, which lie on its
+    row's line."""
     xs, ys = cross_pairs(m, m2), cross_pairs(m, m2, 1)
     col = {y: c for c, y in enumerate(ys)}
-
-    def line(pair):
-        return m.seg(pair[0]).line
-
-    lines = sorted({line(x) for x in xs})
-    assert len(blocks) == len(lines)
+    order = by_line(m, xs)
+    assert len(rows) == len(order)
     out = {x: [0] * len(ys) for x in xs}
-    for ln, block in zip(lines, blocks):
-        rows = [x for x in xs if line(x) == ln]
-        assert len(block) == len(rows)
-        for x, row in zip(rows, block):
-            for y, v in row.items():
-                assert line(y) == ln
-                out[x][col[y]] = v
+    for x, row in zip(order, rows):
+        for y, v in row.items():
+            assert m.seg(y[0]).line == m.seg(x[0]).line
+            out[x][col[y]] = v
     return [out[x] for x in xs]
 
 
@@ -148,7 +148,7 @@ class TestGlsMatrix:
         m = M(S(1, 2), S(0, 1))
         lam = CoeffVector({(2, 1): 1})
         # columns keyed by their Y pairs (1,1), (2,1), (2,2)
-        assert lc_matrix(m, m, lam, lam) == [[{(1, 1): -1, (2, 2): 1}]]
+        assert lc_matrix(m, m, lam, lam) == [{(1, 1): -1, (2, 2): 1}]
         assert gls_reference(m, lam) == [[-1, 0, 1]]
 
     def test_zero_coefficients_zero_row(self):
@@ -183,7 +183,7 @@ class TestGlsMatrix:
 class TestLcMatrix:
     def test_one_by_zero(self):
         g = lc_matrix(M(S(0, 0)), M(S(1, 1)), CoeffVector({}), CoeffVector({}))
-        assert g == [[{}]]
+        assert g == [{}]
 
     def test_empty_rows(self):
         g = lc_matrix(M(S(0, 0)), M(S(5, 5)), CoeffVector({}), CoeffVector({}))
@@ -221,7 +221,7 @@ class TestLcMatrix:
     def test_leclerc_self_rows(self):
         lam = sampled(LECLERC, seed=1)
         g = lc_matrix(LECLERC, LECLERC, lam, lam)
-        assert sum(len(block) for block in g) == len(lam.values) == 4
+        assert len(g) == len(lam.values) == 4
 
 
 class TestCheckGls:
@@ -243,7 +243,7 @@ class TestCheckGls:
         # coefficients are drawn from [1, p-1], so each trial misses with
         # probability at most |X|/(p-1)
         assert v.false_verdict_bound == Fraction(xs, CFG.prime - 1) ** CFG.trials
-        # its one block is structurally full (rank 3 by cancelling terms),
+        # its rows are structurally full (rank 3 by cancelling terms),
         # so every trial runs and the FALSE stays probabilistic
         assert not v.certified and v.witness is None and v.trials_run == CFG.trials
 
@@ -261,11 +261,11 @@ class TestCheckGls:
         m = M(S(1, 2), S(0, 1))
         v = check_gls(m, CFG)
         assert v.holds and v.certified
-        blocks = lc_matrix(m, m, v.witness, v.witness)
-        assert sum(rank_exact(block) for block in blocks) == len(cross_pairs(m, m))
+        rows = lc_matrix(m, m, v.witness, v.witness)
+        assert rank_exact(rows) == len(rows) == len(cross_pairs(m, m))
 
     def test_certify_long_ladder(self):
-        # 126 segments give one block of 166 rows and 418 nonzeros, the size
+        # 126 segments give a matrix of 166 rows and 418 nonzeros, the size
         # of the benchmark's certified ladder
         rng = random.Random(0)
         segs = [S(0, 2)]
@@ -277,9 +277,9 @@ class TestCheckGls:
         assert m.is_ladder()
         v = check_gls(m, CFG)
         assert v.holds and v.certified
-        blocks = lc_matrix(m, m, v.witness, v.witness)
-        assert [len(rows) for rows in blocks] == [166]
-        assert all(rank_exact(rows) == len(rows) for rows in blocks)
+        rows = lc_matrix(m, m, v.witness, v.witness)
+        assert len(rows) == 166
+        assert rank_exact(rows) == len(rows)
 
     def test_equal_segments_never_list_y(self):
         # 2,048 equal segments have no precedence pair but 2,048^2 Y pairs:
@@ -346,23 +346,32 @@ def ones(m):
     return CoeffVector(dict.fromkeys(xs, 1))
 
 
+def pattern(m, m2):
+    """The rows of LC(m, m2), read from lc_matrix at all-ones coefficients:
+    every entry is a single +-lam term, so none vanishes and each row's
+    keys, Y pairs, are its column pattern."""
+    return lc_matrix(m, m2, ones(m), ones(m2))
+
+
 def line_blocks(m, m2):
-    """The line blocks of LC(m, m2) as (column count, rows), the rows read
-    from lc_matrix at all-ones coefficients: every entry is a single +-lam
-    term, so none vanishes and each row's keys, Y pairs, are its column
-    pattern.  The column count is the number of Y pairs on the line."""
+    """The rows of LC(m, m2) grouped by line, in row order, as (column
+    count, rows).  The column count is the number of Y pairs on the line."""
     width = Counter(m.seg(i).line for i, _ in cross_pairs(m, m2, 1))
-    lines = sorted({m.seg(i).line for i, _ in cross_pairs(m, m2)})
-    blocks = lc_matrix(m, m2, ones(m), ones(m2))
-    return [(width[line], block) for line, block in zip(lines, blocks)]
+    lines = [m.seg(i).line for i, _ in by_line(m, cross_pairs(m, m2))]
+    rows = pattern(m, m2)
+    return [
+        (width[line], [row for ln, row in zip(lines, rows) if ln == line])
+        for line in sorted(set(lines))
+    ]
 
 
 def is_hall_violator(m, m2, witness):
-    """The witness (block, rows) names rows of that line block of LC(m, m2)
+    """The witness, sorted row indices of LC(m, m2), names rows on one line
     whose terms lie in fewer columns than there are rows."""
-    block, rows = witness
-    _, pattern = line_blocks(m, m2)[block]
-    return len({c for r in rows for c in pattern[r]}) < len(rows)
+    rows = pattern(m, m2)
+    lines = {m.seg(x[0]).line for x in (by_line(m, cross_pairs(m, m2))[r] for r in witness)}
+    assert list(witness) == sorted(set(witness)) and len(lines) == 1
+    return len({c for r in witness for c in rows[r]}) < len(witness)
 
 
 class TestStructuralFalse:
@@ -421,8 +430,8 @@ class TestStructuralFalse:
                 else:
                     hall += 1
                     assert is_hall_violator(ms[0], ms[-1], v.witness)
-        # every FALSE has a Hall violator, the lc_n64 pair whose block has
-        # more rows than columns too
+        # every FALSE has a Hall violator, the lc_n64 pair whose rows
+        # outnumber its columns too
         assert (hall, pigeonhole) == (7, 0)
 
     def test_no_coefficients_drawn(self, monkeypatch):
@@ -441,6 +450,34 @@ class TestStructuralFalse:
         for check, ms in cases:
             v = check(*ms, CFG)
             assert not v.holds and v.certified and v.trials_run == 0
+
+
+def part(m, line):
+    """The segments of m on one line."""
+    return Multisegment(tuple(s for s in m.segs if s.line == line))
+
+
+class TestLinesAreIndependent:
+    """Rows of distinct lines share no column, so a check on several lines
+    decides the checks on each line's part at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([("a", "b"), ("a", "b", "c")]).flatmap(
+            lambda lines: st.tuples(multisegments(lines, 10), multisegments(lines, 10))
+        )
+    )
+    def test_verdict_is_the_conjunction_of_the_lines(self, pair):
+        m, m2 = pair
+        lines = sorted(set(m.lines()) | set(m2.lines()))
+        for check, args, (a, b) in ((check_gls, (m,), (m, m)), (check_lc, (m, m2), (m, m2))):
+            v = check(*args, CFG)
+            parts = [check(*(part(x, line) for x in args), CFG) for line in lines]
+            assert v.holds == all(p.holds for p in parts)
+            hall = not v.holds and v.certified
+            assert hall == any(not p.holds and p.certified for p in parts)
+            if hall:
+                assert v.trials_run == 0 and is_hall_violator(a, b, v.witness)
 
 
 class TestOneLayoutPerCheck:
@@ -506,22 +543,24 @@ def random_cases():
 
 
 def structural_reference(m, m2):
-    """The first Hall violator of the fully built blocks of LC(m, m2) as
-    (block, rows), or None; and whether some block has more rows than
-    columns."""
+    """The first Hall violator of the fully built line blocks of LC(m, m2),
+    as indices R into all of its rows, or None; and whether some line has
+    more rows than columns."""
     blocks = line_blocks(m, m2)
     pigeonhole = any(len(rows) > cols for cols, rows in blocks)
-    for index, (_, rows) in enumerate(blocks):
+    offset = 0
+    for _, rows in blocks:
         hall = hall_violator(rows)[0]
         if hall is not None:
-            return (index, hall), pigeonhole
+            return tuple(offset + r for r in hall), pigeonhole
+        offset += len(rows)
     return None, pigeonhole
 
 
 class TestStructuralFirst:
-    """Rows built as the Hall search reaches them, and elimination skipped on
-    blocks whose matching is unique, against the fully built blocks and the
-    elimination of every block."""
+    """Rows built as the Hall search reaches them, and elimination skipped
+    when the matching is unique, against the fully built line blocks and
+    the elimination of every matrix."""
 
     def test_on_demand_witness_equals_full_layout(self):
         conditions._decide.cache_clear()
@@ -529,7 +568,7 @@ class TestStructuralFirst:
         for check, args, pair in random_cases():
             v = check(*args, CFG)
             ref, pigeonhole = structural_reference(*pair)
-            # a block with more rows than columns has a Hall violator
+            # a line with more rows than columns has a Hall violator
             assert ref is not None or not pigeonhole
             pigeonholes += pigeonhole
             if ref is None:
@@ -582,15 +621,14 @@ class TestStructuralFirst:
             if not v.holds or not calls:
                 continue
             lam, lam2 = (v.witness, v.witness) if check is check_gls else v.witness
-            blocks = lc_matrix(m, m2, lam, lam2)
-            assert len(calls) == len(blocks)
-            for (rows, unique), block in zip(calls, blocks):
-                assert [set(row) for row in rows] == [set(row) for row in block]
-                if unique:
-                    skipped += 1
-                    assert rank_exact(block) == len(block)
+            matrix = lc_matrix(m, m2, lam, lam2)
+            ((rows, unique),) = calls
+            assert [set(row) for row in rows] == [set(row) for row in matrix]
+            if unique:
+                skipped += 1
+                assert rank_exact(matrix) == len(matrix)
         conditions._decide.cache_clear()
-        assert skipped >= 160
+        assert skipped >= 130
 
     def test_false_search_builds_only_the_rows_it_reaches(self, monkeypatch):
         (m,) = [ms[0] for name, _, ms in large_cases() if name == "gls_false_n128"]
@@ -603,9 +641,9 @@ class TestStructuralFirst:
 
         monkeypatch.setattr(conditions, "_row_terms", counted)
         v = conditions._decide.__wrapped__(m, m, CFG, True)
-        assert not v.holds and v.trials_run == 0 and v.witness[0] == 0
+        assert not v.holds and v.trials_run == 0
         # the search fails at row 45 of 382, having reached rows 0 to 45
-        assert max(v.witness[1]) == 45 and len(cross_pairs(m, m)) == 382
+        assert max(v.witness) == 45 and len(cross_pairs(m, m)) == 382
         assert built == cross_pairs(m, m)[:46]
 
     def test_unique_ladder_runs_no_elimination(self, monkeypatch):

@@ -338,6 +338,13 @@ class TestReplay:
             with pytest.raises(ValueError, match="takes the inputs m, m2"):
                 replay_violation(record, CFG)
 
+    @pytest.mark.parametrize("delta", ["0", "2*[0,1]", "[0,1]+[2,3]"])
+    def test_replay_delta_that_is_not_one_segment(self, delta):
+        # no segment, and two equal or distinct ones, are refused alike
+        record = {"property": "gedelta", "inputs": {"m": "[0,0]", "m2": "[1,1]", "delta": delta}}
+        with pytest.raises(ValueError, match="delta must be exactly one segment"):
+            replay_violation(record, CFG)
+
     def test_every_check_replays_its_violations(self, monkeypatch):
         # flip the verdicts, and the outcomes of the checks that use no
         # verdict, on a fixed fifth of the inputs, so that every check

@@ -109,7 +109,7 @@ class TestKernelAgreement:
             assert rank_mod_p(a, P) == rank_mod_p(b, P) == rank_mod_p(t, P)
 
 
-# sparse rows over scattered column numbers, as the condition blocks have them
+# sparse rows over scattered column numbers, as the condition matrices have them
 def sparse_rows(entries):
     row = st.dictionaries(st.integers(0, 40), entries, max_size=8)
     return st.lists(row, max_size=6)
@@ -195,7 +195,7 @@ class TestSparseRows:
         assert rank_exact(rows) == rational_rank(rows)
 
     def test_exact_matches_rational_elimination_on_condition_blocks(self):
-        # GLS(m) and LC(m, m2) blocks of one- and two-line multisegments;
+        # GLS(m) and LC(m, m2) matrices of one- and two-line multisegments;
         # coefficients at p = 3 are 1 or 2, which makes deficits common
         deficient = 0
         for lines in (1, 2):
@@ -206,11 +206,10 @@ class TestSparseRows:
                 for p in (3, P):
                     lam = CoeffVector(sample_coeffs(xs, p, index, 1))
                     lam2 = CoeffVector(sample_coeffs(xs2, p, index, 1, stream=1))
-                    for blocks in (lc_matrix(m, m, lam, lam), lc_matrix(m, m2, lam, lam2)):
-                        for rows in blocks:
-                            rank = rank_exact(rows)
-                            assert rank == rational_rank(rows)
-                            deficient += rank < len(rows)
+                    for rows in (lc_matrix(m, m, lam, lam), lc_matrix(m, m2, lam, lam2)):
+                        rank = rank_exact(rows)
+                        assert rank == rational_rank(rows)
+                        deficient += rank < len(rows)
         assert deficient >= 20
 
     @given(

@@ -155,6 +155,26 @@ class TestInvolution:
         m = M(S(0, 1, "a"), S(1, 1, "a"), S(0, 0, "b"), S(0, 1, "b"))
         assert mw_dual(mw_dual(m)) == m
 
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.builds(
+                    lambda line, b, n: S(b, b + n, line),
+                    st.sampled_from("abcd"[:k]),
+                    st.integers(-2, 3),
+                    st.integers(0, 3),
+                ),
+                max_size=12,
+            )
+        )
+    )
+    def test_dual_is_the_sum_over_lines(self, segs):
+        # the involution of m is the sum of the involutions of its lines
+        m = M(*segs)
+        parts = [mw_dual(M(*(s for s in segs if s.line == line))) for line in m.lines()]
+        assert mw_dual(m) == sum(parts, M())
+
     def test_delta_is_minimal_top_segment_of_dual(self):
         rng = random.Random(12)
         for _ in range(100):
