@@ -22,7 +22,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .conditions import (
     CoeffVector,
@@ -66,6 +66,12 @@ def _frac_str(f: Fraction) -> str:
 
 def _coeffs_json(vec: CoeffVector, prefix: str = "") -> dict:
     return {f"{prefix}({i},{j})": v for (i, j), v in sorted(vec.values.items())}
+
+
+def _lc_json(witness: Tuple[CoeffVector, CoeffVector]) -> dict:
+    """An LC witness: each side's coefficients, keyed by m: and m2:."""
+    lam, lam2 = witness
+    return {**_coeffs_json(lam, "m:"), **_coeffs_json(lam2, "m2:")}
 
 
 def emit_json(result: dict) -> str:
@@ -230,14 +236,16 @@ def _check(args, cfg: RankConfig) -> dict:
         # IG reports both LC verdicts beside its own
         v, fwd, rev = check_ig(msegs[0], msegs[1], cfg)
         outputs = {"lc_forward": fwd.holds, "lc_reverse": rev.holds}
+        if v.holds:
+            # the witnesses `check lc m m2` and `check lc m2 m` print
+            witness = {"lc_forward": _lc_json(fwd.witness), "lc_reverse": _lc_json(rev.witness)}
     else:
         try:
             v = (li_for_good if cond == "li" else check_lc)(msegs[0], msegs[1], cfg)
         except NotApplicableError:
             return _result(command, inputs, cfg, outputs={"reason": "neither input is a ladder"})
         if v.holds:
-            lam, lam2 = v.witness
-            witness = {**_coeffs_json(lam, "m:"), **_coeffs_json(lam2, "m2:")}
+            witness = _lc_json(v.witness)
     verdict = v.holds
     if not v.holds and v.false_verdict_bound == 1:
         # failed trials whose error bound is 1 decide nothing

@@ -29,29 +29,46 @@ and one elimination never mix lines, and a check ranks one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import NotApplicableError, SupportMismatchError
+from .errors import NotApplicableError, SupportMismatchError, read_only
 from .linalg import RankConfig, Row, hall_violator, rank_mod_p, sample_coeffs
 from .segments import Multisegment, precedes
 from .zelevinsky import cross_pairs
 
 
-@dataclass(frozen=True)
 class CoeffVector:
-    """Integer coordinates keyed by the index pairs of an X set; absent keys are zero."""
+    """Integer coordinates keyed by the index pairs of an X set; absent keys are zero.
 
-    values: Dict[Tuple[int, int], int]
+    Not a tuple, so a GLS witness (one vector) and an LC witness (a pair of
+    them) stay apart; unhashable, as its values are a dict.
+    """
+
+    __slots__ = ("values",)
+    __setattr__ = __delattr__ = read_only
+    __hash__ = None
+
+    def __init__(self, values: Dict[Tuple[int, int], int]):
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"CoeffVector(values={self.values!r})"
+
+    def __reduce__(self):
+        return CoeffVector, (self.values,)
 
     def get(self, i: int, j: int) -> int:
         return self.values.get((i, j), 0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a randomized condition check.
 
     ``false_verdict_bound`` bounds the probability that a reported FALSE is

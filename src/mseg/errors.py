@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable slotted value types."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class MsegError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -62,19 +61,29 @@ from .zelevinsky import (
 )
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Shape of the random instances: count, coordinate box, lengths."""
-
+class _Shape(NamedTuple):
     max_segments: int = 4
     coord_range: int = 4
     max_length: int = 4
     lines: int = 1
     seed: int = 0
 
-    def __post_init__(self):
+
+class GenParams(_Shape):
+    """Shape of the random instances: count, coordinate box, lengths."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_segments < 0 or self.coord_range < 0:
             raise ValueError("sizes must be nonnegative")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
 def _rng(p: GenParams, index: int, tag: int = 0) -> random.Random:
@@ -99,7 +108,7 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
 # 4,301 repeats and 4,096 catch all of them, but criteria 4, 5 and 8 of the
 # acceptance benchmark draw thousands of instances that never repeat, and
 # fill the memo: 4,096 entries raised its peak RSS by 1.6 MB (23.5 to
-# 25.1 MB) and 2,048 by 0.7 MB.  GenParams is frozen and multisegments are
+# 25.1 MB) and 2,048 by 0.7 MB.  GenParams and multisegments are
 # immutable, so callers may share the results.
 @lru_cache(maxsize=2048)
 def gen_ms(p: GenParams, index: int) -> Multisegment:
@@ -128,20 +137,32 @@ def gen_ladder(p: GenParams, index: int) -> Multisegment:
     return Multisegment(tuple(chain))
 
 
-@dataclass
-class PropertyReport:
-    """Result of one suite run; empty violations means the property passed."""
-
+class _Report(NamedTuple):
     name: str
     instances_generated: int
     hypothesis_satisfied: int
     violations: List[dict]
     accumulated_bound: Fraction
-    details: Dict[str, int] = field(default_factory=dict)
+    details: Optional[Dict[str, int]] = None
     # (check, count, floor) when the draws ran out before every check met its
     # hypothesis floor times (the target, or 1 in a fixed-draw suite): the
     # first check in run order with the least count; not part of to_dict
     shortfall: Optional[Tuple[str, int, int]] = None
+
+
+class PropertyReport(_Report):
+    """Result of one suite run; empty violations means the property passed.
+
+    ``details`` left out is a new empty dict, never one shared by reports.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.details is None:
+            return self._replace(details={})
+        return self
 
     @property
     def passed(self) -> bool:

@@ -21,12 +21,11 @@ exactly uniform over [1, p-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Collection, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .errors import TooLargeError
+from .errors import TooLargeError, read_only
 
 Row = Dict[int, int]
 
@@ -74,7 +73,6 @@ def _checked_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
 class RankConfig:
     """Parameters of the randomized full-rank protocol.
 
@@ -85,21 +83,42 @@ class RankConfig:
     It remains only because `msegbench` still builds configurations with it.
     """
 
-    prime: int = MERSENNE61
-    trials: int = 8
-    seed: int = 0
-    certify: bool = field(default=False, compare=False)
+    __slots__ = ("prime", "trials", "seed", "certify")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(
+        self, prime: int = MERSENNE61, trials: int = 8, seed: int = 0, certify: bool = False
+    ):
+        if trials < 1:
             raise ValueError("trials must be positive")
-        if self.trials > MAX_TRIALS:
+        if trials > MAX_TRIALS:
             raise TooLargeError(f"more than {MAX_TRIALS} trials")
-        if self.prime < 2:
+        if prime < 2:
             raise ValueError("prime must be at least 2")
-        if self.prime >= 1 << 64:
+        if prime >= 1 << 64:
             raise ValueError("prime must fit in 64 bits")
-        _checked_prime(self.prime)
+        _checked_prime(prime)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "certify", certify)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prime, self.trials, self.seed) == (other.prime, other.trials, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.prime, self.trials, self.seed))
+
+    def __repr__(self) -> str:
+        return (
+            f"RankConfig(prime={self.prime!r}, trials={self.trials!r}, "
+            f"seed={self.seed!r}, certify={self.certify!r})"
+        )
+
+    def __reduce__(self):
+        return RankConfig, (self.prime, self.trials, self.seed, self.certify)
 
 
 def rank_mod_p(rows: List[Row], p: int) -> int:

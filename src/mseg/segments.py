@@ -18,16 +18,20 @@ prints; ``parse_rho`` and ``parse_mseg`` below read it back exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
-from .errors import EmptyMultisegmentError, EmptySegmentError, ParseError, TooLargeError
+from .errors import (
+    EmptyMultisegmentError,
+    EmptySegmentError,
+    ParseError,
+    TooLargeError,
+    read_only,
+)
 
 DEFAULT_LINE = "0"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CuspidalPoint:
+class CuspidalPoint(NamedTuple):
     """A point on a labeled line: the exponent of a twist on that line.
 
     Ordering is (line, pos) lexicographic; within a line the successor of a
@@ -43,17 +47,36 @@ class CuspidalPoint:
         return f"{self.line}:{self.pos}"
 
 
-@dataclass(frozen=True, slots=True)
 class Segment:
-    """A nonempty integer interval ``[b, e]`` on a labeled line."""
+    """A nonempty integer interval ``[b, e]`` on a labeled line.
 
-    line: str
-    b: int
-    e: int
+    Immutable, and not a tuple: it has its own order (see ``sort_key``) and
+    its ``len`` is its length.
+    """
 
-    def __post_init__(self):
-        if self.b > self.e:
-            raise EmptySegmentError(f"segment [{self.b},{self.e}] is empty")
+    __slots__ = ("line", "b", "e")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, line: str, b: int, e: int):
+        if b > e:
+            raise EmptySegmentError(f"segment [{b},{e}] is empty")
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "e", e)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.line == other.line and self.b == other.b and self.e == other.e
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.b, self.e))
+
+    def __repr__(self) -> str:
+        return f"Segment(line={self.line!r}, b={self.b!r}, e={self.e!r})"
+
+    def __reduce__(self):
+        return Segment, (self.line, self.b, self.e)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -135,7 +158,6 @@ def precedes(d: Segment, d2: Segment, shift: int = 0) -> bool:
     return d.line == d2.line and d.b < d2.b + shift <= d.e + 1 and d2.e + shift > d.e
 
 
-@dataclass(frozen=True, slots=True)
 class Multisegment:
     """A finite multiset of segments in canonical descending order.
 
@@ -149,18 +171,24 @@ class Multisegment:
     the canonical tuple is computed once, at construction.
     """
 
-    segs: tuple = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("segs", "_hash")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        ordered = tuple(
-            sorted(self.segs, key=Segment.sort_key, reverse=True)
-        )
+    def __init__(self, segs: tuple = ()):
+        ordered = tuple(sorted(segs, key=Segment.sort_key, reverse=True))
         object.__setattr__(self, "segs", ordered)
         object.__setattr__(self, "_hash", hash(ordered))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segs == other.segs
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Multisegment(segs={self.segs!r})"
 
     def __reduce__(self):
         # rebuild through the constructor: string hashes differ between

@@ -26,9 +26,8 @@ index sets once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .errors import (
     EmptyMultisegmentError,
@@ -233,16 +232,15 @@ def rho_sets(m: Multisegment, rho: CuspidalPoint) -> Tuple[FrozenSet[int], Froze
     return frozenset(x), frozenset(y)
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
+class Matching(NamedTuple):
     """A partial bijection from y-side to x-side indices along precedence.
 
     ``a_set`` / ``b_set`` cache the unmatched y-side / x-side indices.
     """
 
     pairs: FrozenSet[Tuple[int, int]]
-    a_set: FrozenSet[int] = field(default_factory=frozenset)
-    b_set: FrozenSet[int] = field(default_factory=frozenset)
+    a_set: FrozenSet[int] = frozenset()
+    b_set: FrozenSet[int] = frozenset()
 
     def forward(self) -> Dict[int, int]:
         return {i: j for i, j in self.pairs}
@@ -380,8 +378,7 @@ def matching_equivalent(m: Multisegment, a: FrozenSet[int], b: FrozenSet[int]) -
     return [segs[i - 1] for i in sorted(a)] == [segs[i - 1] for i in sorted(b)]
 
 
-@dataclass(frozen=True)
-class DerivativeResult:
+class DerivativeResult(NamedTuple):
     """Outcome of the left point-derivative at rho."""
 
     mu: int

@@ -213,6 +213,27 @@ class TestSubcommands:
         assert data["verdict"] is False
         assert data["outputs"] == {"lc_forward": False, "lc_reverse": True}
 
+    @pytest.mark.parametrize(
+        "m, m2",
+        [
+            ("[1,1]+[0,0]", "[1,1]+[0,0]"),
+            ("[2,3]+[2,3]+[-1,1]", "[3,3]+[1,3]+[-1,1]"),
+            ("[2,3]+[1,3]+[-2,-1]", "[1,3]+[-1,1]+[-2,-1]+[-2,-2]"),
+            ("a:[1,2]+a:[0,1]+[1,1]+[0,0]", "b:[0,0]+[1,1]+[0,0]"),
+        ],
+    )
+    def test_check_ig_witness_is_both_lc_witnesses(self, m, m2):
+        def witness(*argv):
+            return json.loads(invoke(["check", *argv, "--format", "json"])[1])["witness"]
+
+        forward, reverse = witness("lc", m, m2), witness("lc", m2, m)
+        assert forward is not None and reverse is not None
+        assert witness("ig", m, m2) == {"lc_forward": forward, "lc_reverse": reverse}
+
+    def test_check_ig_false_has_no_witness(self):
+        _, out, _ = invoke(["check", "ig", "[0,0]", "[1,1]", "--format", "json"])
+        assert json.loads(out)["witness"] is None
+
     def test_check_ig_bound_one_is_inconclusive(self):
         # at p = 2 both sides of LC(m, m) are all ones, the GLS matrix of
         # Leclerc's example: each direction fails its one trial at bound 1
@@ -558,10 +579,10 @@ class TestJson:
         # one record of each shape; the witness keys name the condition run
         default = '"prime":2305843009213693951,"seed":0'
         none = '"verdict":null,"certified":false,"trials":0,"false_verdict_bound":"0/1","witness":null'
+        lc_witness = '{"m:(2,1)":874121439593548569,"m2:(2,1)":709221631589824909}'
         lc_true = (
             '"verdict":true,"certified":true,"trials":1,"false_verdict_bound":"0/1",'
-            '"witness":{"m:(2,1)":874121439593548569,"m2:(2,1)":709221631589824909},'
-            f'{default},"outputs":{{}}}}'
+            f'"witness":{lc_witness},{default},"outputs":{{}}}}'
         )
         pair = '"inputs":["[1,1]+[0,0]","[1,1]+[0,0]"]'
         records = {
@@ -573,7 +594,8 @@ class TestJson:
             ("check", "li", "[1,1]+[0,0]", "[1,1]+[0,0]"): f'{{"command":"check li",{pair},{lc_true}',
             ("check", "ig", "[1,1]+[0,0]", "[1,1]+[0,0]"):
                 f'{{"command":"check ig",{pair},"verdict":true,"certified":true,"trials":2,'
-                f'"false_verdict_bound":"0/1","witness":null,{default},'
+                f'"false_verdict_bound":"0/1","witness":{{"lc_forward":{lc_witness},'
+                f'"lc_reverse":{lc_witness}}},{default},'
                 '"outputs":{"lc_forward":true,"lc_reverse":true}}',
             ("check", "li", "[0,1]+[0,2]", "[0,1]+[0,2]"):
                 f'{{"command":"check li","inputs":["[0,2]+[0,1]","[0,2]+[0,1]"],{none},{default},'

@@ -1,6 +1,5 @@
 """Generators and property suites: determinism, passing runs, replay."""
 
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -356,7 +355,7 @@ class TestReplay:
             def fake(*args):
                 v = check(*args)
                 if flipped(*args[:-1]):
-                    return dataclasses.replace(v, holds=not v.holds)
+                    return v._replace(holds=not v.holds)
                 return v
 
             return fake

@@ -1,6 +1,5 @@
 """Segment and multisegment basics: construction, orders, surgeries, filters."""
 
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -198,7 +197,7 @@ class TestValueTypes:
 
     def test_frozen_and_slotted(self):
         for value, attr in ((S(0, 1), "b"), (M(S(0, 1)), "segs"), (CuspidalPoint("0", 1), "pos")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(value, attr, None)
             assert not hasattr(value, "__dict__")
             with pytest.raises(AttributeError):

@@ -1,6 +1,5 @@
 """Pair sets, the involution, frontiers, matchings and derivatives."""
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -307,7 +306,7 @@ class TestMatching:
 
     def test_frozen_and_slotted(self):
         r = best_matching(M(S(0, 1), S(1, 2)), RHO)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.pairs = frozenset()
         assert not hasattr(r, "__dict__")
         with pytest.raises(AttributeError):
