@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -48,6 +49,10 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
+# The reader closed the output pipe before the record was written, as a shell
+# reports a process that SIGPIPE ended (128 + 13); never 1, which
+# --exit-code-verdict gives FALSE.
+EXIT_PIPE = 141
 
 # Largest instance target of `suite --trials`.  A suite draws up to 200
 # candidates per instance, so its work stays within 50 times that of its
@@ -355,10 +360,14 @@ def run(argv: List[str], out=None, err=None) -> int:
         print(f"internal error: {e}", file=err)
         return EXIT_INTERNAL
 
-    if args.format == "json":
-        print(emit_json(result), file=out)
-    else:
-        _print_text(result, out)
+    try:
+        if args.format == "json":
+            print(emit_json(result), file=out)
+        else:
+            _print_text(result, out)
+        out.flush()
+    except BrokenPipeError:
+        return EXIT_PIPE
 
     if getattr(args, "exit_code_verdict", False):
         return EXIT_OK if result["verdict"] is True else EXIT_FALSE
@@ -366,7 +375,12 @@ def run(argv: List[str], out=None, err=None) -> int:
 
 
 def main() -> None:  # pragma: no cover
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EXIT_PIPE:
+        # the interpreter flushes stdout once more at exit: send that nowhere,
+        # or it reports the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

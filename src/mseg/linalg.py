@@ -3,10 +3,13 @@
 * :func:`rank_mod_p` -- elimination over a prime field, by leading column,
   of sparse rows, one ``dict`` (column -> integer) per row; absent columns
   are zero and column numbers only need to be comparable.
-* :func:`hall_violator` -- structural (term) rank: whether the rows, taken
-  one at a time, can be matched to distinct columns of their pattern, a
-  Hall violator when they cannot, and whether the matching is unique.
-  Its columns are any hashable labels, so it needs no column count.
+* :func:`hall_violator` -- structural (term) rank: a matching of the rows,
+  taken one at a time, to distinct columns of their pattern, or a Hall
+  violator when there is none.  Its columns are any hashable labels, so it
+  needs no column count.
+* :func:`unique_matching` -- whether a matching is the only one of the rows
+  onto its columns, for the pattern it was found on or any pattern that
+  still holds its entries.
 
 Coefficient sampling is a fixed, documented 64-bit mixing generator
 (splitmix64 finalizer chain) so verdicts reproduce across platforms:
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Collection, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError, read_only
 
@@ -160,10 +163,13 @@ def rank_mod_p(rows: List[Row], p: int) -> int:
     return len(pivots)
 
 
-def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[int, ...]], bool]:
-    """Structural rank of the rows: ``(None, unique)`` when they can be
-    matched to distinct columns, else ``(R, False)`` for a Hall violator R,
-    row indices whose columns N(R) number fewer than R.
+def hall_violator(
+    rows: Iterable[Collection[Hashable]],
+) -> Tuple[Optional[Tuple[int, ...]], Optional[List[Hashable]]]:
+    """Structural rank of the rows: ``(None, matched)`` when they can be
+    matched to distinct columns, ``matched[r]`` the column of row r, else
+    ``(R, None)`` for a Hall violator R, row indices whose columns N(R)
+    number fewer than R.
 
     Each row is a collection of the columns of its pattern, any hashable
     labels other than None.  Rows are taken from the iterable one at a time
@@ -177,13 +183,6 @@ def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[
     expansion, and the rows are dependent whatever the entries (Edmonds
     1967; Hall's theorem).  Rows outnumbering the columns are such a case:
     the search fails by the row after the last column is taken.
-
-    ``unique`` says whether the final matching is the only one of the rows
-    onto its columns: it is when no alternating cycle exists, that is when
-    the graph with an edge from each row to the owner of every other
-    matched column in its pattern is acyclic.  The minor on those columns
-    then has a single Leibniz term, the signed product of the matched
-    entries, so it is nonzero wherever they all are.
 
     The search state is kept in dicts keyed by column and shared by all
     searches: a per-search table raised the peak memory of a 382-row matrix.
@@ -212,7 +211,7 @@ def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[
             if free is not None:
                 break
         if free is None:
-            return tuple(sorted(reached)), False
+            return tuple(sorted(reached)), None
         c = free
         while c is not None:  # flip the path back to the start, which was unmatched
             u = via[c]
@@ -220,19 +219,35 @@ def hall_violator(rows: Iterable[Collection[Hashable]]) -> Tuple[Optional[Tuple[
             owner[c] = u
             matched[u] = c
             c = prev
-    # Kahn's peeling: a row that no other row points at leaves with its edges
-    into = [0] * len(taken)
-    edges = [[v for c in row if (v := owner.get(c, u)) != u] for u, row in enumerate(taken)]
+    return None, matched
+
+
+def unique_matching(rows: Sequence[Collection[Hashable]], matched: Sequence[Hashable]) -> bool:
+    """Whether ``matched``, row r to column ``matched[r]`` (a matching of
+    the rows, as :func:`hall_violator` returns it), is the only matching of
+    the rows onto its columns.
+
+    It is when no alternating cycle exists, that is when the graph with an
+    edge from each row to the owner of every other matched column in its
+    pattern is acyclic, which Kahn's peeling decides.  The minor on those
+    columns then has a single Leibniz term, the signed product of the
+    matched entries, so it is nonzero wherever they all are.  Columns that
+    no row is matched to take no part.
+    """
+    owner = dict(zip(matched, range(len(matched))))
+    into = [0] * len(rows)
+    edges = [[v for c in row if (v := owner.get(c, u)) != u] for u, row in enumerate(rows)]
     for targets in edges:
         for v in targets:
             into[v] += 1
+    # a row that no other row points at leaves with its edges
     ready = [u for u, n in enumerate(into) if not n]
     for u in ready:
         for v in edges[u]:
             into[v] -= 1
             if not into[v]:
                 ready.append(v)
-    return None, len(ready) == len(taken)
+    return len(ready) == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,18 @@ LABELLED_MULTISEGMENTS = st.lists(
 ).map(lambda segs: Multisegment(tuple(segs)))
 
 
+LECLERC = "[1,2]+[-1,1]+[0,0]+[-2,-1]"
+# TRUE over the rationals, with a matching that is not unique: its failed
+# trials at p = 2 once printed a bound of 1, and a 0/1 witness now proves it
+TRUE_OPEN = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
+# LC([2,3]+[0,2]+[-1,2], [3,3]+[3,3]+[2,2]) is FALSE over the rationals with
+# rows that match; one such pair on each line makes LC FALSE both ways
+IG_CANCELLING = (
+    "a:[2,3]+a:[0,2]+a:[-1,2]+b:[3,3]+b:[3,3]+b:[2,2]",
+    "a:[3,3]+a:[3,3]+a:[2,2]+b:[2,3]+b:[0,2]+b:[-1,2]",
+)
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
@@ -174,16 +186,18 @@ class TestSubcommands:
         assert code == 0 and "verdict: false" in out
 
     def test_false_bound_at_most_one(self):
-        m = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
+        # Leclerc's example: FALSE over the rationals, with rows that match
+        m = LECLERC
         _, out, _ = invoke(["check", "gls", m, "--prime", "2", "--format", "json"])
         data = json.loads(out)
         # capped at 1, so the failed trials are reported as inconclusive
         assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
         # every TRUE is certified: full rank mod p at an integer witness is
-        # full rank over the rationals
-        _, out, _ = invoke(["check", "gls", m, "--format", "json"])
-        data = json.loads(out)
-        assert data["verdict"] is True and data["certified"] is True
+        # full rank over the rationals, at p = 2 too
+        for prime in ([], ["--prime", "2"]):
+            _, out, _ = invoke(["check", "gls", TRUE_OPEN, *prime, "--format", "json"])
+            data = json.loads(out)
+            assert data["verdict"] is True and data["certified"] is True
 
     def test_check_lc_false(self):
         code, out, _ = invoke(["check", "lc", "[0,0]", "[1,1]"])
@@ -235,10 +249,10 @@ class TestSubcommands:
         assert json.loads(out)["witness"] is None
 
     def test_check_ig_bound_one_is_inconclusive(self):
-        # at p = 2 both sides of LC(m, m) are all ones, the GLS matrix of
-        # Leclerc's example: each direction fails its one trial at bound 1
-        m = "[1,2]+[-1,1]+[0,0]+[-2,-1]"
-        argv = ["check", "ig", m, m, "--prime", "2", "--trials", "1", "--format", "json"]
+        # each direction holds one line where LC is FALSE over the rationals
+        # with rows that match: at p = 2 each fails its one trial at bound 1
+        m, m2 = IG_CANCELLING
+        argv = ["check", "ig", m, m2, "--prime", "2", "--trials", "1", "--format", "json"]
         _, out, _ = invoke(argv)
         data = json.loads(out)
         assert data["verdict"] is None and data["false_verdict_bound"] == "1/1"
@@ -258,7 +272,7 @@ class TestSubcommands:
 
     def test_false_bound_one_is_inconclusive(self):
         # at p = 2 every coefficient is 1, so the failed trials decide nothing
-        m = "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"
+        m = LECLERC
         reason = "inconclusive: the FALSE bound is 1 at this prime"
         code, out, _ = invoke(["check", "gls", m, "--prime", "2", "--format", "json"])
         data = json.loads(out)
@@ -268,7 +282,7 @@ class TestSubcommands:
         code, out, _ = invoke(["check", "gls", m, "--prime", "2", "--exit-code-verdict"])
         assert code == 1
         assert out == f"command: check gls\ninput: {m}\nreason: {reason}\n"
-        code, out, _ = invoke(["check", "gls", m, "--format", "json"])
+        code, out, _ = invoke(["check", "gls", TRUE_OPEN, "--format", "json"])
         assert code == 0 and json.loads(out)["verdict"] is True
 
     def test_false_bound_one_is_inconclusive_for_lc(self):
@@ -311,8 +325,14 @@ class TestSubcommands:
         assert data["outputs"]["suites"][0]["hypothesis_satisfied"] == 15
 
     def test_suite_bounds_at_most_one(self):
-        # at p = 2 every probabilistic FALSE has bound 1; their sums are capped
-        argv = ["suite", "all", "--prime", "2", "--seed", "3", "--trials", "20"]
+        # at p = 2 every probabilistic FALSE has bound 1; their sums are
+        # capped.  No suite check is FALSE over the rationals with rows that
+        # match, so a bound of 1 here comes from a TRUE that only the trials
+        # could show: at seed 6, GLS of the involution of
+        # [0,1]+[-1,1]+[-1,1]+[0,0]+[-3,-1]+[-4,-1], which no 0/1 witness
+        # of the sparse step proves
+        argv = ["suite", "all", "--prime", "2", "--seed", "6", "--trials", "20"]
+        argv += ["--max-segments", "6"]
         _, out, _ = invoke(argv + ["--format", "json"])
         data = json.loads(out)
         bounds = [data["false_verdict_bound"]]
@@ -361,8 +381,10 @@ TWO_LINE_MULTISEGMENTS = st.lists(
 
 
 class TestNoRowLc:
-    """`check lc` holds with 0 trials exactly when LC(m, m2) has no rows: no
-    segment of m precedes one of m2, so no coefficient is drawn."""
+    """`check lc` holds with the zero witness exactly when LC(m, m2) has no
+    rows: no segment of m precedes one of m2, so no coefficient is drawn.
+    An open TRUE decided by its 0/1 witness also takes 0 trials, but its
+    witness has keys."""
 
     def test_examples(self):
         for argv, code, trials in (
@@ -377,10 +399,12 @@ class TestNoRowLc:
 
     @given(TWO_LINE_MULTISEGMENTS, TWO_LINE_MULTISEGMENTS)
     def test_true_iff_lc_has_no_rows(self, m, m2):
-        # the only TRUE that draws no coefficients is LC with no rows
+        # the only TRUE with the zero witness is LC with no rows
         _, out, _ = invoke(["check", "lc", str(m), str(m2), "--format", "json"])
         data = json.loads(out)
-        assert (data["verdict"] is True and data["trials"] == 0) == (not cross_pairs(m, m2))
+        assert (data["verdict"] is True and data["witness"] == {}) == (not cross_pairs(m, m2))
+        if data["verdict"] is True and data["witness"] == {}:
+            assert data["trials"] == 0
 
 
 class TestExitCodes:
@@ -530,6 +554,35 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestClosedPipe:
+    """A reader that closes the pipe early ends the command with EXIT_PIPE,
+    never 1 (FALSE under --exit-code-verdict), and without a traceback."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stream_raising_broken_pipe(self, fmt):
+        err = io.StringIO()
+        argv = ["check", "gls", "[1,2]+[0,1]", "--format", fmt, "--exit-code-verdict"]
+        assert run(argv, self.ClosedPipe(), err) == mseg.cli.EXIT_PIPE == 141
+        assert err.getvalue() == ""
+
+    def test_process_with_a_closed_pipe(self):
+        src = os.path.dirname(os.path.dirname(mseg.__file__))
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the record is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "mseg.cli", "check", "gls", "[1,2]+[0,1]", "--format", "json"],
+                env=dict(os.environ, PYTHONPATH=src), stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 141 and done.stderr == b""
+
+
 class TestJson:
     def test_bytes_independent_of_hash_seed(self):
         # string hashes differ between processes; no output may depend on them
@@ -600,11 +653,15 @@ class TestJson:
             ("check", "li", "[0,1]+[0,2]", "[0,1]+[0,2]"):
                 f'{{"command":"check li","inputs":["[0,2]+[0,1]","[0,2]+[0,1]"],{none},{default},'
                 '"outputs":{"reason":"neither input is a ladder"}}',
-            ("check", "gls", "[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]", "--prime", "2"):
-                '{"command":"check gls","inputs":["[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"],'
+            ("check", "gls", LECLERC, "--prime", "2"):
+                '{"command":"check gls","inputs":["[1,2]+[-1,1]+[0,0]+[-2,-1]"],'
                 '"verdict":null,"certified":false,"trials":8,"false_verdict_bound":"1/1",'
                 '"witness":null,"prime":2,"seed":0,'
                 '"outputs":{"reason":"inconclusive: the FALSE bound is 1 at this prime"}}',
+            ("check", "gls", TRUE_OPEN, "--prime", "2"):
+                '{"command":"check gls","inputs":["[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]"],'
+                '"verdict":true,"certified":true,"trials":0,"false_verdict_bound":"0/1",'
+                '"witness":{"(5,3)":1,"(6,3)":1,"(6,4)":1},"prime":2,"seed":0,"outputs":{}}',
             ("mw", "[0,2]+[1,3]"):
                 f'{{"command":"mw","inputs":["[1,3]+[0,2]"],{none},{default},'
                 '"outputs":{"mw":"[2,3]+[1,2]+[0,1]"}}',

@@ -41,6 +41,14 @@ def M(*segs):
 
 
 LECLERC = M(S(1, 2), S(-1, 1), S(0, 0), S(-2, -1))
+FIVE_SEG = M(S(1, 3), S(-2, 2), S(-1, 1), S(0, 0), S(-3, -1))
+# LC([2,3]+[0,2]+[-1,2], [3,3]+[3,3]+[2,2]) is FALSE over the rationals with
+# rows that match, and the reverse has no rows; with one on each line, LC
+# is FALSE that way in both directions
+IG_CANCELLING = (
+    parse_mseg("a:[2,3]+a:[0,2]+a:[-1,2]+b:[3,3]+b:[3,3]+b:[2,2]"),
+    parse_mseg("a:[3,3]+a:[3,3]+a:[2,2]+b:[2,3]+b:[0,2]+b:[-1,2]"),
+)
 CFG = RankConfig()
 
 
@@ -248,14 +256,17 @@ class TestCheckGls:
         assert not v.certified and v.witness is None and v.trials_run == CFG.trials
 
     def test_bound_at_most_one(self):
-        # at p = 2 every coefficient is 1 and |X| = 8 > p - 1: the bound is
-        # capped at 1, while the default prime proves TRUE
-        m = parse_mseg("[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]")
-        v = check_gls(m, RankConfig(prime=2))
+        # Leclerc's example is FALSE over the rationals with rows that match:
+        # at p = 2 every coefficient is 1 and |X| = 4 > p - 1, so the bound
+        # is capped at 1
+        v = check_gls(LECLERC, RankConfig(prime=2))
         assert v.holds is False and v.trials_run == 8
         assert v.false_verdict_bound == 1 and not v.certified
+        # TRUE over the rationals: a 0/1 witness proves it at every prime
+        m = parse_mseg("[4,4]+[4,4]+[2,4]+[2,4]+[-1,2]+[1,1]")
         v = check_gls(m, CFG)
         assert v.holds and v.certified
+        assert check_gls(m, RankConfig(prime=2)) == v
 
     def test_certified_witness_has_full_exact_rank(self):
         m = M(S(1, 2), S(0, 1))
@@ -374,12 +385,30 @@ def is_hall_violator(m, m2, witness):
     return len({c for r in witness for c in rows[r]}) < len(witness)
 
 
+def assert_sparse_witness(m, m2, v):
+    """v is a TRUE of LC(m, m2) (GLS when its witness is one vector) found
+    in no trial: its witness is 1 on a nonempty set of keys and absent
+    elsewhere, and the rows have full rank there over the rationals."""
+    lam, lam2 = (v.witness, v.witness) if isinstance(v.witness, CoeffVector) else v.witness
+    assert v.holds and v.trials_run == 0 and v.false_verdict_bound == 0
+    values = [*lam.values.values(), *lam2.values.values()]
+    assert values and set(values) == {1}
+    rows = lc_matrix(m, m2, lam, lam2)
+    assert rows and rank_exact(rows) == len(rows)
+
+
+def elimination_alone(patched):
+    """Switch off the unique-matching skip and the sparse step: the peel
+    finds no matching unique, so every open check runs its trials."""
+    patched.setattr(conditions, "unique_matching", lambda rows, matched: False)
+
+
 class TestStructuralFalse:
     """FALSE certified by a Hall violator before any trial."""
 
     def test_same_verdicts_as_the_trials_alone(self, monkeypatch):
         # 300 one- and two-line instances each for GLS and LC, against the
-        # protocol with the structural step disabled: every trial, as before
+        # protocol with the structural steps disabled: every trial, as before
         cases = []
         for lines in (1, 2):
             gen = GenParams(max_segments=8, coord_range=3, lines=lines, seed=10 + lines)
@@ -392,19 +421,26 @@ class TestStructuralFalse:
             return [check(*args, CFG) for check, args, _ in cases]
 
         def no_structure(rows):
-            # every row is still built, none is found deficient or unique
+            # every row is still built, none is found deficient, and no
+            # matching is offered to the sparse step
             for _ in rows:
                 pass
-            return None, False
+            return None, []
 
         new = verdicts()
         with monkeypatch.context() as patched:
             patched.setattr(conditions, "hall_violator", no_structure)
+            patched.setattr(conditions, "_sparse_witness", lambda *args: None)
+            elimination_alone(patched)
             old = verdicts()
         conditions._decide.cache_clear()
-        structural = 0
+        structural = sparse = 0
         for (_, _, pair), v, ref in zip(cases, new, old):
             assert v.holds == ref.holds
+            if v.holds and v != ref:
+                sparse += 1
+                assert_sparse_witness(*pair, v)
+                continue
             if v.holds or not v.certified or v.witness is None:
                 assert v == ref  # TRUE and structurally full FALSE
                 continue
@@ -412,7 +448,7 @@ class TestStructuralFalse:
             assert v.trials_run == 0 and v.false_verdict_bound == 0
             assert not ref.certified and ref.trials_run == CFG.trials
             assert is_hall_violator(*pair, v.witness)
-        assert structural >= 50
+        assert structural >= 50 and sparse >= 10
 
     def test_large_benchmark_falses_certified(self):
         hall = pigeonhole = 0
@@ -587,48 +623,62 @@ class TestStructuralFirst:
             conditions._decide.cache_clear()
             return [check(*args, cfg) for check, args, _ in cases]
 
-        search = conditions.hall_violator
-
-        def never_unique(rows):
-            return search(rows)[0], False
-
         new = verdicts()
         with monkeypatch.context() as patched:
-            patched.setattr(conditions, "hall_violator", never_unique)
+            elimination_alone(patched)
             old = verdicts()
         conditions._decide.cache_clear()
-        assert new == old
+        sparse = 0
+        for (_, _, pair), v, ref in zip(cases, new, old):
+            if prime == MERSENNE61:
+                assert v.holds == ref.holds
+            if v != ref:
+                # only the sparse step decides differently, and only a TRUE
+                sparse += 1
+                assert_sparse_witness(*pair, v)
         assert sum(v.holds for v in new) >= 300
+        assert sparse >= 10
 
     @pytest.mark.parametrize("prime", [2, 3, MERSENNE61])
     def test_skipped_blocks_have_full_rank_at_the_witness(self, monkeypatch, prime):
         cfg = RankConfig(prime=prime)
-        search = conditions.hall_violator
-        calls = []
+        search, peel = conditions.hall_violator, conditions.unique_matching
+        searched, peeled = [], []
 
         def recorded(rows):
             rows = list(rows)
-            result = search(rows)
-            calls.append((rows, result[1]))
-            return result
+            searched.append(rows)
+            return search(rows)
+
+        def judged(rows, matched):
+            peeled.append(peel(rows, matched))
+            return peeled[-1]
 
         monkeypatch.setattr(conditions, "hall_violator", recorded)
+        monkeypatch.setattr(conditions, "unique_matching", judged)
         conditions._decide.cache_clear()
-        skipped = 0
+        skipped = sparse = 0
         for check, args, (m, m2) in random_cases():
-            calls.clear()
+            searched.clear()
+            peeled.clear()
             v = check(*args, cfg)
-            if not v.holds or not calls:
+            if not v.holds or not searched:
                 continue
             lam, lam2 = (v.witness, v.witness) if check is check_gls else v.witness
             matrix = lc_matrix(m, m2, lam, lam2)
-            ((rows, unique),) = calls
+            # the first search takes the check's rows, and the first peel
+            # judges its matching on them
+            rows, unique = searched[0], peeled[0]
             assert [set(row) for row in rows] == [set(row) for row in matrix]
             if unique:
                 skipped += 1
+                assert v.trials_run == 1 and len(searched) == len(peeled) == 1
                 assert rank_exact(matrix) == len(matrix)
+            elif v.trials_run == 0:
+                sparse += 1
+                assert_sparse_witness(m, m2, v)
         conditions._decide.cache_clear()
-        assert skipped >= 130
+        assert skipped >= 130 and sparse >= 10
 
     def test_false_search_builds_only_the_rows_it_reaches(self, monkeypatch):
         (m,) = [ms[0] for name, _, ms in large_cases() if name == "gls_false_n128"]
@@ -673,6 +723,58 @@ class TestStructuralFirst:
         assert ranks == [nrows] * 8
 
 
+class TestSparseWitness:
+    """An open TRUE decided at lam = 1 on the keys of a matching that stays
+    unique where only they are nonzero: 0 trials, no elimination."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([("0",), ("0", "a")]).flatmap(
+            lambda lines: st.tuples(multisegments(lines, 7), multisegments(lines, 7))
+        ),
+        st.sampled_from([CFG, RankConfig(prime=2), RankConfig(prime=3, seed=5)]),
+    )
+    def test_true_in_no_trial_has_a_full_rank_witness_of_ones(self, pair, cfg):
+        m, m2 = pair
+        for check, args, (a, b) in ((check_gls, (m,), (m, m)), (check_lc, (m, m2), (m, m2))):
+            v = check(*args, cfg)
+            if v.holds and v.trials_run == 0 and cross_pairs(a, b):
+                assert_sparse_witness(a, b, v)
+
+    def test_open_ladder_family_without_elimination(self, monkeypatch):
+        # k copies of two linked segments: k^2 rows over 2k^2 columns whose
+        # matching is not unique, which elimination took seconds to rank
+        def refuse(*args):
+            raise AssertionError("an open TRUE was eliminated")
+
+        monkeypatch.setattr(conditions, "rank_mod_p", refuse)
+        monkeypatch.setattr(conditions, "sample_coeffs", refuse)
+        m = parse_mseg("12*[0,1]+12*[1,2]")
+        v = conditions._decide.__wrapped__(m, m, CFG, True)
+        assert_sparse_witness(m, m, v)
+
+    def test_a_retry_finds_the_witness(self, monkeypatch):
+        # the search's own matching leaves an alternating cycle among the
+        # terms keyed by its entries; the first reordered search does not
+        m = parse_mseg("[2,4]+[2,3]+[0,2]+[1,1]")
+        v = conditions._decide.__wrapped__(m, m, CFG, True)
+        assert_sparse_witness(m, m, v)
+        assert v.witness.values == {(3, 2): 1, (4, 1): 1, (4, 2): 1}
+        monkeypatch.setattr(conditions, "SPARSE_RETRIES", 0)
+        first = conditions._decide.__wrapped__(m, m, CFG, True)
+        assert first.holds and first.trials_run == 1
+        monkeypatch.setattr(conditions, "SPARSE_RETRIES", 1)
+        assert conditions._decide.__wrapped__(m, m, CFG, True) == v
+
+    def test_lc_witness_is_a_pair_of_vectors_of_ones(self):
+        # LC keys each side's coefficients apart, so the witness is the pair
+        m, m2 = parse_mseg("[2,2]+[1,1]+[1,1]+[0,0]"), parse_mseg("[2,2]+[1,1]")
+        v = check_lc(m, m2, CFG)
+        assert_sparse_witness(m, m2, v)
+        lam, lam2 = v.witness
+        assert lam.values == {(2, 1): 1, (4, 2): 1} and lam2.values == {(2, 1): 1}
+
+
 class TestCheckIg:
     def test_examples(self):
         assert check_ig(M(S(0, 0)), M(S(1, 1)), CFG)[0].holds is False
@@ -692,9 +794,10 @@ class TestCheckIg:
         assert v.trials_run == fwd.trials_run + rev.trials_run
 
     def test_certified_side_certifies(self):
-        # LC(m2, m) has a Hall violator; LC(m, m2) fails all 8 trials at
-        # p = 2 with bound 1, which adding would carry into IG
-        m, m2 = parse_mseg("2*[1,2]+[2,3]+[2,3]"), parse_mseg("[2,2]+[2,4]+[-1,0]")
+        # LC(m2, m) has a Hall violator; LC(m, m2), FALSE over the rationals
+        # with rows that match, fails all 8 trials at p = 2 with bound 1,
+        # which adding would carry into IG
+        m, m2 = FIVE_SEG, parse_mseg("[1,3]+[0,1]+[0,1]")
         cfg = RankConfig(prime=2)
         v, fwd, rev = check_ig(m, m2, cfg)
         assert fwd.false_verdict_bound == 1 and fwd.trials_run == 8
@@ -703,13 +806,15 @@ class TestCheckIg:
         assert v.trials_run == 8
 
     def test_bound_capped_at_one(self):
-        # at p = 2 both sides of LC(m, m) are all ones, which is the GLS
-        # matrix of Leclerc's example: each direction fails with bound 1
+        # each direction holds one line where LC is FALSE over the rationals
+        # with rows that match: at p = 2 each fails its trial with bound 1
+        m, m2 = IG_CANCELLING
         cfg = RankConfig(prime=2, trials=1)
-        lc = check_lc(LECLERC, LECLERC, cfg)
+        lc = check_lc(m, m2, cfg)
         assert lc.holds is False and lc.false_verdict_bound == 1
-        v, _, _ = check_ig(LECLERC, LECLERC, cfg)
+        v, _, rev = check_ig(m, m2, cfg)
         assert v.holds is False and v.false_verdict_bound == 1
+        assert rev.holds is False and not rev.certified
 
 
 class TestCertified:

@@ -19,6 +19,7 @@ from mseg.linalg import (
     hall_violator,
     rank_mod_p,
     sample_coeffs,
+    unique_matching,
 )
 from mseg.zelevinsky import cross_pairs
 
@@ -282,14 +283,46 @@ def planted_patterns(draw):
     return rows
 
 
+def is_matching(rows, matched):
+    """matched[r] is a column of row r, and no two rows share one."""
+    return len(matched) == len(rows) == len(set(matched)) and all(
+        c in row for row, c in zip(rows, matched)
+    )
+
+
+def structure(rows):
+    """(R, False) for the Hall violator R of the rows, else (None, unique):
+    whether the matching the search found is the only one onto its columns."""
+    found, matched = hall_violator(rows)
+    if found is not None:
+        assert matched is None
+        return found, False
+    assert is_matching(rows, matched)
+    return None, unique_matching(rows, matched)
+
+
 class TestHallViolator:
     def test_examples(self):
-        assert hall_violator([]) == (None, True)
-        assert hall_violator([[0, 1], [0]]) == (None, True)  # needs one augmenting step
-        assert hall_violator([[0, 1], [0, 1]]) == (None, False)  # two matchings
-        assert hall_violator([[0], [0]]) == ((0, 1), False)
-        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]]) == ((0, 1, 2, 3), False)
-        assert hall_violator([[5], []]) == ((1,), False)
+        assert hall_violator([]) == (None, [])
+        assert hall_violator([[0, 1], [0]]) == (None, [1, 0])  # needs one augmenting step
+        assert hall_violator([[0, 1], [0, 1]]) == (None, [0, 1])
+        assert structure([]) == (None, True)
+        assert structure([[0, 1], [0]]) == (None, True)
+        assert structure([[0, 1], [0, 1]]) == (None, False)  # two matchings
+        assert hall_violator([[0], [0]]) == ((0, 1), None)
+        assert hall_violator([[0, 1], [1, 2], [0, 2], [0, 1, 2]]) == ((0, 1, 2, 3), None)
+        assert hall_violator([[5], []]) == ((1,), None)
+
+    def test_uniqueness_of_a_given_matching(self):
+        # the peel judges the matching it is given, on the pattern it is given:
+        # both matchings of a 2 x 2 all-ones block have the other as a rival,
+        # and a pattern without the rival's entries leaves each unique
+        assert not unique_matching([[0, 1], [0, 1]], [0, 1])
+        assert not unique_matching([[0, 1], [0, 1]], [1, 0])
+        assert unique_matching([[0], [0, 1]], [0, 1])
+        assert unique_matching([[0, 1], [1]], [0, 1])
+        # a column no row is matched to takes no part
+        assert unique_matching([[0, 2], [1, 2]], [0, 1])
 
     def test_rows_after_a_violator_are_not_taken(self):
         taken = []
@@ -299,7 +332,7 @@ class TestHallViolator:
                 taken.append(row)
                 yield row
 
-        assert hall_violator(rows()) == ((0, 1), False)
+        assert hall_violator(rows()) == ((0, 1), None)
         assert taken == [[0], [0]]
 
     def test_long_augmenting_paths_without_recursion(self):
@@ -309,14 +342,15 @@ class TestHallViolator:
         # row is blocked by it alone.  The matching is unique: its
         # alternating graph is one path through all 2,001 rows
         chain = [[k, k + 1] for k in range(2000)] + [[0]]
-        assert hall_violator(chain) == (None, True)
-        assert hall_violator(chain + [[0]]) == ((2000, 2001), False)
-        assert hall_violator(chain[:-1] + [[0, 2000]]) == (None, False)
+        assert hall_violator(chain) == (None, [k + 1 for k in range(2000)] + [0])
+        assert structure(chain) == (None, True)
+        assert structure(chain + [[0]]) == ((2000, 2001), False)
+        assert structure(chain[:-1] + [[0, 2000]]) == (None, False)
 
     @settings(deadline=None, max_examples=300)
     @given(planted_patterns())
     def test_violator_exactly_when_no_covering_matching(self, rows):
-        found, unique = hall_violator(rows)
+        found, unique = structure(rows)
         deficiency = hall_deficiency(rows)
         assert (found is None) == (deficiency == 0)
         if found is None:
@@ -349,10 +383,13 @@ class TestHallViolator:
     @given(planted_patterns())
     def test_any_hashable_column_labels(self, rows):
         # the same patterns with each column c relabelled as the pair (c, -c),
-        # every row kept in its order: the same violator and uniqueness
+        # every row kept in its order: the same violator, matching and uniqueness
         ordered = [list(row) for row in rows]
         pairs = [[(c, -c) for c in row] for row in ordered]
-        assert hall_violator(pairs) == hall_violator(ordered)
+        found, matched = hall_violator(ordered)
+        relabelled = None if matched is None else [(c, -c) for c in matched]
+        assert hall_violator(pairs) == (found, relabelled)
+        assert structure(pairs) == structure(ordered)
 
 
 class TestSampler:
