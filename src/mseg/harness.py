@@ -87,18 +87,31 @@ class GenParams(_Shape):
 
 
 def _rng(p: GenParams, index: int, tag: int = 0) -> random.Random:
+    """The generator of draw (p.seed, index, tag); every draw reads it by
+    :func:`_below`, so through ``getrandbits`` alone."""
     return random.Random(mix_stream(p.seed, index, tag))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1: CPython's rejection loop on
+    ``getrandbits`` (k = n.bit_length() bits, redrawn while r >= n), so the
+    same stream gives the same values."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _line_name(rng: random.Random, p: GenParams) -> str:
     if p.lines <= 1:
         return DEFAULT_LINE
-    return str(rng.randrange(p.lines))
+    return str(_below(rng, p.lines))
 
 
 def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segment:
-    b = rng.randint(lo, hi)
-    e = min(b + rng.randint(1, max(1, p.max_length)) - 1, hi)
+    b = lo + _below(rng, hi - lo + 1)
+    e = min(b + _below(rng, max(1, p.max_length)), hi)
     return Segment(_line_name(rng, p), b, e)
 
 
@@ -117,7 +130,7 @@ def gen_ms(p: GenParams, index: int) -> Multisegment:
     Memoised per process: a repeated (p, index) returns the same object.
     """
     rng = _rng(p, index, 1)
-    k = rng.randint(0, p.max_segments)
+    k = _below(rng, p.max_segments + 1)
     r = p.coord_range
     return Multisegment(tuple(_random_segment(rng, p, -r, r) for _ in range(k)))
 
@@ -125,13 +138,13 @@ def gen_ms(p: GenParams, index: int) -> Multisegment:
 def gen_ladder(p: GenParams, index: int) -> Multisegment:
     """A random ladder: consecutive segments strictly climb in begin and end."""
     rng = _rng(p, index, 2)
-    k = rng.randint(1, max(1, p.max_segments))
+    k = 1 + _below(rng, max(1, p.max_segments))
     r = p.coord_range
     seg = _random_segment(rng, p, -r, r)
     chain = [seg]
     while len(chain) < k and seg.e < r:
-        b = rng.randint(seg.b + 1, seg.e + 1)
-        e = rng.randint(seg.e + 1, min(seg.e + max(1, p.max_length), r))
+        b = seg.b + 1 + _below(rng, seg.e - seg.b + 1)
+        e = seg.e + 1 + _below(rng, min(max(1, p.max_length), r - seg.e))
         seg = Segment(seg.line, b, e)
         chain.append(seg)
     return Multisegment(tuple(chain))
@@ -480,7 +493,8 @@ _ATTEMPT_FACTOR = 200
 
 def _point_of(p: GenParams, m: Multisegment, index: int, tag: int) -> CuspidalPoint:
     """A point of the support of nonzero m, deterministic in (p.seed, index, tag)."""
-    return _rng(p, index, tag).choice(sorted(m.supp()))
+    points = sorted(m.supp())
+    return points[_below(_rng(p, index, tag), len(points))]
 
 
 # An input source: draw(p, target, i) is draw i, its inputs named as in the
@@ -499,15 +513,11 @@ def _draw_split(p: GenParams, target: int, i: int) -> Dict[str, object]:
     """Four blocks on one line: m1 and m1p in [-r, -2], m2 and m2p in [2, r]."""
     r = max(p.coord_range, 3)
     rng = _rng(p, i, 3)
+    one_line = p._replace(lines=1)  # no line draw, every segment on DEFAULT_LINE
 
     def block(lo: int, hi: int) -> Multisegment:
-        k = rng.randint(0, max(1, p.max_segments // 2))
-        segs = []
-        for _ in range(k):
-            b = rng.randint(lo, hi)
-            e = min(b + rng.randint(1, max(1, p.max_length)) - 1, hi)
-            segs.append(Segment(DEFAULT_LINE, b, e))
-        return Multisegment(tuple(segs))
+        k = _below(rng, max(1, p.max_segments // 2) + 1)
+        return Multisegment(tuple(_random_segment(rng, one_line, lo, hi) for _ in range(k)))
 
     spans = {"m1": (-r, -2), "m1p": (-r, -2), "m2": (2, r), "m2p": (2, r)}
     return {key: block(lo, hi) for key, (lo, hi) in spans.items()}

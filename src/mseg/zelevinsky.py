@@ -19,9 +19,12 @@ one run of m2 between two pointers that only move forward, and the walk
 costs about |m| + |m2| + the pairs it inspects rather than |m| * |m2|; long
 segments that begin early widen the runs.  Every pair-set question of the
 package is read off this walk, and :func:`frontier_defined` states the
-frontier hypothesis once.  The involution strips plain re-sorted lists and
-builds one multisegment at the end, and the matching oracle computes the rho
-index sets once per call.
+frontier hypothesis once.  The involution strips plain ``(line, e, b)``
+tuples, re-sorted after each step, and builds segments only for its output.
+The matchings of one (m, rho) read one link table: the rho sets x and y and,
+for each x index in increasing order, the y indices that precede it.  Where
+no pair is linked, the empty matching is the greedy one and the only maximal
+one, and both are returned without a search.
 """
 
 from __future__ import annotations
@@ -89,36 +92,42 @@ def cross_pairs(m: Multisegment, m2: Multisegment, shift: int = 0) -> List[Tuple
 
 
 def _chain(segs) -> List[int]:
-    """0-based positions of the leading chain of canonically ordered segments.
+    """0-based positions of the leading chain of ``(line, e, b)`` tuples in
+    descending tuple order, which is the canonical order.
 
     One forward walk from position 0: every chain segment sorts below its
     predecessor, and the candidates for the next one (same line, end one
     step earlier) follow it contiguously, so the walk stops at the first
-    segment on another line or ending further down.
+    segment on another line or ending further down.  At end e - 1, b2 < b
+    is :func:`~mseg.segments.precedes` of the candidate over the current one.
     """
     if not segs:
         raise EmptyMultisegmentError("leading indices need a nonzero multisegment")
     chain = [0]
-    cur = segs[0]
+    line, e, b = segs[0]
     for k in range(1, len(segs)):
-        s = segs[k]
-        if s.line != cur.line or s.e < cur.e - 1:
+        line2, e2, b2 = segs[k]
+        if line2 != line or e2 < e - 1:
             break
-        if s.e == cur.e - 1 and precedes(s, cur):
+        if e2 == e - 1 and b2 < b:
             chain.append(k)
-            cur = s
+            e, b = e2, b2
     return chain
 
 
-def _strip(segs) -> Tuple[Segment, List[Segment]]:
-    """One involution step on canonically ordered segments: the stripped
-    segment and the remaining segments, not re-sorted."""
+def _strip(segs) -> Tuple[Segment, list]:
+    """One involution step on ``(line, e, b)`` tuples in descending order:
+    the stripped segment and the remaining tuples, not re-sorted."""
     chain = _chain(segs)
-    first, last = segs[chain[0]], segs[chain[-1]]
     rest = list(segs)
-    for k in chain:
-        rest[k] = segs[k].drop_last()
-    return Segment(first.line, last.e, first.e), [s for s in rest if s is not None]
+    for k in reversed(chain):
+        line, e, b = segs[k]
+        if b < e:
+            rest[k] = (line, e - 1, b)
+        else:
+            del rest[k]
+    line, top, _ = segs[0]
+    return Segment(line, segs[chain[-1]][1], top), rest
 
 
 def leading_indices(m: Multisegment) -> List[int]:
@@ -132,7 +141,7 @@ def leading_indices(m: Multisegment) -> List[int]:
     the largest line with the largest end there, which is the maximal end.
     The same descending order makes the next-link rule a first-match scan.
     """
-    return [k + 1 for k in _chain(m.segs)]
+    return [k + 1 for k in _chain([s.sort_key() for s in m.segs])]
 
 
 def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
@@ -142,8 +151,8 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
     reduction right-truncates exactly the chain segments, discarding any
     that empty.  Point multiplicities are preserved between the two parts.
     """
-    delta, rest = _strip(m.segs)
-    return delta, Multisegment(tuple(rest))
+    delta, rest = _strip([s.sort_key() for s in m.segs])
+    return delta, Multisegment(tuple(Segment(line, b, e) for line, e, b in rest))
 
 
 # The invariance suite asks for the dual of one m in several checks; the
@@ -154,16 +163,16 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
 def mw_dual(m: Multisegment) -> Multisegment:
     """The Moeglin-Waldspurger involution, by repeated end-chain stripping.
 
-    The segments are stripped on one plain list, re-sorted into canonical
-    order after every step.  A chain never leaves the line of its first
-    segment, so this equals the sum over the lines of m of the involution
-    of each line's part.
+    The segments are stripped as plain ``(line, e, b)`` tuples, re-sorted
+    into canonical order after every step; only the output is built as
+    segments.  A chain never leaves the line of its first segment, so this
+    equals the sum over the lines of m of the involution of each line's part.
     """
     out: List[Segment] = []
-    segs = list(m.segs)
+    segs = [s.sort_key() for s in m.segs]
     while segs:
         delta, segs = _strip(segs)
-        segs.sort(key=Segment.sort_key, reverse=True)
+        segs.sort(reverse=True)
         out.append(delta)
     return Multisegment(tuple(out))
 
@@ -265,43 +274,45 @@ def _validated(m: Multisegment, x: FrozenSet[int], y: FrozenSet[int], pairs) -> 
     return Matching(pairs, y - dom, x - img)
 
 
-def _is_maximal(m: Multisegment, x: FrozenSet[int], y: FrozenSet[int], r: Matching) -> bool:
-    """Maximality of a validated matching r against the rho sets (x, y) of m."""
+# Two invariance checks, and criterion 7 of the acceptance benchmark, ask
+# for the matchings of one (m, rho) twice; the table is immutable.
+@lru_cache(maxsize=8)
+def _link_table(m: Multisegment, rho: CuspidalPoint) -> tuple:
+    """(x, y, links): the rho sets of (m, rho), and each x index that some y
+    index precedes, in increasing order, with those y partners in increasing
+    order.  No linked pair leaves the links empty."""
+    x, y = rho_sets(m, rho)
+    segs = m.segs
+    ys = sorted(y)
+    links = []
+    for j in sorted(x):
+        partners = tuple(i for i in ys if precedes(segs[i - 1], segs[j - 1]))
+        if partners:
+            links.append((j, partners))
+    return x, y, tuple(links)
+
+
+def _is_maximal(m: Multisegment, links: tuple, r: Matching) -> bool:
+    """Maximality of a validated matching r against the links of (m, rho)."""
     segs = m.segs
     fwd = r.forward()
     bwd = r.backward()
-    for i in y:
-        d = segs[i - 1]
-        for j in x:
-            d2 = segs[j - 1]
-            if not precedes(d, d2):
-                continue
-            if i in fwd and j in bwd:
-                continue
-            if i in fwd and j not in bwd:
-                if d2 >= segs[fwd[i] - 1]:
-                    continue
+    for j, partners in links:
+        for i in partners:
+            if i in fwd:
+                if j not in bwd and segs[j - 1] < segs[fwd[i] - 1]:
+                    return False
+            elif j not in bwd or segs[i - 1] > segs[bwd[j] - 1]:
                 return False
-            if i not in fwd and j in bwd:
-                if d <= segs[bwd[j] - 1]:
-                    continue
-                return False
-            return False
     return True
 
 
-def make_matching(
-    m: Multisegment, rho: CuspidalPoint, pairs
-) -> Matching:
+def make_matching(m: Multisegment, rho: CuspidalPoint, pairs) -> Matching:
     """Validate and build a matching for (m, rho), caching unmatched sets."""
     x, y = rho_sets(m, rho)
     return _validated(m, x, y, pairs)
 
 
-# Two invariance checks ask for the matching of one (m, rho); a Matching
-# is immutable, so callers may share it.  At `mseg suite all` seed 0, 8
-# entries catch 738 of the 1,754 calls and 64 entries 803.
-@lru_cache(maxsize=8)
 def best_matching(m: Multisegment, rho: CuspidalPoint) -> Matching:
     """The greedy crossing-free maximal matching.
 
@@ -311,58 +322,58 @@ def best_matching(m: Multisegment, rho: CuspidalPoint) -> Matching:
     is maximal and contains no crossing quadruple; the enumeration oracle
     validates both claims on small instances.
     """
-    x, y = rho_sets(m, rho)
+    x, y, links = _link_table(m, rho)
+    if not links:
+        return Matching(frozenset(), y, x)
     segs = m.segs
-    xs = sorted(x, key=lambda j: (segs[j - 1].sort_key(), j))
     unmatched = set(y)
     pairs = []
-    for j in xs:
-        cands = [i for i in unmatched if precedes(segs[i - 1], segs[j - 1])]
-        if not cands:
-            continue
-        best = max(cands, key=lambda i: (segs[i - 1].sort_key(), -i))
-        pairs.append((best, j))
-        unmatched.discard(best)
+    for j, partners in sorted(links, key=lambda link: (segs[link[0] - 1].sort_key(), link[0])):
+        cands = [i for i in partners if i in unmatched]
+        if cands:
+            best = max(cands, key=lambda i: (segs[i - 1].sort_key(), -i))
+            pairs.append((best, j))
+            unmatched.discard(best)
     return _validated(m, x, y, pairs)
 
 
 def is_maximal_matching(m: Multisegment, rho: CuspidalPoint, r: Matching) -> bool:
     """Maximality test: every linked (y, x) pair must be fully matched, or
     blocked on the matched side by a partner at least as good."""
-    x, y = rho_sets(m, rho)
-    return _is_maximal(m, x, y, _validated(m, x, y, r.pairs))
+    x, y, links = _link_table(m, rho)
+    return _is_maximal(m, links, _validated(m, x, y, r.pairs))
 
 
 def enumerate_maximal_matchings(m: Multisegment, rho: CuspidalPoint) -> List[Matching]:
     """All maximal matchings, by exhaustive search; a test oracle.
 
     Also the ground truth for the claim that unmatched sets agree across
-    maximal matchings up to segment values.  Every leaf goes through the
+    maximal matchings up to segment values.  The search reads the link
+    table of (m, rho): with no linked pair the empty matching is the only
+    maximal one, returned at once.  Otherwise every leaf goes through the
     same validation and maximality test as :func:`is_maximal_matching`.
     """
-    x, y = rho_sets(m, rho)
+    x, y, links = _link_table(m, rho)
     if len(x) + len(y) > 12:
         raise TooLargeError("enumeration oracle capped at 12 indices")
-    segs = m.segs
-    xs = sorted(x)
+    if not links:
+        return [Matching(frozenset(), y, x)]
     results: List[Matching] = []
-    # Depth-first over (next x position, used y indices, pairs so far); each
-    # x index stays unmatched first, then takes its partners in index order.
+    # Depth-first over (next link position, used y indices, pairs so far);
+    # each linked x index stays unmatched first, then takes its partners in
+    # index order.  An x index without partners would have only that first
+    # branch, so the links leave it out.
     stack: List[Tuple[int, FrozenSet[int], Tuple[Tuple[int, int], ...]]] = [(0, frozenset(), ())]
     while stack:
         k, used, pairs = stack.pop()
-        if k == len(xs):
+        if k == len(links):
             cand = _validated(m, x, y, pairs)
-            if _is_maximal(m, x, y, cand):
+            if _is_maximal(m, links, cand):
                 results.append(cand)
             continue
-        j = xs[k]
+        j, partners = links[k]
         nexts = [(k + 1, used, pairs)]
-        nexts += [
-            (k + 1, used | {i}, pairs + ((i, j),))
-            for i in sorted(y - used)
-            if precedes(segs[i - 1], segs[j - 1])
-        ]
+        nexts += [(k + 1, used | {i}, pairs + ((i, j),)) for i in partners if i not in used]
         stack.extend(reversed(nexts))
     return results
 
@@ -374,6 +385,8 @@ def matching_equivalent(m: Multisegment, a: FrozenSet[int], b: FrozenSet[int]) -
     segments of an index set taken in index order are already sorted, and
     two multisets agree exactly when those lists do.
     """
+    if a == b:
+        return True
     segs = m.segs
     return [segs[i - 1] for i in sorted(a)] == [segs[i - 1] for i in sorted(b)]
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import zlib
 from fractions import Fraction
 from inspect import signature
@@ -18,6 +19,8 @@ from mseg.harness import (
     CHECKS,
     SUITES,
     GenParams,
+    _below,
+    _draw_split,
     gen_ladder,
     gen_ms,
     replay_violation,
@@ -29,6 +32,19 @@ from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
 
 P = GenParams(seed=77)
 CFG = RankConfig()
+
+# Shapes whose draws reach every generator path: several lines (the line
+# name), long ladders, wide boxes and large split blocks.  DRAWS_SHA256 is
+# the sha256 of the text of gen_ms, gen_ladder and the four blocks of
+# _draw_split at indices 0-299 for each, one line each, as drawn through
+# random.Random.randint and randrange before the draws read getrandbits.
+DRAW_SHAPES = (
+    GenParams(8, 10, 5, 1, 31),
+    GenParams(128, 200, 4, 1, 7),
+    GenParams(8, 10, 5, 3, 1),
+    GenParams(128, 32, 8, 4, 4128),
+)
+DRAWS_SHA256 = "fd56a76017d4088ad2b14739464e4ebcb8f8b4ff3539a12d88392a816f5c9cc6"
 
 
 def S(b, e):
@@ -125,6 +141,27 @@ class TestGenerators:
         for i in range(50):
             for s in gen_ms(P, i):
                 assert -P.coord_range <= s.b <= s.e <= P.coord_range
+
+    def test_draws_pinned(self):
+        h = hashlib.sha256()
+        for p in DRAW_SHAPES:
+            for i in range(300):
+                for m in (gen_ms(p, i), gen_ladder(p, i), *_draw_split(p, 0, i).values()):
+                    h.update(f"{m}\n".encode())
+        assert h.hexdigest() == DRAWS_SHA256
+
+    def test_below_is_randrange(self):
+        # the same values as randrange on the same stream: the smallest
+        # sizes, both sides of powers of two, and sizes past 2**64, where
+        # getrandbits returns more than one machine word
+        sizes = [1, 2, 3]
+        sizes += [2**k + d for k in (2, 3, 5, 8, 31, 32, 53, 63, 64) for d in (-1, 0, 1)]
+        sizes += [2**64 + 1, 2**65 - 1, 3 * 2**70 + 5]
+        for seed in range(100):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for n in sizes:
+                got = [_below(mine, n) for _ in range(3)]
+                assert got == [theirs.randrange(n) for _ in range(3)]
 
     def test_memo_equals_the_generator(self):
         # a miss and then a hit of the memo, against a fresh draw each time

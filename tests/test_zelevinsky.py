@@ -809,6 +809,28 @@ class TestAgainstIndexLoops:
         m, rho = case
         assert outcome(enumerate_maximal_matchings, m, rho) == outcome(ref_enumerate, m, rho)
 
+    def test_matchings_exhaustive(self):
+        # every multisegment of at most 4 segments in [0, 3], at every rho
+        # from -1 to 3; the random cases above may never draw an instance
+        # without a linked pair, where the link table returns at once
+        box = [S(b, e) for b in range(4) for e in range(b, 4)]
+        cases = unlinked = 0
+        for k in range(5):
+            for combo in itertools.combinations_with_replacement(box, k):
+                m = M(*combo)
+                for pos in range(-1, 4):
+                    rho = CuspidalPoint("0", pos)
+                    got = enumerate_maximal_matchings(m, rho)
+                    assert got == ref_enumerate(m, rho)
+                    best = best_matching(m, rho)
+                    assert ref_is_maximal(m, rho, best)
+                    x, y = ref_rho_sets(m, rho)
+                    if not any(precedes(m.seg(i), m.seg(j)) for i in y for j in x):
+                        assert got == [Matching(frozenset(), y, x)] == [best]
+                        unlinked += 1
+                    cases += 1
+        assert cases == 5005 and 0 < unlinked < cases
+
     @no_deadline
     @given(matching_cases, st.data())
     def test_validation_and_maximality(self, case, data):
