@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .harness import SUITES, GenParams
+from .harness import SUITES, GenParams, Suite
 from .linalg import MERSENNE61, RankConfig
 from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
@@ -301,12 +301,45 @@ def _ladder(args, cfg: RankConfig) -> dict:
     return _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
 
 
+def _whole(suite):
+    """The steps of a ``SUITES`` entry that is only callable, such as a
+    wrapper around a suite: it runs whole, in one turn."""
+
+    def steps(*args, **kwargs):
+        return suite(*args, **kwargs)
+        yield  # a generator, so it takes turns as Suite.steps does
+
+    return steps
+
+
+def _lockstep(runs: list) -> list:
+    """The values the generators return, advanced one step each in turn.
+
+    The suites of `suite all` draw from one index space and ask for the same
+    checks, so in lockstep they ask for an instance or a verdict while the
+    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
+    check is pure, so each report is that of the suite run alone.
+    """
+    reports = {}
+    while len(reports) < len(runs):
+        for k, run in enumerate(runs):
+            if k not in reports:
+                try:
+                    next(run)
+                except StopIteration as done:
+                    reports[k] = done.value
+    return [reports[k] for k in range(len(runs))]
+
+
 def _suite(args, cfg: RankConfig) -> dict:
     gen = GenParams(max_segments=args.max_segments, coord_range=args.coord_range, seed=args.seed)
     names = sorted(SUITES) if args.name == "all" else [args.name]
     # without --trials each suite draws its own default instance target
     size = {} if args.trials is None else {"instances": args.trials}
-    reports = [SUITES[name](gen, cfg, **size) for name in names]
+    suites = [SUITES[name] for name in names]
+    reports = _lockstep(
+        [(s.steps if isinstance(s, Suite) else _whole(s))(gen, cfg, **size) for s in suites]
+    )
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],

@@ -297,8 +297,9 @@ def _reordered(block: Block, pairs: List[Pair], seed: int, attempt: int) -> List
 
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
 # many times: of the 13,029 checks of `mseg suite all` at seed 0, 7,784
-# repeat an earlier one.  An LRU memo of 16 entries catches 5,732 of those
-# repeats, 256 catch 6,320, 1,024 catch 6,739 and 4,096 catch 7,764.  A
+# repeat an earlier one.  It runs its suites in lockstep, so an LRU memo of
+# 16 entries catches 6,161 of those repeats, 256 catch 6,772, 1,024 catch
+# 7,464 and 4,096 catch 7,777.  With the suites run one after another, a
 # 4,096-entry memo took another 8 % off the suite's time but raised its peak
 # RSS from 26.5 to 29.2 MB, above the 26.9 MB it had without a memo.
 # Callers share the memoised Verdict objects and must not mutate them.

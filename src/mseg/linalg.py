@@ -19,7 +19,9 @@ Coefficient sampling is a fixed, documented 64-bit mixing generator
 
 where ``mix`` is splitmix64 (add golden gamma, xor-shift-multiply twice,
 final xor-shift) and the reduction rejects the bias range so values are
-exactly uniform over [1, p-1].
+exactly uniform over [1, p-1].  A process draws each key once per
+(p, seed, trial, stream) while its bounded table of drawn values holds it,
+and reads it back from there; the value is the formula's either way.
 """
 
 from __future__ import annotations
@@ -271,6 +273,28 @@ def mix_stream(*parts: int) -> int:
     return h
 
 
+# Keys are index pairs, so the checks of a run draw few distinct keys many
+# times: one `acceptance` pass of the benchmark draws 11,302 values for 226
+# distinct (stream, key).  Each (p, seed, trial, stream) therefore keeps a
+# table of the values it has drawn, holding at most TABLE_KEYS of them, and
+# the 64 most recently used streams are kept: at most 8,192 values in all.
+# A table is written without a lock: every write stores the one value the
+# formula gives for its key, so a reader sees that value or none.  (Writers
+# racing at the bound may each add a value past it.)
+TABLE_KEYS = 128
+
+
+@lru_cache(maxsize=64)
+def _stream_table(
+    p: int, seed: int, trial: int, stream: int
+) -> Tuple[int, int, int, Dict[Tuple[int, ...], int]]:
+    """The state of stream (seed, trial, stream) over [1, p-1]: its base
+    state, p - 1, the rejection limit, and its table of drawn values."""
+    _checked_prime(p)
+    span = p - 1
+    return mix_stream(seed, trial, stream), span, (_MASK64 + 1) - ((_MASK64 + 1) % span), {}
+
+
 def sample_coeffs(
     keys: Iterable[Tuple[int, ...]],
     p: int,
@@ -282,18 +306,29 @@ def sample_coeffs(
 
     Identical (seed, trial, stream) reproduce the same map; ``stream``
     separates coefficient vectors sampled within one trial (two sides of a
-    pair condition draw from streams 0 and 1).
+    pair condition draw from streams 0 and 1).  A key is drawn once per
+    table of its stream.  The keys are taken sorted, so index pairs with one
+    first part come together and share the fold step of that part.
     """
-    _checked_prime(p)
-    base = mix_stream(seed, trial, stream)
-    span = p - 1
-    limit = (_MASK64 + 1) - ((_MASK64 + 1) % span)
+    base, span, limit, table = _stream_table(p, seed, trial, stream)
     out: Dict[Tuple[int, ...], int] = {}
+    first = head = None  # the first part of the last pair drawn, and its fold
     for key in sorted(keys):
-        h = base
-        for part in key:
-            h = _mix64(h ^ (part & _MASK64))
-        while h >= limit:  # reject the biased tail so values are uniform
-            h = _mix64(h)
-        out[key] = 1 + h % span
+        value = table.get(key)
+        if value is None:
+            if len(key) == 2:  # every caller's keys are index pairs
+                i, j = key
+                if i != first:
+                    first, head = i, _mix64(base ^ (i & _MASK64))
+                h = _mix64(head ^ (j & _MASK64))
+            else:
+                h = base
+                for part in key:
+                    h = _mix64(h ^ (part & _MASK64))
+            while h >= limit:  # reject the biased tail so values are uniform
+                h = _mix64(h)
+            value = 1 + h % span
+            if len(table) < TABLE_KEYS:
+                table[key] = value
+        out[key] = value
     return out

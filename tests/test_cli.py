@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,57 @@ class TestSubcommands:
         monkeypatch.setitem(mseg.harness.CHECKS, "gedelta", lambda cfg, **inputs: (False, {}, ()))
         data = json.loads(invoke(argv)[1])
         assert data["verdict"] is False and "reason" not in data["outputs"]
+
+    @pytest.mark.parametrize(
+        "seed, trials, max_segments", [(0, 12, 4), (7, 12, 4), (0, 5, 0)]
+    )
+    def test_suite_all_equals_each_suite_alone(self, seed, trials, max_segments):
+        # in lockstep the suites share the memos mid-run; every draw and check
+        # is pure, so each report is that of the suite run alone, shortfall
+        # included (at --max-segments 0 three checks fall short)
+        gen = mseg.GenParams(max_segments=max_segments, seed=seed)
+        cfg = mseg.RankConfig()
+        alone = []
+        for name in sorted(SUITES):
+            mseg.conditions._decide.cache_clear()
+            mseg.harness.gen_ms.cache_clear()
+            alone.append(SUITES[name](gen, cfg, instances=trials))
+        runs = [SUITES[name].steps(gen, cfg, trials) for name in sorted(SUITES)]
+        assert mseg.cli._lockstep(runs) == alone
+        if max_segments == 0:
+            short = [r.shortfall[0] for r in alone if r.shortfall]
+            assert short == ["invariances/mw-delta-minimal", "mm-minus", "rhoext"]
+        argv = ["suite", "all", "--seed", str(seed), "--trials", str(trials)]
+        argv += ["--max-segments", str(max_segments), "--format", "json"]
+        outputs = json.loads(invoke(argv)[1])["outputs"]
+        assert outputs["suites"] == [r.to_dict() for r in alone]
+        assert outputs["violations"] == [v for r in alone for v in r.violations]
+
+    def test_suite_all_runs_in_lockstep(self, monkeypatch):
+        # each suite makes its draw k before any suite makes its draw k + 1,
+        # until it stops; an entry that is only callable runs whole in its turn
+        order = []
+
+        def recorded(suite):
+            def draw(p, target, i):
+                order.append((suite.name, i))
+                return suite.draw(p, target, i)
+
+            return suite._replace(draw=draw)
+
+        argv = ["suite", "all", "--trials", "6", "--format", "json"]
+        want = invoke(argv)[1]
+        names = sorted(SUITES)
+        for name in names:
+            monkeypatch.setitem(SUITES, name, recorded(SUITES[name]))
+        assert invoke(argv)[1] == want
+        draws = Counter(n for n, _ in order)
+        # round k: in name order, every suite that makes more than k draws
+        rounds = range(max(draws.values()))
+        assert order == [(n, k) for k in rounds for n in names if draws[n] > k]
+        wrapped = SUITES["gedelta"]
+        monkeypatch.setitem(SUITES, "gedelta", lambda *args, **kwargs: wrapped(*args, **kwargs))
+        assert invoke(argv)[1] == want
 
     def test_check_wrong_arity(self):
         code, _, err = invoke(["check", "gls", "[0,0]", "[1,1]"])

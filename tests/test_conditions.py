@@ -926,20 +926,24 @@ class TestVerdictMemo:
 
     def test_suite_json_same_cold_and_warm(self):
         # cold: neither the verdict memo nor the instance memo holds an entry
-        def suite_json():
+        def suite_json(seed):
             out = io.StringIO()
-            assert run(["suite", "all", "--seed", "0", "--format", "json"], out=out) == 0
+            assert run(["suite", "all", "--seed", str(seed), "--format", "json"], out=out) == 0
             return out.getvalue()
 
         conditions._decide.cache_clear()
         harness.gen_ms.cache_clear()
-        cold = suite_json()
+        cold = suite_json(0)
         assert conditions._decide.cache_info().currsize > 0
         assert harness.gen_ms.cache_info().currsize > 0
-        assert suite_json() == cold
-        assert hashlib.sha256(cold.encode()).hexdigest() == (
-            "f98bae2af3ac35c660489a99a7938e56515b8d2a6b24a2cd4b3bb5dff6d07068"
-        )
+        assert suite_json(0) == cold
+        pins = {
+            0: "f98bae2af3ac35c660489a99a7938e56515b8d2a6b24a2cd4b3bb5dff6d07068",
+            7: "75b66c6e3210d7bf4df47e5c610db494b2037d80b976b462b00a4dfe5109e78b",
+            20191111: "df2be7cfff45c44f527f7083c85b1c4ee74d2fadc6c236be24f0621ee0d3b74d",
+        }
+        got = {seed: cold if seed == 0 else suite_json(seed) for seed in pins}
+        assert {seed: hashlib.sha256(t.encode()).hexdigest() for seed, t in got.items()} == pins
 
     def test_threads_share_the_memo(self):
         # more threads than cores and more distinct checks than memo

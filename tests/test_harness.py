@@ -177,7 +177,8 @@ class TestGenerators:
 
     def test_memo_catches_repeats_of_suite_all(self, monkeypatch):
         # `mseg suite all` at seed 0 asks for 2,702 distinct draws in 7,003
-        # calls; 2,048 entries catch 3,415 of the 4,301 repeats
+        # calls; its suites run in lockstep, so 2,048 entries catch all 4,301
+        # repeats
         calls = []
 
         def recording(p, index):
@@ -189,7 +190,7 @@ class TestGenerators:
         assert cli.run(["suite", "all", "--seed", "0", "--format", "json"], out=io.StringIO()) == 0
         info = gen_ms.cache_info()
         assert len(calls) == 7003 and len(set(calls)) == 2702
-        assert (info.hits, info.misses, info.currsize) == (3415, 3588, 2048)
+        assert (info.hits, info.misses, info.currsize) == (4301, 2702, 2048)
 
 
 class TestSuitesPass:
@@ -251,6 +252,13 @@ class TestSuitesPass:
             assert draws and all(set(d) <= named for d in draws)
             for check in suite.checks:
                 assert any(set(CHECK_INPUTS[check]) <= set(d) for d in draws), check
+
+    @pytest.mark.parametrize("name", ["mm-minus", "invariances"])
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_nonpositive_instances_raise(self, name, instances):
+        # a run that tests nothing must not report a pass
+        with pytest.raises(ValueError, match="instances must be positive"):
+            SUITES[name](GenParams(), CFG, instances=instances)
 
     def test_short_of_target_is_recorded(self):
         # no pair of zero multisegments meets the frontier hypothesis

@@ -1,6 +1,8 @@
 """Rank routines on sparse rows and the deterministic sampler."""
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,18 +11,21 @@ import pytest
 from exact_rank import rank_exact
 from hypothesis import given, settings, strategies as st
 
-from mseg.conditions import CoeffVector, lc_matrix
+from mseg import conditions, linalg
+from mseg.conditions import CoeffVector, check_gls, lc_matrix
 from mseg.errors import TooLargeError
 from mseg.harness import GenParams, gen_ms
 from mseg.linalg import (
     MAX_TRIALS,
     MERSENNE61,
+    TABLE_KEYS,
     RankConfig,
     hall_violator,
     rank_mod_p,
     sample_coeffs,
     unique_matching,
 )
+from mseg.segments import Multisegment, Segment
 from mseg.zelevinsky import cross_pairs
 
 P = MERSENNE61
@@ -440,6 +445,147 @@ class TestSampler:
         assert len(got) == len(keys) and {k: got[k] for k in want} == want
         small = sample_coeffs(keys, 97, 5, 3, 1)
         assert [small[k] for k in sorted(keys)] == [19, 54, 7, 85, 90, 67, 82]
+
+
+MASK64 = (1 << 64) - 1
+
+
+def ref_mix(x):
+    # splitmix64: add the golden gamma, xor-shift-multiply twice, xor-shift
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def ref_value(key, p, seed, trial, stream):
+    """The value of the linalg docstring's formula, from nothing of linalg."""
+    h = ref_mix(seed & MASK64)
+    h = ref_mix(h ^ (trial & MASK64))
+    h = ref_mix(h ^ (stream & MASK64))
+    for part in key:
+        h = ref_mix(h ^ (part & MASK64))
+    span = p - 1
+    limit = (1 << 64) - (1 << 64) % span
+    while h >= limit:
+        h = ref_mix(h)
+    return 1 + h % span
+
+
+def table_of(p, seed, trial, stream):
+    return linalg._stream_table(p, seed, trial, stream)[-1]
+
+
+class TestDrawTable:
+    """Each (p, seed, trial, stream) keeps a bounded table of drawn values;
+    whatever it holds, every value is the formula's."""
+
+    # keys of length 0 to 3, runs of equal first parts, negative parts and a
+    # part past 64 bits
+    KEYS = [(), (5,), (-4,), (1,), (1, 2), (1, 2, 3), (1, 5), (2, 1), (-3, 2), (2**64 + 3, 1)]
+    KEYS += [(7, 0, -1)]
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        linalg._stream_table.cache_clear()
+        yield
+        linalg._stream_table.cache_clear()
+
+    def check(self, keys, p, seed, trial, stream=0):
+        got = sample_coeffs(keys, p, seed, trial, stream)
+        assert got == {k: ref_value(k, p, seed, trial, stream) for k in keys}
+        return got
+
+    @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
+    def test_first_and_repeated_draws(self, p, monkeypatch):
+        first = self.check(self.KEYS, p, 11, 1)
+        table = table_of(p, 11, 1, 0)
+        assert table == first
+        # a repeated key is read back from the table: no mixing at all
+        mixed = []
+        monkeypatch.setattr(linalg, "_mix64", lambda x: mixed.append(x) or ref_mix(x))
+        assert self.check(self.KEYS[::-1], p, 11, 1) == first and mixed == []
+        # hits between misses of one first part, and a miss among hits
+        more = [(1, 1), (1, 2), (1, 3), (5,), (6,)]
+        self.check(more, p, 11, 1)
+        assert len(mixed) >= 2 and set(table) == set(self.KEYS) | set(more)
+
+    @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
+    def test_draws_past_a_full_table(self, p):
+        filler = [(1000 + i, j) for i in range(TABLE_KEYS) for j in (0, 1)]
+        self.check(filler, p, 3, 2, 1)
+        table = table_of(p, 3, 2, 1)
+        assert len(table) == TABLE_KEYS
+        for _ in range(2):  # drawn afresh each time, never stored
+            self.check(self.KEYS, p, 3, 2, 1)
+            assert len(table) == TABLE_KEYS and not set(self.KEYS) & set(table)
+
+    @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
+    def test_streams_and_trials_keep_apart(self, p):
+        draws = {(t, s): self.check(self.KEYS, p, 0, t, s) for t in (1, 2) for s in (0, 1)}
+        tables = [table_of(p, 0, t, s) for t, s in draws]
+        assert len({id(t) for t in tables}) == 4
+        if p == MERSENNE61:  # at a small prime values agree by chance
+            for key in self.KEYS:
+                assert len({d[key] for d in draws.values()}) == 4
+
+    def test_threads_share_the_tables(self):
+        # more threads than cores draw overlapping keys from the same fresh
+        # streams, some past the bound; every value is the formula's, and a
+        # table passes its bound by at most one value per other thread
+        keys = [(i, j) for i in range(12) for j in range(12)]
+        want = {
+            (t, s): {k: ref_value(k, MERSENNE61, 4, t, s) for k in keys}
+            for t in (1, 2) for s in (0, 1)
+        }
+        got = {}
+
+        def work(n):
+            order = keys[n * 17:] + keys[: n * 17]
+            got[n] = [
+                (ts, sample_coeffs(order[: 60 + 10 * n], MERSENNE61, 4, *ts)) for ts in want
+            ] + [(ts, sample_coeffs(order, MERSENNE61, 4, *ts)) for ts in want]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 6
+        for draws in got.values():
+            for ts, drawn in draws:
+                assert drawn == {k: want[ts][k] for k in drawn}
+        for (t, s), values in want.items():
+            table = table_of(MERSENNE61, 4, t, s)
+            assert TABLE_KEYS <= len(table) < TABLE_KEYS + 6
+            assert all(values[k] == v for k, v in table.items())
+
+    def test_no_table_passes_its_bound(self):
+        # a 126-segment ladder, built as in test_certify_long_ladder: its
+        # 166 keys overflow the first trial's stream-0 table
+        rng = random.Random(0)
+        segs = [Segment("0", 0, 2)]
+        while len(segs) < 126:
+            s = segs[-1]
+            b = rng.randint(s.b + 1, s.e + 1)
+            segs.append(Segment("0", b, rng.randint(s.e + 1, s.e + 4)))
+        m = Multisegment(tuple(segs))
+        cfg = RankConfig()
+        conditions._decide.cache_clear()
+        v = check_gls(m, cfg)
+        assert v.holds and v.trials_run == 1 and len(v.witness.values) > TABLE_KEYS
+        assert v.witness.values == {
+            k: ref_value(k, cfg.prime, cfg.seed, 1, 0) for k in cross_pairs(m, m)
+        }
+        for t in range(1, cfg.trials + 1):
+            for stream in (0, 1):
+                assert len(table_of(cfg.prime, cfg.seed, t, stream)) <= TABLE_KEYS
+        assert len(table_of(cfg.prime, cfg.seed, 1, 0)) == TABLE_KEYS
 
 
 class TestRankConfig:
