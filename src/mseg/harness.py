@@ -10,14 +10,17 @@ Every statement a suite tests lives in one table, ``CHECKS``, of
 single-instance checks keyed by the names in violation records: the
 proposition statements and the ``invariances/`` identities.  Every suite is
 a row of a second table, ``SUITES``: the checks it runs, its default target
-and its input source, all run by one driver (see ``Suite``).
+and its input source.  One driver runs every row, in one of two modes: until
+each check has met its hypothesis a target number of times (the
+propositions), or for a fixed number of draws (the invariances).
 ``replay_violation`` re-runs any recorded violation through ``CHECKS``.
 
-Verdicts of the condition checks are treated as ground truth.  A FALSE is
-certified by a Hall violator and probabilistic otherwise, so every report
-carries the accumulated error bound (the union bound, capped at 1), and a
-violation whose evidence holds a probabilistic FALSE is flagged possibly
-spurious.
+Verdicts of the condition checks are treated as ground truth.  A FALSE
+verdict is certified when a Hall violator (structural rank, tested before
+any random trial) proves it, and probabilistic otherwise; so every report
+carries the accumulated error bound (the union bound, capped at 1), and each
+violation is flagged as possibly spurious when its evidence includes a
+probabilistic FALSE.
 """
 
 from __future__ import annotations
@@ -112,11 +115,14 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
     return Segment(_line_name(rng, p), b, e)
 
 
-# Six of the seven suites draw from one index space: `mseg suite all` at seed
-# 0, its suites in lockstep, makes 7,003 calls for 2,702 distinct draws, and
-# 2,048 entries catch all 4,301 repeats (1,024 catch 4,178).  The acceptance
-# benchmark draws thousands of instances that never repeat: 2,048 entries
-# raised its peak RSS by 0.7 MB.  Callers may share the immutable results.
+# Six of the seven suites draw from one index space, gen_ms(p, index), so a
+# run asks for the same instances again: `mseg suite all` at seed 0 makes
+# 7,003 calls for 2,702 distinct draws.  It runs its suites in lockstep, so
+# 2,048 entries catch all 4,301 repeats (1,024 catch 4,178), but criteria
+# 4, 5 and 8 of the acceptance benchmark draw thousands of instances that
+# never repeat, and fill the memo: 4,096 entries raised its peak RSS by
+# 1.6 MB (23.5 to 25.1 MB) and 2,048 by 0.7 MB.  GenParams and
+# multisegments are immutable, so callers may share the results.
 @lru_cache(maxsize=2048)
 def gen_ms(p: GenParams, index: int) -> Multisegment:
     """A random multisegment, deterministic in (p, index).
@@ -151,9 +157,9 @@ class _Report(NamedTuple):
     violations: List[dict]
     accumulated_bound: Fraction
     details: Optional[Dict[str, int]] = None
-    # (check, count, floor) for the first check in run order with the least
-    # count, when it is below the floor (the target, or 1 in a fixed-draw
-    # suite); not part of to_dict
+    # (check, count, floor) when the draws ran out before every check met its
+    # hypothesis floor times (the target, or 1 in a fixed-draw suite): the
+    # first check in run order with the least count; not part of to_dict
     shortfall: Optional[Tuple[str, int, int]] = None
 
 
@@ -450,8 +456,9 @@ CHECKS: Dict[str, Callable[..., Outcome]] = {
     "invariances/gls-implies-lc-self": _gls_implies_lc_self,
 }
 
-# The inputs of each check, as in its violation record: its parameters after
-# cfg, read once, so a check replaced later (a test double) keeps its names.
+# The inputs of each check, named and ordered as in its violation record: its
+# parameters after cfg, read once here, so a check replaced later (a test
+# double) keeps its names.
 CHECK_INPUTS: Dict[str, Tuple[str, ...]] = {
     name: check.__code__.co_varnames[1 : check.__code__.co_argcount]
     for name, check in CHECKS.items()

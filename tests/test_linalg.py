@@ -505,7 +505,7 @@ class TestDrawTable:
         mixed = []
         monkeypatch.setattr(linalg, "_mix64", lambda x: mixed.append(x) or ref_mix(x))
         assert self.check(self.KEYS[::-1], p, 11, 1) == first and mixed == []
-        # hits between misses of one first part, and a miss among hits
+        # misses among hits
         more = [(1, 1), (1, 2), (1, 3), (5,), (6,)]
         self.check(more, p, 11, 1)
         assert len(mixed) >= 2 and set(table) == set(self.KEYS) | set(more)
