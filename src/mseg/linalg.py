@@ -19,9 +19,9 @@ Coefficient sampling is a fixed, documented 64-bit mixing generator
 
 where ``mix`` is splitmix64 (add golden gamma, xor-shift-multiply twice,
 final xor-shift) and the reduction rejects the bias range so values are
-exactly uniform over [1, p-1].  A process draws each key once per
-(p, seed, trial, stream) while its bounded table of drawn values holds it,
-and reads it back from there; the value is the formula's either way.
+exactly uniform over [1, p-1].  A process draws each key of a stream once
+while a bounded memo of drawn values holds it, and reads it back from there;
+the value is the formula's either way.
 """
 
 from __future__ import annotations
@@ -273,28 +273,28 @@ def mix_stream(*parts: int) -> int:
     return h
 
 
+@lru_cache(maxsize=64)
+def _stream(p: int, seed: int, trial: int, stream: int) -> Tuple[int, int]:
+    """The base state of stream (seed, trial, stream) and the span p - 1."""
+    _checked_prime(p)
+    return mix_stream(seed, trial, stream), p - 1
+
+
 # Keys are index pairs, so the checks of a run draw few distinct keys many
 # times: one `acceptance` pass of the benchmark draws 11,302 values for 226
-# distinct (stream, key).  Each (p, seed, trial, stream) therefore keeps a
-# table of the values it has drawn, holding at most TABLE_KEYS of them, and
-# the 64 most recently used streams are kept: at most 8,192 values in all.
-# The bounds are not tuned: the pass fills 19 tables, the largest with 46
-# keys, so 64 keys a table catch the same 11,076 repeats and 32 catch 11,057.
-# A table is written without a lock: every write stores the one value the
-# formula gives for its key, so a reader sees that value or none.  (Writers
-# racing at the bound may each add a value past it.)
-TABLE_KEYS = 128
-
-
-@lru_cache(maxsize=64)
-def _stream_table(
-    p: int, seed: int, trial: int, stream: int
-) -> Tuple[int, int, int, Dict[Tuple[int, ...], int]]:
-    """The state of stream (seed, trial, stream) over [1, p-1]: its base
-    state, p - 1, the rejection limit, and its table of drawn values."""
-    _checked_prime(p)
-    span = p - 1
-    return mix_stream(seed, trial, stream), span, (_MASK64 + 1) - ((_MASK64 + 1) % span), {}
+# distinct (stream, key), `suite` draws 42 distinct keys and `large` 164.  A
+# value depends only on (base, span, key), so those are its memo's key.  The
+# memo holds at most 8,192 values, about 1.6 MB; the bound is not tuned,
+# since no workload comes near it.
+@lru_cache(maxsize=8192)
+def _draw(base: int, span: int, key: Tuple[int, ...]) -> int:
+    h = base
+    for part in key:
+        h = _mix64(h ^ (part & _MASK64))
+    limit = (_MASK64 + 1) - (_MASK64 + 1) % span
+    while h >= limit:  # reject the biased tail so values are uniform
+        h = _mix64(h)
+    return 1 + h % span
 
 
 def sample_coeffs(
@@ -308,21 +308,7 @@ def sample_coeffs(
 
     Identical (seed, trial, stream) reproduce the same map; ``stream``
     separates coefficient vectors sampled within one trial (two sides of a
-    pair condition draw from streams 0 and 1).  A key is drawn once per
-    table of its stream.
+    pair condition draw from streams 0 and 1).
     """
-    base, span, limit, table = _stream_table(p, seed, trial, stream)
-    out: Dict[Tuple[int, ...], int] = {}
-    for key in sorted(keys):
-        value = table.get(key)
-        if value is None:
-            h = base
-            for part in key:
-                h = _mix64(h ^ (part & _MASK64))
-            while h >= limit:  # reject the biased tail so values are uniform
-                h = _mix64(h)
-            value = 1 + h % span
-            if len(table) < TABLE_KEYS:
-                table[key] = value
-        out[key] = value
-    return out
+    base, span = _stream(p, seed, trial, stream)
+    return {key: _draw(base, span, key) for key in sorted(keys)}

@@ -92,17 +92,7 @@ class Segment:
     def contains(self, point: CuspidalPoint) -> bool:
         return point.line == self.line and self.b <= point.pos <= self.e
 
-    def points(self) -> Iterator[CuspidalPoint]:
-        for pos in range(self.b, self.e + 1):
-            yield CuspidalPoint(self.line, pos)
-
     # -- surgeries ---------------------------------------------------------
-
-    def drop_last(self) -> Optional["Segment"]:
-        """[b, e-1], or None if the segment is a singleton."""
-        if self.b == self.e:
-            return None
-        return Segment(self.line, self.b, self.e - 1)
 
     def drop_first(self) -> Optional["Segment"]:
         """[b+1, e], or None if the segment is a singleton."""
@@ -230,11 +220,7 @@ class Multisegment:
 
     def supp(self) -> Counter:
         """Multiset of points covered, with multiplicities."""
-        c: Counter = Counter()
-        for s in self.segs:
-            for pt in s.points():
-                c[pt] += 1
-        return c
+        return Counter(CuspidalPoint(s.line, x) for s in self.segs for x in range(s.b, s.e + 1))
 
     def dual(self) -> "Multisegment":
         return Multisegment(tuple(s.dual() for s in self.segs))

@@ -18,7 +18,6 @@ from mseg.harness import GenParams, gen_ms
 from mseg.linalg import (
     MAX_TRIALS,
     MERSENNE61,
-    TABLE_KEYS,
     RankConfig,
     hall_violator,
     rank_mod_p,
@@ -401,6 +400,11 @@ class TestSampler:
     def test_empty(self):
         assert sample_coeffs([], P, 0, 1) == {}
 
+    @pytest.mark.parametrize("p", [91, 4, 1, 0])
+    def test_requires_prime(self, p):
+        with pytest.raises(ValueError):
+            sample_coeffs([], p, 0, 1)
+
     def test_deterministic(self):
         keys = [(1, 2), (2, 3), (4, 1)]
         assert sample_coeffs(keys, P, 11, 3) == sample_coeffs(keys, P, 11, 3)
@@ -472,13 +476,8 @@ def ref_value(key, p, seed, trial, stream):
     return 1 + h % span
 
 
-def table_of(p, seed, trial, stream):
-    return linalg._stream_table(p, seed, trial, stream)[-1]
-
-
 class TestDrawTable:
-    """Each (p, seed, trial, stream) keeps a bounded table of drawn values;
-    whatever it holds, every value is the formula's."""
+    """Drawn values are memoised, and every value is the formula's."""
 
     # keys of length 0 to 3, runs of equal first parts, negative parts and a
     # part past 64 bits
@@ -486,53 +485,52 @@ class TestDrawTable:
     KEYS += [(7, 0, -1)]
 
     @pytest.fixture(autouse=True)
-    def fresh_tables(self):
-        linalg._stream_table.cache_clear()
+    def fresh_memos(self):
+        linalg._stream.cache_clear()
+        linalg._draw.cache_clear()
         yield
-        linalg._stream_table.cache_clear()
+        linalg._stream.cache_clear()
+        linalg._draw.cache_clear()
 
     def check(self, keys, p, seed, trial, stream=0):
         got = sample_coeffs(keys, p, seed, trial, stream)
         assert got == {k: ref_value(k, p, seed, trial, stream) for k in keys}
         return got
 
+    def count_mixes(self, monkeypatch):
+        mixed = []
+        monkeypatch.setattr(linalg, "_mix64", lambda x: mixed.append(x) or ref_mix(x))
+        return mixed
+
     @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
     def test_first_and_repeated_draws(self, p, monkeypatch):
         first = self.check(self.KEYS, p, 11, 1)
-        table = table_of(p, 11, 1, 0)
-        assert table == first
-        # a repeated key is read back from the table: no mixing at all
-        mixed = []
-        monkeypatch.setattr(linalg, "_mix64", lambda x: mixed.append(x) or ref_mix(x))
+        # a repeated key is read back from the memo: no mixing at all
+        mixed = self.count_mixes(monkeypatch)
         assert self.check(self.KEYS[::-1], p, 11, 1) == first and mixed == []
         # misses among hits
-        more = [(1, 1), (1, 2), (1, 3), (5,), (6,)]
-        self.check(more, p, 11, 1)
-        assert len(mixed) >= 2 and set(table) == set(self.KEYS) | set(more)
+        self.check([(1, 1), (1, 2), (1, 3), (5,), (6,)], p, 11, 1)
+        assert len(mixed) >= 2
 
     @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
-    def test_draws_past_a_full_table(self, p):
-        filler = [(1000 + i, j) for i in range(TABLE_KEYS) for j in (0, 1)]
-        self.check(filler, p, 3, 2, 1)
-        table = table_of(p, 3, 2, 1)
-        assert len(table) == TABLE_KEYS
-        for _ in range(2):  # drawn afresh each time, never stored
-            self.check(self.KEYS, p, 3, 2, 1)
-            assert len(table) == TABLE_KEYS and not set(self.KEYS) & set(table)
+    def test_draws_past_a_full_table(self, p, monkeypatch):
+        # keys pushed out of the memo by as many others as it holds are
+        # drawn afresh, to the same values
+        first = self.check(self.KEYS, p, 3, 2, 1)
+        sample_coeffs([(1000 + i,) for i in range(linalg._draw.cache_info().maxsize)], p, 3, 2, 1)
+        mixed = self.count_mixes(monkeypatch)
+        assert self.check(self.KEYS, p, 3, 2, 1) == first and mixed
 
     @pytest.mark.parametrize("p", [2, 3, 97, MERSENNE61])
     def test_streams_and_trials_keep_apart(self, p):
-        draws = {(t, s): self.check(self.KEYS, p, 0, t, s) for t in (1, 2) for s in (0, 1)}
-        tables = [table_of(p, 0, t, s) for t, s in draws]
-        assert len({id(t) for t in tables}) == 4
+        draws = [self.check(self.KEYS, p, 0, t, s) for t in (1, 2) for s in (0, 1)]
         if p == MERSENNE61:  # at a small prime values agree by chance
             for key in self.KEYS:
-                assert len({d[key] for d in draws.values()}) == 4
+                assert len({d[key] for d in draws}) == 4
 
     def test_threads_share_the_tables(self):
         # more threads than cores draw overlapping keys from the same fresh
-        # streams, some past the bound; every value is the formula's, and a
-        # table passes its bound by at most one value per other thread
+        # streams; every value is the formula's
         keys = [(i, j) for i in range(12) for j in range(12)]
         want = {
             (t, s): {k: ref_value(k, MERSENNE61, 4, t, s) for k in keys}
@@ -560,14 +558,9 @@ class TestDrawTable:
         for draws in got.values():
             for ts, drawn in draws:
                 assert drawn == {k: want[ts][k] for k in drawn}
-        for (t, s), values in want.items():
-            table = table_of(MERSENNE61, 4, t, s)
-            assert TABLE_KEYS <= len(table) < TABLE_KEYS + 6
-            assert all(values[k] == v for k, v in table.items())
 
     def test_no_table_passes_its_bound(self):
-        # a 126-segment ladder, built as in test_certify_long_ladder: its
-        # 166 keys overflow the first trial's stream-0 table
+        # a 126-segment ladder, built as in test_certify_long_ladder
         rng = random.Random(0)
         segs = [Segment("0", 0, 2)]
         while len(segs) < 126:
@@ -578,14 +571,12 @@ class TestDrawTable:
         cfg = RankConfig()
         conditions._decide.cache_clear()
         v = check_gls(m, cfg)
-        assert v.holds and v.trials_run == 1 and len(v.witness.values) > TABLE_KEYS
+        assert v.holds and v.trials_run == 1
         assert v.witness.values == {
             k: ref_value(k, cfg.prime, cfg.seed, 1, 0) for k in cross_pairs(m, m)
         }
-        for t in range(1, cfg.trials + 1):
-            for stream in (0, 1):
-                assert len(table_of(cfg.prime, cfg.seed, t, stream)) <= TABLE_KEYS
-        assert len(table_of(cfg.prime, cfg.seed, 1, 0)) == TABLE_KEYS
+        info = linalg._draw.cache_info()
+        assert len(v.witness.values) <= info.currsize <= info.maxsize
 
 
 class TestRankConfig:

@@ -52,9 +52,7 @@ class TestSegment:
         assert not s.contains(CuspidalPoint("a", 1))
 
     def test_surgeries(self):
-        assert S(0, 2).drop_last() == S(0, 1)
         assert S(0, 0).drop_first() is None
-        assert S(0, 0).drop_last() is None
         assert S(1, 2).dual() == S(-2, -1)
         assert S(0, 1).extend_left() == S(-1, 1)
         assert S(0, 1).shift(1) == S(1, 2)

@@ -49,6 +49,11 @@ def M(*segs):
     return Multisegment(tuple(segs))
 
 
+def drop_last(s):
+    """[b, e-1], or None if s is a singleton."""
+    return Segment(s.line, s.b, s.e - 1) if s.b < s.e else None
+
+
 RHO = CuspidalPoint("0", 0)
 
 
@@ -222,7 +227,7 @@ class TestFrontier:
             xt, yt, f = mw_frontier(m, m2)
             chain = set(leading_indices(m2))
             reduced = {
-                i: (m2.seg(i).drop_last() if i in chain else m2.seg(i))
+                i: (drop_last(m2.seg(i)) if i in chain else m2.seg(i))
                 for i in range(1, len(m2) + 1)
             }
 
@@ -478,7 +483,7 @@ def ref_mw_step(m):
     reduced = []
     for i in range(1, len(m) + 1):
         if i in chain:
-            t = m.seg(i).drop_last()
+            t = drop_last(m.seg(i))
             if t is not None:
                 reduced.append(t)
         else:
