@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .harness import SUITES, GenParams, Suite
+from .harness import SUITES, GenParams, Suite, _lockstep
 from .linalg import MERSENNE61, RankConfig
 from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
@@ -310,25 +310,6 @@ def _whole(suite):
         yield  # a generator, so it takes turns as Suite.steps does
 
     return steps
-
-
-def _lockstep(runs: list) -> list:
-    """The values the generators return, advanced one step each in turn.
-
-    The suites of `suite all` draw from one index space and ask for the same
-    checks, so in lockstep they ask for an instance or a verdict while the
-    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
-    check is pure, so each report is that of the suite run alone.
-    """
-    reports = {}
-    while len(reports) < len(runs):
-        for k, run in enumerate(runs):
-            if k not in reports:
-                try:
-                    next(run)
-                except StopIteration as done:
-                    reports[k] = done.value
-    return [reports[k] for k in range(len(runs))]
 
 
 def _suite(args, cfg: RankConfig) -> dict:

@@ -113,12 +113,14 @@ class Verdict(NamedTuple):
 
 
 Pair = Tuple[int, int]
-# One term of a symbolic row: (side, coefficient key, sign), the entry
-# sign * lam[key] on side 0 and sign * lam2[key] on side 1.
-Term = Tuple[int, Pair, int]
-# A symbolic row maps each of its columns, a Y pair, to its term, so
-# iterating the row gives its column pattern.
-SymRow = Dict[Pair, Term]
+# One term of a symbolic row: (side, coefficient key), the entry -lam[key]
+# on side 0 and +lam2[key] on side 1.  A check builds each term once and
+# every row holding that coefficient shares it.
+Term = Tuple[int, Pair]
+# A symbolic row maps each of its columns, the Y pair (r, s) numbered
+# r * (len(m2) + 1) + s, to its term, so iterating the row gives its column
+# pattern.  The numbers sort as the pairs do.
+SymRow = Dict[int, Term]
 # The rows of a check, line by line (see _by_line).
 Block = List[SymRow]
 # Coefficients keyed by index pair, as CoeffVector.values.
@@ -158,25 +160,30 @@ def _row_terms(
     Each candidate column is asked that one :func:`precedes` question, so Y
     is never listed, and a row costs the precedence pairs leaving i in m
     and entering j in m2.  The columns of a row are distinct (the two kinds
-    meet only if (i, i) were in X(m)), so no term overwrites another.
+    meet only if (i, i) were in X(m)), so no term overwrites another.  Each
+    coefficient's term is built here once, and the rows share it; columns
+    are numbered as the rows are built (see :data:`SymRow`).
     """
     segs, segs2 = m.segs, m2.segs
-    into: Dict[int, List[Pair]] = {}  # j -> the pairs (s, j) of X(m2)
+    width = len(m2) + 1
+    into: Dict[int, List[Term]] = {}  # j -> the terms (1, (s, j)) of X(m2)
     for key in x2:
-        into.setdefault(key[1], []).append(key)
-    out: Dict[int, List[Pair]] = {}  # i -> the pairs (i, r) of X(m)
+        into.setdefault(key[1], []).append((1, key))
+    out: Dict[int, List[Term]] = {}  # i -> the terms (0, (i, r)) of X(m)
     for key in x1:
-        out.setdefault(key[0], []).append(key)
+        out.setdefault(key[0], []).append((0, key))
 
     def terms(i: int, j: int) -> SymRow:
         d, d2 = segs[i - 1], segs2[j - 1]
         found: SymRow = {}
-        for key in into.get(j, ()):
-            if precedes(d, segs2[key[0] - 1], 1):
-                found[i, key[0]] = (1, key, 1)
-        for key in out.get(i, ()):
-            if precedes(segs[key[1] - 1], d2, 1):
-                found[key[1], j] = (0, key, -1)
+        for term in into.get(j, ()):
+            s = term[1][0]
+            if precedes(d, segs2[s - 1], 1):
+                found[i * width + s] = term
+        for term in out.get(i, ()):
+            r = term[1][1]
+            if precedes(segs[r - 1], d2, 1):
+                found[r * width + j] = term
         return found
 
     return terms
@@ -192,24 +199,27 @@ def lc_matrix(
     With m2 = m and lam2 = lam the rows are those of the GLS condition for
     lam.  The rows are built by the steps of :func:`_decide`: the
     :func:`cross_pairs` walk for X(m, m2), the supports X(m) and X(m2), the
-    row order, and the term function of :func:`_row_terms`.  A key of lam
-    outside X(m), or of lam2 outside X(m2), raises
-    :class:`SupportMismatchError` before any row is built.
+    row order, and the term function of :func:`_row_terms`, whose column
+    numbers are decoded back into Y pairs here.  A key of lam outside X(m),
+    or of lam2 outside X(m2), raises :class:`SupportMismatchError` before
+    any row is built.
     """
     xs = cross_pairs(m, m2)
     x1, x2 = _supports(m, m2, xs)
     if lam.values.keys() - x1 or lam2.values.keys() - x2:
         raise SupportMismatchError("a coefficient key is outside the X set of its side")
     terms = _row_terms(m, m2, x1, x2)
-    return _rows([terms(i, j) for i, j in _by_line(m, xs)], lam.values, lam2.values)
+    rows = _rows([terms(i, j) for i, j in _by_line(m, xs)], lam.values, lam2.values)
+    width = len(m2) + 1
+    return [{divmod(c, width): entry for c, entry in row.items()} for row in rows]
 
 
 def _rows(block: Block, lam: Coeffs, lam2: Coeffs) -> List[Row]:
     """The symbolic rows instantiated at lam (side 0) and lam2 (side 1);
     keys absent from a map are zero."""
-    sides = (lam, lam2)
     return [
-        {c: sign * sides[side].get(key, 0) for c, (side, key, sign) in r.items()} for r in block
+        {c: lam2.get(key, 0) if side else -lam.get(key, 0) for c, (side, key) in r.items()}
+        for r in block
     ]
 
 
@@ -227,13 +237,6 @@ def _on_demand(
         row = terms(i, j)
         built.append(row)
         yield row
-
-
-def _numbered(block: Block) -> Block:
-    """The rows with their columns numbered in sorted pair order: the pivot
-    order of :func:`rank_mod_p` stays, and it runs faster on integers."""
-    number = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
-    return [{number[c]: term for c, term in row.items()} for row in block]
 
 
 def _witness(lam: Coeffs, lam2: Coeffs, shared):
@@ -256,8 +259,8 @@ def _sparse_witness(
     """The 0/1 witness (lam, lam2) of a matching that stays unique where
     only the keys of its entries are nonzero, or None.
 
-    Let S be the coefficient keys of the matched entries: ``key`` when
-    ``shared`` (GLS, whose one vector is lam) and ``(side, key)`` otherwise.
+    Let S be the coefficients of the matched entries: a term's ``key`` when
+    ``shared`` (GLS, whose one vector is lam), else the whole term.
     At 1 on S and 0 elsewhere each row keeps only its terms keyed in S; if
     the same matching is the only one of those rows onto its columns, the
     minor on them is a single signed product of ones, +-1, and the rows are
@@ -266,7 +269,7 @@ def _sparse_witness(
     others, each found by :func:`_reordered` in an order drawn from
     (seed, attempt).
     """
-    key = 1 if shared else slice(2)  # a term's key, or its (side, key)
+    key = 1 if shared else slice(None)  # a term's key, or the term itself
     for attempt in range(SPARSE_RETRIES + 1):
         if attempt:
             matched = _reordered(block, pairs, seed, attempt)
@@ -326,11 +329,10 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
       at 1 on the keys of its entries and 0 elsewhere: TRUE in 0 trials,
       with that 0/1 witness.
 
-    Otherwise the rows are numbered once, by :func:`_numbered`, and each
-    trial runs :func:`rank_mod_p` once on them, instantiated by
-    :func:`_rows` as in :func:`lc_matrix`.  A trial is still drawn when the
-    matching is unique, so such a TRUE carries the first trial's
-    coefficients as its witness.
+    Otherwise each trial runs :func:`rank_mod_p` once on the rows the search
+    built, instantiated by :func:`_rows` as in :func:`lc_matrix`; no row is
+    copied.  A trial is still drawn when the matching is unique, so such a
+    TRUE carries the first trial's coefficients as its witness.
     """
     xs = cross_pairs(m, m2)
     if not xs:
@@ -347,12 +349,11 @@ def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) ->
         ones = _sparse_witness(built, matched, pairs, cfg.seed, shared)
         if ones is not None:
             return Verdict(True, _witness(*ones, shared), 0, _ZERO)
-    block = [] if unique else _numbered(built)
     for t in range(1, cfg.trials + 1):
         lam = lam2 = sample_coeffs(x1, cfg.prime, cfg.seed, t, stream=0)
         if not shared:
             lam2 = sample_coeffs(x2, cfg.prime, cfg.seed, t, stream=1)
-        if unique or rank_mod_p(_rows(block, lam, lam2), cfg.prime) == len(block):
+        if unique or rank_mod_p(_rows(built, lam, lam2), cfg.prime) == len(built):
             return Verdict(True, _witness(lam, lam2, shared), t, _ZERO)
     # Rows are linear in the coefficients, so a nonzero maximal minor has
     # degree at most |X|; with coefficients uniform over the p-1 values of

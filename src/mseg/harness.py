@@ -546,6 +546,25 @@ def _draw_invariances(p: GenParams, target: int, i: int) -> Dict[str, object]:
     return drawn
 
 
+def _lockstep(runs: list) -> list:
+    """The values the generators return, advanced one step each in turn.
+
+    The suites of `suite all` draw from one index space and ask for the same
+    checks, so in lockstep they ask for an instance or a verdict while the
+    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
+    check is pure, so each report is that of the suite run alone.
+    """
+    reports = {}
+    while len(reports) < len(runs):
+        for k, run in enumerate(runs):
+            if k not in reports:
+                try:
+                    next(run)
+                except StopIteration as done:
+                    reports[k] = done.value
+    return [reports[k] for k in range(len(runs))]
+
+
 class Suite(NamedTuple):
     """One row of ``SUITES``: a property suite, run by calling it.
 
@@ -568,12 +587,7 @@ class Suite(NamedTuple):
     def __call__(
         self, p: GenParams, cfg: RankConfig = RankConfig(), instances: Optional[int] = None
     ) -> PropertyReport:
-        run = self.steps(p, cfg, instances)
-        while True:
-            try:
-                next(run)
-            except StopIteration as done:
-                return done.value
+        return _lockstep([self.steps(p, cfg, instances)])[0]
 
     def steps(self, p: GenParams, cfg: RankConfig, instances: Optional[int] = None):
         target = self.target if instances is None else instances

@@ -269,10 +269,10 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
 # Most segments an expression may denote, multiplicities expanded (the CLI
 # caps `suite --max-segments` at it too).  It bounds neither memory nor time:
 # no check lists Y pairs, so `check gls "2048*[0,0]"` ends in 0.01 s, but
-# `check gls "1024*[0,0]+[1,1]"` has 1,024 rows of 1,024 terms (about
-# 180 MB).  On a 2-core Xeon VM, `check gls "k*[0,1]+k*[1,2]"` (k^2 rows of
-# 2k terms, decided by a 0/1 witness) took 0.27 s at k = 32, 0.82 s at
-# k = 64, and 6.2 s at a peak of 695 MB at k = 128 (256 segments).
+# `check gls "1024*[0,0]+[1,1]"` has 1,024 rows of 1,024 terms (a peak of
+# 84 MB).  On a 2-core Xeon VM, `check gls "k*[0,1]+k*[1,2]"` (k^2 rows of
+# 2k terms, decided by a 0/1 witness) took 0.06 s at k = 32, 0.27 s at
+# k = 64, and 1.9 s at a peak of 311 MB at k = 128 (256 segments).
 MAX_SEGMENTS = 4096
 
 # the digits of UINT and INT: str.isdigit also accepts "²" and "٣"
@@ -359,11 +359,10 @@ def _parse_term(sc: _Scanner, count: int) -> List[Segment]:
     sc.expect(",")
     e = sc.integer()
     sc.expect("]")
-    if b > e:
-        raise EmptySegmentError(f"segment [{b},{e}] is empty")
+    seg = Segment(label, b, e)
     if count + mult > MAX_SEGMENTS:
         raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
-    return [Segment(label, b, e)] * mult
+    return [seg] * mult
 
 
 def parse_mseg(text: str) -> Multisegment:

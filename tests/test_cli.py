@@ -117,8 +117,10 @@ class TestParse:
             parse_mseg(f"{MAX_SEGMENTS + 1}*[0,0]")
 
     def test_empty_segment_rejected(self):
-        with pytest.raises(EmptySegmentError):
-            parse_mseg("[3,1]")
+        # an empty segment is named before a multiplicity past MAX_SEGMENTS
+        for text in ("[3,1]", "5000*[3,1]", "[1,1]+4096*[3,1]"):
+            with pytest.raises(EmptySegmentError, match=r"^segment \[3,1\] is empty$"):
+                parse_mseg(text)
 
     def test_round_trip_corpus(self):
         # canonical strings must round-trip; 10^4 random expressions
@@ -379,7 +381,7 @@ class TestSubcommands:
             mseg.harness.gen_ms.cache_clear()
             alone.append(SUITES[name](gen, cfg, instances=trials))
         runs = [SUITES[name].steps(gen, cfg, trials) for name in sorted(SUITES)]
-        assert mseg.cli._lockstep(runs) == alone
+        assert mseg.harness._lockstep(runs) == alone
         if max_segments == 0:
             short = [r.shortfall[0] for r in alone if r.shortfall]
             assert short == ["invariances/mw-delta-minimal", "mm-minus", "rhoext"]

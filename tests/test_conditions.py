@@ -667,9 +667,12 @@ class TestStructuralFirst:
             lam, lam2 = (v.witness, v.witness) if check is check_gls else v.witness
             matrix = lc_matrix(m, m2, lam, lam2)
             # the first search takes the check's rows, and the first peel
-            # judges its matching on them
+            # judges its matching on them; its columns are numbered Y pairs
             rows, unique = searched[0], peeled[0]
-            assert [set(row) for row in rows] == [set(row) for row in matrix]
+            width = len(m2) + 1
+            assert [{divmod(c, width) for c in row} for row in rows] == [
+                set(row) for row in matrix
+            ]
             if unique:
                 skipped += 1
                 assert v.trials_run == 1 and len(searched) == len(peeled) == 1
@@ -752,6 +755,20 @@ class TestSparseWitness:
         m = parse_mseg("12*[0,1]+12*[1,2]")
         v = conditions._decide.__wrapped__(m, m, CFG, True)
         assert_sparse_witness(m, m, v)
+
+    def test_rows_share_their_terms(self):
+        # 1,024 rows of 64 terms each, decided by the 0/1 witness: the rows
+        # share one term per coefficient, number their columns as integers
+        # and are never copied, which keeps the peak near 5 MiB
+        m = parse_mseg("32*[0,1]+32*[1,2]")
+        tracemalloc.start()
+        try:
+            v = conditions._decide.__wrapped__(m, m, CFG, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.holds and v.trials_run == 0
+        assert peak < 7 << 20
 
     def test_a_retry_finds_the_witness(self, monkeypatch):
         # the search's own matching leaves an alternating cycle among the
