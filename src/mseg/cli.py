@@ -135,7 +135,7 @@ def _print_text(result: dict, out) -> None:
             for rec in val:
                 print(f"violation: {json.dumps(rec)}", file=out)
         else:
-            print(f"{key}: {val}", file=out)
+            print(f"{key}: {val if isinstance(val, str) else json.dumps(val)}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     lad = command("ladder", _ladder, verdict=True, help="is the multisegment a ladder?")
     lad.add_argument("mseg")
 
-    ste = sub.add_parser("suite", help="run a property suite")
-    ste.set_defaults(handler=_suite)
+    ste = command("suite", _suite, verdict=True, help="run a property suite")
     ste.add_argument("name", choices=sorted(SUITES) + ["all"])
     ste.add_argument("--trials", type=int, default=None, help="instance target")
     ste.add_argument("--seed", type=int, default=0, help="generation seed")
     ste.add_argument("--max-segments", type=int, default=4)
     ste.add_argument("--range", type=int, default=4, dest="coord_range")
     ste.add_argument("--prime", type=int, default=MERSENNE61)
-    ste.add_argument("--format", choices=("text", "json"), default="text")
-    ste.add_argument("--exit-code-verdict", action="store_true")
 
     return ap
 

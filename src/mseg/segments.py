@@ -266,13 +266,13 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
 # text form: the inverse of ``str``; the grammar is in the ``mseg.cli`` docstring
 # ---------------------------------------------------------------------------
 
-# Most segments an expression may denote, multiplicities expanded (the CLI
-# caps `suite --max-segments` at it too).  It bounds neither memory nor time:
-# no check lists Y pairs, so `check gls "2048*[0,0]"` ends in 0.01 s, but
-# `check gls "1024*[0,0]+[1,1]"` has 1,024 rows of 1,024 terms (a peak of
-# 84 MB).  On a 2-core Xeon VM, `check gls "k*[0,1]+k*[1,2]"` (k^2 rows of
-# 2k terms, decided by a 0/1 witness) took 0.06 s at k = 32, 0.27 s at
-# k = 64, and 1.9 s at a peak of 311 MB at k = 128 (256 segments).
+# Most segments an expression may denote, multiplicities expanded, or the
+# involution may return; `suite --max-segments` is capped at it too.  It
+# bounds neither memory nor time: no check lists Y pairs, so `check gls
+# "2048*[0,0]"` ends in 0.01 s, but `check gls "1024*[0,0]+[1,1]"` has 1,024
+# rows of 1,024 terms (84 MB peak).  On a 2-core Xeon VM, `check gls
+# "k*[0,1]+k*[1,2]"` (k^2 rows of 2k terms, decided by a 0/1 witness) took
+# 0.06 s at k = 32, 0.27 s at k = 64, and 1.9 s at 311 MB peak at k = 128.
 MAX_SEGMENTS = 4096
 
 # the digits of UINT and INT: str.isdigit also accepts "²" and "٣"

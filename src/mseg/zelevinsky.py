@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
     TooLargeError,
 )
-from .segments import CuspidalPoint, Multisegment, Segment, precedes
+from .segments import MAX_SEGMENTS, CuspidalPoint, Multisegment, Segment, precedes
 
 
 # A set of (i, j) index pairs; i indexes the first multisegment, j the second.
@@ -167,10 +167,13 @@ def mw_dual(m: Multisegment) -> Multisegment:
     into canonical order after every step; only the output is built as
     segments.  A chain never leaves the line of its first segment, so this
     equals the sum over the lines of m of the involution of each line's part.
-    """
+    Past ``MAX_SEGMENTS`` output segments, more than the parser takes, it
+    raises ``TooLargeError``."""
     out: List[Segment] = []
     segs = [s.sort_key() for s in m.segs]
     while segs:
+        if len(out) == MAX_SEGMENTS:
+            raise TooLargeError(f"the involution has more than {MAX_SEGMENTS} segments")
         delta, segs = _strip(segs)
         segs.sort(reverse=True)
         out.append(delta)

@@ -247,6 +247,24 @@ class TestSubcommands:
         assert forward is not None and reverse is not None
         assert witness("ig", m, m2) == {"lc_forward": forward, "lc_reverse": reverse}
 
+    def test_text_prints_json_values(self, monkeypatch):
+        # an output that is not a string prints as JSON, not as a Python
+        # repr; the violations print one record a line
+        _, out, _ = invoke(["check", "ig", "[0,0]", "[1,1]"])
+        assert out.endswith("verdict: false\ncertified: true\ntrials: 0\nfalse_verdict_bound: 0/1\n"
+                            "lc_forward: false\nlc_reverse: true\n")
+        argv = ["suite", "gedelta", "--trials", "3"]
+        for failing in (False, True):
+            if failing:
+                monkeypatch.setitem(mseg.harness.CHECKS, "gedelta", lambda cfg, **inputs: (False, {}, ()))
+            want = json.loads(invoke([*argv, "--format", "json"])[1])["outputs"]
+            lines = invoke(argv)[1].splitlines()
+            assert "suites: " + json.dumps(want["suites"]) in lines
+            assert [s for s in lines if s.startswith("violation: ")] == [
+                "violation: " + json.dumps(v) for v in want["violations"]
+            ]
+            assert bool(want["violations"]) is failing
+
     def test_check_ig_false_has_no_witness(self):
         _, out, _ = invoke(["check", "ig", "[0,0]", "[1,1]", "--format", "json"])
         assert json.loads(out)["witness"] is None
@@ -546,10 +564,19 @@ class TestExitCodes:
                 assert code == 2 and not out and err == f"error: {message}\n"
 
     def test_too_large_is_2(self):
-        start = time.perf_counter()
-        code, out, err = invoke(["check", "gls", "1000000000*[0,0]"])
-        assert code == 2 and "error" in err and not out
-        assert time.perf_counter() - start < 1.0  # refused before expanding
+        # an input is refused before it is expanded, and an involution at
+        # its 4,097th segment, which the parser would refuse
+        for argv in (["check", "gls", "1000000000*[0,0]"], ["mw", f"[0,{MAX_SEGMENTS}]"], ["mw", "[0,1000000000000]"]):
+            start = time.perf_counter()
+            code, out, err = invoke(argv)
+            assert code == 2 and "error" in err and not out
+            assert time.perf_counter() - start < 1.0
+        # 4,096 singletons: canonical output that round-trips
+        _, out, _ = invoke(["mw", f"[0,{MAX_SEGMENTS - 1}]", "--format", "json"])
+        dual = json.loads(out)["outputs"]["mw"]
+        assert len(parse_mseg(dual)) == MAX_SEGMENTS
+        _, out, _ = invoke(["mw", dual, "--format", "json"])
+        assert json.loads(out)["outputs"]["mw"] == f"[0,{MAX_SEGMENTS - 1}]"
 
     def test_nonpositive_trials_is_2(self):
         for command in (["check", "gls", "[0,0]"], ["suite", "gedelta"]):
@@ -606,6 +633,86 @@ class TestExitCodes:
     def test_bad_rho_is_2(self):
         code, _, _ = invoke(["derivative", "--rho", "a:b", "[0,1]"])
         assert code == 2
+
+
+# Calls pinned by their exit code and by substrings of stdout, found in this
+# order; each ends within 20 s.  Byte-for-byte pins are in
+# TestJson.test_records_byte_for_byte.
+SMOKE = {
+    "gedelta": (["suite", "gedelta", "--trials", "20", "--exit-code-verdict"], 0, []),
+    "invariances": (["suite", "invariances", "--trials", "25", "--exit-code-verdict"], 0, []),
+    "all": (["suite", "all", "--trials", "25", "--exit-code-verdict"], 0, []),
+    # at 20 draws one invariances check never meets its hypothesis, and the
+    # reason names it
+    "invariances-short": (
+        ["suite", "invariances", "--trials", "20", "--format", "json"],
+        0,
+        ['"verdict":null', "invariances/frontier-map met its hypothesis 0 of 1 times"],
+    ),
+    # 4,096 rows whose matching is not unique: TRUE by the 0/1 witness, with
+    # no elimination
+    "open-4096-rows": (
+        ["check", "gls", "64*[0,1]+64*[1,2]", "--format", "json"],
+        0,
+        ['"verdict":true,"certified":true,"trials":0'],
+    ),
+    # 2,048 equal segments: no row, so TRUE from a walk that never lists
+    # their 2,048^2 Y pairs
+    "equal-2048": (
+        ["check", "gls", "2048*[0,0]", "--format", "json"],
+        0,
+        ['"verdict":true,"certified":true,"trials":0,"false_verdict_bound":"0/1","witness":{}'],
+    ),
+    # the involution of a multisegment on three lines strips them from one list
+    "mw-three-lines": (
+        ["mw", "b:[0,2]+b:[1,3]+a:[0,0]+a:[1,1]+[2,2]", "--format", "json"],
+        0,
+        ['"mw":"b:[2,3]+b:[1,2]+b:[0,1]+a:[0,1]+[2,2]"'],
+    ),
+    # one certified LC FALSE certifies IG FALSE, whatever the other side's bound
+    "ig-certified-false": (
+        ["check", "ig", "2*[1,2]+[2,3]+[2,3]", "[2,2]+[2,4]+[-1,0]", "--prime", "2", "--format", "json"],
+        0,
+        ['"certified":true'],
+    ),
+    # pair order across lines pins the witness keys
+    "two-line-witness": (
+        ["check", "gls", "a:[1,2]+a:[0,1]+b:[1,2]+b:[0,1]", "--format", "json"],
+        0,
+        ['"witness":{"(2,1)":874121439593548569,"(4,3)":1403048218288039046}'],
+    ),
+    # Leclerc's cancelling example next to a second line stays FALSE after all trials
+    "leclerc-two-lines": (
+        ["check", "gls", "a:[1,2]+a:[-1,1]+a:[0,0]+a:[-2,-1]+b:[0,1]+b:[1,2]", "--format", "json"],
+        0,
+        ['"verdict":false', '"trials":8'],
+    ),
+    # IG reports both LC directions, forward first
+    "ig-outputs": (
+        ["check", "ig", "[0,0]", "[1,1]", "--format", "json"],
+        0,
+        ['"outputs":{"lc_forward":false,"lc_reverse":true}'],
+    ),
+    # LI on a pair with a ladder is LC
+    "li-ladder": (
+        ["check", "li", "[1,2]+[0,1]", "[2,3]", "--format", "json"],
+        0,
+        ['"verdict":false'],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, parts", SMOKE.values(), ids=SMOKE.keys())
+def test_smoke(argv, code, parts):
+    start = time.perf_counter()
+    got, out, _ = invoke(argv)
+    assert time.perf_counter() - start < 20
+    assert got == code
+    pos = 0
+    for part in parts:
+        pos = out.find(part, pos)
+        assert pos >= 0, part
+        pos += len(part)
 
 
 class TestClosedPipe:
@@ -687,11 +794,13 @@ class TestJson:
         default = '"prime":2305843009213693951,"seed":0'
         none = '"verdict":null,"certified":false,"trials":0,"false_verdict_bound":"0/1","witness":null'
         lc_witness = '{"m:(2,1)":874121439593548569,"m2:(2,1)":709221631589824909}'
-        lc_true = (
-            '"verdict":true,"certified":true,"trials":1,"false_verdict_bound":"0/1",'
-            f'"witness":{lc_witness},{default},"outputs":{{}}}}'
-        )
+        true_at_1 = '"verdict":true,"certified":true,"trials":1,"false_verdict_bound":"0/1"'
+        lc_true = f'{true_at_1},"witness":{lc_witness},{default},"outputs":{{}}}}'
         pair = '"inputs":["[1,1]+[0,0]","[1,1]+[0,0]"]'
+        no_row = '"verdict":true,"certified":true,"trials":0,"false_verdict_bound":"0/1","witness":{}'
+        hall = '"verdict":false,"certified":true,"trials":0,"false_verdict_bound":"0/1","witness":null'
+        ladder = "[3,4]+[2,3]+[1,2]+[0,1]"
+        rows_26 = "[1,1]+[1,1]+[1,1]+[0,0]+[0,0]+[-1,0]+[-1,0]+[-2,-1]+[-2,-1]+[-3,-3]+[-3,-3]+[-4,-4]"
         records = {
             ("check", "gls", "[1,2]+[0,1]"):
                 '{"command":"check gls","inputs":["[1,2]+[0,1]"],"verdict":true,"certified":true,'
@@ -729,6 +838,66 @@ class TestJson:
             ("ladder", "[1,2]+[0,1]"):
                 '{"command":"ladder","inputs":["[1,2]+[0,1]"],"verdict":true,"certified":true,'
                 f'"trials":0,"false_verdict_bound":"0/1","witness":null,{default},"outputs":{{}}}}',
+            # a ladder's matching is unique, so it is TRUE at trial 1 even
+            # where every coefficient is 1
+            ("check", "gls", ladder, "--prime", "2"):
+                f'{{"command":"check gls","inputs":["{ladder}"],{true_at_1},'
+                '"witness":{"(2,1)":1,"(3,1)":1,"(3,2)":1,"(4,2)":1,"(4,3)":1},'
+                '"prime":2,"seed":0,"outputs":{}}',
+            ("check", "gls", ladder, "--prime", "3"):
+                f'{{"command":"check gls","inputs":["{ladder}"],{true_at_1},'
+                '"witness":{"(2,1)":1,"(3,1)":2,"(3,2)":1,"(4,2)":2,"(4,3)":2},'
+                '"prime":3,"seed":0,"outputs":{}}',
+            # a trial witness at the largest 64-bit prime, where p - 1 is nearest 2^64
+            ("check", "gls", "[1,2]+[0,1]", "--prime", "18446744073709551557"):
+                f'{{"command":"check gls","inputs":["[1,2]+[0,1]"],{true_at_1},'
+                '"witness":{"(2,1)":17015022504089406219},'
+                '"prime":18446744073709551557,"seed":0,"outputs":{}}',
+            # the Hall violator sits on the second line in row order, after a
+            # first line whose rows match
+            ("check", "gls", "a:[1,2]+a:[0,1]+b:[4,6]+b:[2,5]+b:[1,2]+b:[3,4]+b:[0,3]"):
+                '{"command":"check gls",'
+                '"inputs":["b:[4,6]+b:[2,5]+b:[3,4]+b:[0,3]+b:[1,2]+a:[1,2]+a:[0,1]"],'
+                f'{hall},{default},"outputs":{{}}}}',
+            # one line has a unique matching and the other an open one: one
+            # matrix, decided whole by a 0/1 witness on the keys of its
+            # matched entries, in no trial
+            ("check", "gls", "1:[3,3]+1:[1,2]+1:[-1,2]+1:[-3,0]+[3,3]+[0,2]"):
+                '{"command":"check gls","inputs":["1:[3,3]+1:[1,2]+1:[-1,2]+1:[-3,0]+[3,3]+[0,2]"],'
+                '"verdict":true,"certified":true,"trials":0,"false_verdict_bound":"0/1",'
+                f'"witness":{{"(2,1)":1,"(4,2)":1,"(4,3)":1,"(6,5)":1}},{default},"outputs":{{}}}}',
+            # 26 rows that neither matching settles: TRUE at trial 1, ranked
+            # by elimination mod p
+            ("check", "gls", rows_26):
+                f'{{"command":"check gls","inputs":["{rows_26}"],{true_at_1},"witness":{{'
+                '"(4,1)":544360350376336225,"(4,2)":656127392458927150,"(4,3)":1403048218288039046,'
+                '"(5,1)":1866421385928098242,"(5,2)":1947484515901454588,"(5,3)":346922472396365310,'
+                '"(6,1)":1884984045201848729,"(6,2)":636109828413780006,"(6,3)":830175670399485387,'
+                '"(7,1)":2138544073415356576,"(7,2)":1572978923345916518,"(7,3)":1648382407443190436,'
+                '"(8,4)":1013396596923738460,"(8,5)":812381136877568589,"(8,6)":2179864945685375222,'
+                '"(8,7)":1322064077904864836,"(9,4)":1312781756621076835,"(9,5)":1546121541019315770,'
+                '"(9,6)":377000860302001811,"(9,7)":1781030867022508148,"(10,8)":1935932629577555755,'
+                '"(10,9)":1840061047787186592,"(11,8)":635972336031539373,"(11,9)":743853852016129917,'
+                '"(12,10)":1835069190921023753,"(12,11)":67482694587535204},'
+                f'{default},"outputs":{{}}}}',
+            # the whole LC line where each side has a line the other lacks
+            ("check", "lc", "c:[1,2]+c:[0,1]+a:[1,1]+a:[0,0]", "b:[1,2]+b:[0,1]+a:[1,1]+a:[0,0]"):
+                '{"command":"check lc",'
+                '"inputs":["c:[1,2]+c:[0,1]+a:[1,1]+a:[0,0]","b:[1,2]+b:[0,1]+a:[1,1]+a:[0,0]"],'
+                f'{true_at_1},"witness":{{"m:(2,1)":874121439593548569,'
+                '"m:(4,3)":1403048218288039046,"m2:(2,1)":709221631589824909,'
+                f'"m2:(4,3)":992135246467772477}},{default},"outputs":{{}}}}',
+            # segments on different lines never precede each other: no rows
+            ("check", "lc", "a:[0,1]+[2,3]", "b:[1,2]+[0,1]"):
+                '{"command":"check lc","inputs":["a:[0,1]+[2,3]","b:[1,2]+[0,1]"],'
+                f'{no_row},{default},"outputs":{{}}}}',
+            # no rows although m has a precedence pair: the zero witness, printed {}
+            ("check", "lc", "[1,1]+[0,0]", "[5,5]"):
+                f'{{"command":"check lc","inputs":["[1,1]+[0,0]","[5,5]"],{no_row},{default},'
+                '"outputs":{}}',
+            # one row and no column: a Hall violator
+            ("check", "lc", "[0,0]", "[1,1]"):
+                f'{{"command":"check lc","inputs":["[0,0]","[1,1]"],{hall},{default},"outputs":{{}}}}',
         }
         for argv, line in records.items():
             assert invoke([*argv, "--format", "json"]) == (0, line + "\n", "")

@@ -990,3 +990,44 @@ class TestVerdictMemo:
             assert results == want[k:] + want[:k]
         info = conditions._decide.cache_info()
         assert info.hits + info.misses == 4 * 2 * len(corpus)
+
+
+# The verdict corpus: GLS, and LC both ways, on 1,500 pairs of draws on each
+# of 1, 2 and 3 lines, at four primes; 54,000 verdicts in all.  A change to a
+# verdict or a witness on purpose updates the digest, and one that moves
+# checks from one decision path to another updates the census; CHANGES.md
+# says why, as for the suite report pins.
+CORPUS_SHA256 = "e64a3ea0fee924c21f88d3af75ecd3efd6e8756af7cfaa25e1f336a95882d7b0"
+CORPUS_CENSUS = {
+    "TRUE, no rows": 30732,
+    "TRUE by a 0/1 witness": 636,
+    "TRUE at a trial": 9191,
+    "FALSE by a Hall violator": 13388,
+    "FALSE after every trial": 53,
+}
+
+
+def decided_by(v):
+    """How a verdict was decided, as far as its fields show."""
+    if not v.holds:
+        return "FALSE after every trial" if v.trials_run else "FALSE by a Hall violator"
+    if v.trials_run:
+        return "TRUE at a trial"
+    vectors = v.witness if isinstance(v.witness, tuple) else (v.witness,)
+    return "TRUE by a 0/1 witness" if any(w.values for w in vectors) else "TRUE, no rows"
+
+
+def test_verdict_corpus_pinned():
+    conditions._decide.cache_clear()
+    digest, census = hashlib.sha256(), Counter()
+    for prime in (2, 3, 97, 2**61 - 1):
+        cfg = RankConfig(prime=prime)
+        for lines in (1, 2, 3):
+            p = GenParams(7, 5, 4, lines, 100 + lines)
+            for i in range(1500):
+                m, m2 = gen_ms(p, 2 * i), gen_ms(p, 2 * i + 1)
+                for v in (check_gls(m, cfg), check_lc(m, m2, cfg), check_lc(m2, m, cfg)):
+                    digest.update(repr(v).encode() + b"\n")
+                    census[decided_by(v)] += 1
+    assert digest.hexdigest() == CORPUS_SHA256
+    assert census == CORPUS_CENSUS
