@@ -315,9 +315,11 @@ def _suite(args, cfg: RankConfig) -> dict:
     # without --trials each suite draws its own default instance target
     size = {} if args.trials is None else {"instances": args.trials}
     suites = [SUITES[name] for name in names]
-    reports = _lockstep(
-        [(s.steps if isinstance(s, Suite) else _whole(s))(gen, cfg, **size) for s in suites]
-    )
+    from .fanout import fan_out  # only `suite` loads it
+
+    runs = [(s.steps if isinstance(s, Suite) else _whole(s))(gen, cfg, **size) for s in suites]
+    # a wrapped entry, such as a tracer's, keeps the run in this process
+    reports = (fan_out if all(isinstance(s, Suite) for s in suites) else _lockstep)(runs)
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],

@@ -300,11 +300,13 @@ def _reordered(block: Block, pairs: List[Pair], seed: int, attempt: int) -> List
 
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
 # many times: of the 13,029 checks of `mseg suite all` at seed 0, 7,784
-# repeat an earlier one.  It runs its suites in lockstep, so an LRU memo of
-# 16 entries catches 6,161 of those repeats, 256 catch 6,772, 1,024 catch
-# 7,464 and 4,096 catch 7,777.  With the suites run one after another, a
-# 4,096-entry memo took another 8 % off the suite's time but raised its peak
-# RSS from 26.5 to 29.2 MB, above the 26.9 MB it had without a memo.
+# repeat an earlier one.  On one usable CPU it runs its suites in lockstep in
+# one process, so an LRU memo of 16 entries catches 6,161 of those repeats,
+# 256 catch 6,772, 1,024 catch 7,464 and 4,096 catch 7,777.  Fanned out over
+# two CPUs, each process sees only its suites' checks, and their memos of 256
+# caught 6,299.  With the suites run one after another, a 4,096-entry memo
+# took another 8 % off the suite's time but raised its peak RSS from 26.5 to
+# 29.2 MB, above the 26.9 MB it had without a memo.
 # Callers share the memoised Verdict objects and must not mutate them.
 @lru_cache(maxsize=256)
 def _decide(m: Multisegment, m2: Multisegment, cfg: RankConfig, shared: bool) -> Verdict:

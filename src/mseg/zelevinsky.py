@@ -29,6 +29,7 @@ one, and both are returned without a search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
@@ -99,19 +100,27 @@ def _chain(segs) -> List[int]:
     predecessor, and the candidates for the next one (same line, end one
     step earlier) follow it contiguously, so the walk stops at the first
     segment on another line or ending further down.  At end e - 1, b2 < b
-    is :func:`~mseg.segments.precedes` of the candidate over the current one.
+    is :func:`~mseg.segments.precedes` of the candidate over the current one,
+    so the next link is the first tuple below ``(line, e - 1, b)``.  A tuple
+    that neither links nor stops the walk starts a bisection to that one,
+    so piles of equal or nested segments are jumped, not walked.
     """
     if not segs:
         raise EmptyMultisegmentError("leading indices need a nonzero multisegment")
     chain = [0]
     line, e, b = segs[0]
-    for k in range(1, len(segs)):
+    n = len(segs)
+    k = 1
+    while k < n:
         line2, e2, b2 = segs[k]
         if line2 != line or e2 < e - 1:
             break
         if e2 == e - 1 and b2 < b:
             chain.append(k)
             e, b = e2, b2
+            k += 1
+        else:
+            k = bisect_left(segs, True, k + 1, n, key=(line, e - 1, b).__gt__)
     return chain
 
 

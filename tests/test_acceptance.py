@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 import pytest
 from exact_rank import rank_exact
 
+import mseg.checks
 import mseg.harness
 from mseg.conditions import check_gls, check_lc, lc_matrix
 from mseg.harness import SUITES, GenParams, gen_ladder, gen_ms
@@ -65,7 +66,7 @@ def _recording_checks():
         return _record(("lc", m, m2), lc(m, m2, cfg))
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (mseg.harness, sys.modules[__name__]):
+        for module in (mseg.checks, sys.modules[__name__]):
             mp.setattr(module, "check_gls", recording_gls)
             mp.setattr(module, "check_lc", recording_lc)
         yield

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import mseg
 import mseg.cli
+import mseg.fanout
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.linalg import MAX_TRIALS, MERSENNE61
@@ -410,8 +412,10 @@ class TestSubcommands:
         assert outputs["violations"] == [v for r in alone for v in r.violations]
 
     def test_suite_all_runs_in_lockstep(self, monkeypatch):
-        # each suite makes its draw k before any suite makes its draw k + 1,
-        # until it stops; an entry that is only callable runs whole in its turn
+        # on one usable CPU, each suite makes its draw k before any suite
+        # makes its draw k + 1, until it stops; an entry that is only
+        # callable runs whole in its turn
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", lambda: [None])
         order = []
 
         def recorded(suite):
@@ -438,6 +442,121 @@ class TestSubcommands:
     def test_check_wrong_arity(self):
         code, _, err = invoke(["check", "gls", "[0,0]", "[1,1]"])
         assert code == 2 and "error" in err
+
+
+def _cpus(n):
+    # n unnamed CPUs: the fan-out forks on any machine, and pins nothing
+    return lambda: [None] * n
+
+
+def _both_paths(monkeypatch, argv):
+    """(exit code, stdout, stderr) of `argv` in one process, then with
+    `suite all` spread over two; no child is left after either."""
+    seen = []
+    for n in (1, 2):
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(n))
+        seen.append(invoke(argv))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return seen
+
+
+class TestFanOut:
+    """`suite all` over several CPUs prints what it prints in one process."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--seed", "0"], ["--seed", "7"], ["--trials", "12"], ["--max-segments", "0", "--trials", "5"]],
+    )
+    def test_same_bytes(self, monkeypatch, extra):
+        # at --max-segments 0 three checks fall short: the reason is the same
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        one, two = _both_paths(monkeypatch, ["suite", "all", "--format", "json", *extra])
+        assert one == two and one[0] == 0 and forks == [1]
+        if extra[0] == "--max-segments":
+            assert json.loads(one[1])["verdict"] is None
+
+    def test_wrapped_entry_stays_in_process(self, monkeypatch):
+        # a SUITES entry that is only callable, such as a tracer's wrapper
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        wrapped = SUITES["gedelta"]
+        monkeypatch.setitem(SUITES, "gedelta", lambda *args, **kwargs: wrapped(*args, **kwargs))
+        assert invoke(["suite", "all", "--trials", "6"])[0] == 0
+
+    def test_injected_violation(self, monkeypatch):
+        # forked children inherit the patched CHECKS entry
+        def broken(cfg, m, m2):
+            return False, {"injected": True}, ()
+
+        monkeypatch.setitem(mseg.harness.CHECKS, "sumofseg", broken)
+        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12", "--format", "json"])
+        assert one == two
+        data = json.loads(one[1])
+        assert data["verdict"] is False and data["outputs"]["violations"]
+        assert {v["property"] for v in data["outputs"]["violations"]} == {"sumofseg"}
+
+    @pytest.fixture
+    def child_first(self, monkeypatch):
+        """The parent of a fan-out takes no ticket before its child calls
+        ``signal()``; ``ran`` lists the runs of each ``_lockstep`` call made
+        in this process."""
+        parent, pin, lockstep = os.getpid(), mseg.fanout._pin, mseg.fanout._lockstep
+        ready, done = os.pipe()
+        ran = []
+
+        def late(cpus):
+            if os.getpid() == parent:
+                select.select([ready], [], [], 10)
+            pin(cpus)
+
+        def counted(runs):
+            ran.append(len(runs))
+            return lockstep(runs)
+
+        monkeypatch.setattr(mseg.fanout, "_pin", late)
+        monkeypatch.setattr(mseg.fanout, "_lockstep", counted)
+        yield parent, lambda: os.write(done, b"."), ran
+        os.close(ready), os.close(done)
+
+    def test_check_that_raises(self, monkeypatch, child_first):
+        parent, signal, ran = child_first
+
+        def raising(cfg, m, m2):
+            if os.getpid() != parent:
+                signal()
+            raise MsegError("injected failure")
+
+        monkeypatch.setitem(mseg.harness.CHECKS, "mm-minus", raising)
+        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12"])
+        assert one == two == (3, "", "error: injected failure\n")
+        # in one process the seven suites run in one call.  Fanned out, the
+        # child ran 3ms, gedelta and invariances and failed in mm-minus; the
+        # parent ran the last three, then those four again
+        assert ran == [7, 1, 1, 1, 4]
+
+    def test_child_that_exits_early(self, monkeypatch, child_first):
+        parent, signal, ran = child_first
+        check = mseg.harness.CHECKS["3ms-2"]
+
+        def exiting(cfg, m, m2, n):
+            if os.getpid() != parent:
+                signal()
+                os._exit(0)  # a clean exit that sends nothing
+            return check(cfg, m=m, m2=m2, n=n)
+
+        monkeypatch.setitem(mseg.harness.CHECKS, "3ms-2", exiting)
+        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12", "--format", "json"])
+        assert one == two and one[0] == 0
+        # the child took 3ms with it: the parent ran the other six, then 3ms
+        assert ran == [7] + [1] * 7
 
 
 # pairs on one or two lines with small coordinates, so segments link often

@@ -11,8 +11,11 @@ from inspect import signature
 
 import pytest
 
+import mseg.checks
+import mseg.fanout
 import mseg.harness
 from mseg import cli
+from mseg.checks import _violation
 from mseg.conditions import Verdict
 from mseg.harness import (
     CHECK_INPUTS,
@@ -25,7 +28,6 @@ from mseg.harness import (
     gen_ms,
     replay_violation,
     run_check,
-    _violation,
 )
 from mseg.linalg import RankConfig
 from mseg.segments import CuspidalPoint, Multisegment, Segment, precedes
@@ -103,7 +105,7 @@ class TestSplitdisjHypothesis:
             calls.append((m, m2))
             return Verdict(False, None, 0, Fraction(0))
 
-        monkeypatch.setattr(mseg.harness, "check_lc", fake_lc)
+        monkeypatch.setattr(mseg.checks, "check_lc", fake_lc)
         segs = [Segment(line, b, e) for line in ("0", "a") for b in range(3) for e in range(b, 3)]
         box = [M(*c) for k in range(3) for c in itertools.combinations_with_replacement(segs, k)]
         passed = 0
@@ -177,8 +179,9 @@ class TestGenerators:
 
     def test_memo_catches_repeats_of_suite_all(self, monkeypatch):
         # `mseg suite all` at seed 0 asks for 2,702 distinct draws in 7,003
-        # calls; its suites run in lockstep, so 2,048 entries catch all 4,301
-        # repeats
+        # calls; on one usable CPU its suites run in lockstep in one process,
+        # so 2,048 entries catch all 4,301 repeats
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", lambda: [None])
         calls = []
 
         def recording(p, index):
@@ -415,8 +418,8 @@ class TestReplay:
 
             return fake
 
-        monkeypatch.setattr(mseg.harness, "check_gls", flipping(mseg.harness.check_gls))
-        monkeypatch.setattr(mseg.harness, "check_lc", flipping(mseg.harness.check_lc))
+        monkeypatch.setattr(mseg.checks, "check_gls", flipping(mseg.checks.check_gls))
+        monkeypatch.setattr(mseg.checks, "check_lc", flipping(mseg.checks.check_lc))
         for name, check in list(CHECKS.items()):
             monkeypatch.setitem(CHECKS, name, flipping_outcome(check))
         gen = GenParams(seed=11)
@@ -433,7 +436,7 @@ class TestReplay:
 
     def test_planted_involution_fault_is_reported_and_replays(self, monkeypatch):
         # the plain dual is not the Moeglin-Waldspurger involution
-        monkeypatch.setattr(mseg.harness, "mw_dual", Multisegment.dual)
+        monkeypatch.setattr(mseg.checks, "mw_dual", Multisegment.dual)
         rep = SUITES["invariances"](P, CFG, instances=40)
         found = [v for v in rep.violations if v["property"] == "invariances/mw-involution"]
         assert found and not rep.passed

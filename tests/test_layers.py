@@ -16,8 +16,10 @@ LAYERS = {
     "linalg": 1,
     "zelevinsky": 2,
     "conditions": 3,
-    "harness": 4,
-    "cli": 5,
+    "checks": 4,
+    "harness": 5,
+    "fanout": 6,
+    "cli": 7,
 }
 
 PACKAGE = Path(mseg.__file__).parent

@@ -127,6 +127,55 @@ class TestLeadingIndices:
                 assert m.seg(b).e == m.seg(a).e - 1
 
 
+def _walked_chain(segs):
+    """The reference for ``zelevinsky._chain``: one tuple after another,
+    stopping at another line or an end below e - 1."""
+    chain = [0]
+    line, e, b = segs[0]
+    for k in range(1, len(segs)):
+        line2, e2, b2 = segs[k]
+        if line2 != line or e2 < e - 1:
+            break
+        if e2 == e - 1 and b2 < b:
+            chain.append(k)
+            e, b = e2, b2
+    return chain
+
+
+class _Counted(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+class TestChain:
+    def test_equals_the_walk(self):
+        # piles of equal and nested segments, some sharing one end, on up
+        # to two lines; every strip of the involution is compared
+        rng = random.Random(31)
+        for _ in range(400):
+            segs = []
+            for _ in range(rng.randint(1, 6)):
+                line, e = rng.choice("ab"), rng.randint(0, 4)
+                segs += [(line, e, e - rng.randint(0, 3))] * rng.randint(1, 5)
+            segs.sort(reverse=True)
+            while segs:
+                assert zelevinsky._chain(segs) == _walked_chain(segs)
+                segs = zelevinsky._strip(segs)[1]
+                segs.sort(reverse=True)
+
+    def test_equal_segments_are_jumped(self):
+        # the walk read all 4,096 tuples of 4096*[0,0]; bisection reads
+        # about log2(4096) of them
+        segs = _Counted([("0", 0, 0)] * 4096)
+        assert zelevinsky._chain(segs) == [0]
+        assert segs.reads < 20
+
+
 class TestInvolution:
     def test_step_examples(self):
         assert mw_step(M(S(1, 1), S(0, 0))) == (S(0, 1), M())
