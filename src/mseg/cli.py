@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .harness import SUITES, GenParams, Suite, _lockstep
+from .harness import SUITES, GenParams, Suite
 from .linalg import MERSENNE61, RankConfig
 from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
@@ -298,28 +298,18 @@ def _ladder(args, cfg: RankConfig) -> dict:
     return _result("ladder", [str(m)], cfg, verdict=m.is_ladder(), certified=True)
 
 
-def _whole(suite):
-    """The steps of a ``SUITES`` entry that is only callable, such as a
-    wrapper around a suite: it runs whole, in one turn."""
-
-    def steps(*args, **kwargs):
-        return suite(*args, **kwargs)
-        yield  # a generator, so it takes turns as Suite.steps does
-
-    return steps
-
-
 def _suite(args, cfg: RankConfig) -> dict:
     gen = GenParams(max_segments=args.max_segments, coord_range=args.coord_range, seed=args.seed)
     names = sorted(SUITES) if args.name == "all" else [args.name]
     # without --trials each suite draws its own default instance target
     size = {} if args.trials is None else {"instances": args.trials}
     suites = [SUITES[name] for name in names]
-    from .fanout import fan_out  # only `suite` loads it
+    if all(isinstance(s, Suite) for s in suites):
+        from .fanout import fan_out  # only `suite` loads it
 
-    runs = [(s.steps if isinstance(s, Suite) else _whole(s))(gen, cfg, **size) for s in suites]
-    # a wrapped entry, such as a tracer's, keeps the run in this process
-    reports = (fan_out if all(isinstance(s, Suite) for s in suites) else _lockstep)(runs)
+        reports = fan_out([s.run(gen, cfg, **size) for s in suites])
+    else:  # an entry that is only callable, such as a tracer's wrapper: one call each
+        reports = [s(gen, cfg, **size) for s in suites]
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],

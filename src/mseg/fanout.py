@@ -1,17 +1,50 @@
 """Suite runs spread over the usable CPUs, with the reports of one process.
 
-``fan_out(runs)`` returns what ``harness._lockstep(runs)`` returns.  `mseg
-suite all` calls it with the ``Suite.steps`` generators of the suites it
-names; no other command loads this module.
+``fan_out(runs)`` returns the reports of suite runs, the same on any number
+of CPUs; ``Suite.__call__``, `mseg suite NAME` and `mseg suite all` all call
+it.  A run (``harness.SuiteRun``) is a fold of its draws' outcomes: it has
+``limit``, the most draws it makes, and ``draws``, those folded so far;
+``live``, its stop rule; ``outcome(i)``, the work of draw i, made of what
+``marshal`` sends; ``fold(outcome)``, which takes the outcome of draw
+``draws``; ``steps()``, the run as a generator; and ``report()``.
+
+The draws are cut into blocks of ``BLOCK``.  With P usable CPUs, this process
+(k = 0) and P - 1 forked workers, each pinned to one CPU, compute blocks k,
+k + P, k + 2P, ... of every run: within a block draw by draw, each draw of
+every run the block concerns, so the memos of ``gen_ms`` and of the verdicts
+catch the repeats across suites as in ``_lockstep``.  A worker sends each
+block's outcomes back by ``marshal``, which start-up already loads, and
+skips the runs that the parent has marked as stopped in a shared byte map
+(an anonymous ``mmap`` made before the fork), read before each block and
+each draw.  The parent folds block after block, each run strictly in draw
+order under its stop rule, and starts a block of its own only after folding
+every earlier block, so the draws it computes, and a traced pass's counters,
+are the same on every pass of one seed.  A block that does not come back is
+computed here, so an exception surfaces as it does in one process.  Every
+draw is pure, so each report is that of the run in one process.
+
+It forks only where ``os.fork`` exists, the runs span at least two blocks,
+P >= 2, and the caller runs a single thread; otherwise ``_lockstep``
+advances the runs' ``steps()`` in this process, the one-CPU path and the
+reference.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from fractions import Fraction
+import sys
+import threading
 
-from .harness import PropertyReport, _lockstep
+# Draws in a block.  Medians of fresh processes on a shared 2-vCPU Xeon VM
+# (Python 3.11), 20 or 40 each: the six suites of the acceptance benchmark's
+# criterion 6, called one at a time after criteria 1-5, took 0.146 s at 8
+# draws, 0.156 at 12, 0.141 at 16, 0.150 at 24, 0.160 at 32 and 0.145 at 48
+# (0.172 s in one process); `mseg suite all` took 0.171, 0.187, 0.156,
+# 0.155, 0.177 and 0.148 s (0.229 s in one process).  The spread between
+# sizes is within the noise; smaller blocks cost more messages, larger ones
+# more draws past a run's stop.
+BLOCK = 16
 
 
 def usable_cpus() -> list:
@@ -34,74 +67,118 @@ def _pin(cpus) -> None:
             pass
 
 
-def fan_out(runs: list) -> list:
-    """The values the generators ``runs`` return, from P = min(usable CPUs,
-    runs) processes, one on each CPU; in lockstep in this process when
-    P < 2 or ``os.fork`` is missing.
+def _lockstep(runs: list) -> list:
+    """The values the generators return, advanced one step each in turn.
 
-    The run indices go into one ticket pipe.  P - 1 forked children and this
-    process each take one index at a time and run that generator alone until
-    the pipe is empty; a queue needs no tuning, where a fixed split leaves a
-    core idle.  A child marshals its reports into its own pipe and ends with
-    ``os._exit``: ``marshal`` is loaded at start-up, where ``pickle`` would
-    add its import to the peak RSS.  Runs are pure, so each report is that
-    of the run alone.  A run whose report did not come back runs here
-    afterwards, so its exception surfaces as in ``_lockstep``.
+    The suites of `suite all` draw from one index space and ask for the same
+    checks, so in lockstep they ask for an instance or a verdict while the
+    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
+    check is pure, so each report is that of the suite run alone.
     """
+    reports = {}
+    while len(reports) < len(runs):
+        for k, run in enumerate(runs):
+            if k not in reports:
+                try:
+                    next(run)
+                except StopIteration as done:
+                    reports[k] = done.value
+    return [reports[k] for k in range(len(runs))]
+
+
+def fan_out(runs: list) -> list:
+    """The reports of ``runs``, from P = min(usable CPUs, blocks) processes;
+    from ``_lockstep`` in this process when it may not fork."""
     cpus = usable_cpus()
-    procs = min(len(cpus), len(runs))
-    if procs < 2 or not hasattr(os, "fork"):
-        return _lockstep(runs)
-    tickets, put = os.pipe()
-    os.write(put, bytes(range(len(runs))))  # one byte a run: SUITES has 7
-    os.close(put)
+    procs = min(len(cpus), max(-(-run.limit // BLOCK) for run in runs))
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _lockstep([run.steps() for run in runs])
+    import mmap  # loaded only where a run forks
 
-    def work() -> dict:
-        done = {}
-        for ticket in iter(lambda: os.read(tickets, 1), b""):
-            done[ticket[0]] = _lockstep([runs[ticket[0]]])[0]
-        return done
-
-    children: dict = {}  # pid -> the result pipe it writes
-    reports: dict = {}
+    stopped = mmap.mmap(-1, len(runs))  # shared with the workers forked below
+    readers: list = [None] * procs  # the pipe worker k writes, at k
+    pids = []
     try:
-        for cpu in cpus[1:procs]:
+        for k, cpu in enumerate(cpus[1:procs], 1):
             back, send = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # fewer workers, same reports
+            except OSError:  # fewer workers: their blocks are computed here
                 os.close(back), os.close(send)
                 break
             if pid == 0:
                 code = 1
                 try:
                     os.close(back)
-                    for pipe in children.values():
+                    for pipe in filter(None, readers):
                         pipe.close()
                     _pin({cpu})
-                    wire = {k: (*r[:4], str(r[4]), *r[5:]) for k, r in work().items()}
                     with open(send, "wb") as pipe:
-                        marshal.dump(wire, pipe)
+                        _work(runs, range(k, sys.maxsize, procs), stopped, pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(send)
-            children[pid] = open(back, "rb")
+            pids.append(pid)
+            readers[k] = open(back, "rb")
         _pin({cpus[0]})
-        reports.update(work())
-        sent = {pid: pipe.read() for pid, pipe in children.items()}
+        _fold(runs, readers, stopped)
     finally:
+        stopped[:] = b"\1" * len(runs)  # a worker still drawing ends at its next draw
         _pin(set(cpus))
-        while os.read(tickets, 64):  # leave no ticket for a child
-            pass
-        os.close(tickets)
-        for pipe in children.values():
-            pipe.close()
-        ended = {pid: os.waitpid(pid, 0)[1] for pid in children}
-    for pid, data in sent.items():
-        if data and ended[pid] == 0:
-            for k, (*head, bound, details, short) in marshal.loads(data).items():
-                reports[k] = PropertyReport(*head, Fraction(bound), details, short)
-    missing = [k for k in range(len(runs)) if k not in reports]
-    reports.update(zip(missing, _lockstep([runs[k] for k in missing])))
-    return [reports[k] for k in range(len(runs))]
+        for pipe in filter(None, readers):
+            pipe.close()  # a worker writing a block past the last ends on EPIPE
+        for pid in pids:
+            os.waitpid(pid, 0)
+        stopped.close()
+    return [run.report() for run in runs]
+
+
+def _work(runs: list, blocks, stopped, pipe) -> None:
+    """A worker: the outcomes of ``blocks`` of every run not marked stopped,
+    a ``{run: outcomes}`` message a block, until no run is left."""
+    for b in blocks:
+        start = b * BLOCK
+        todo = {r: [] for r, run in enumerate(runs) if not stopped[r] and start < run.limit}
+        if not todo:
+            return
+        for i in range(start, start + BLOCK):
+            for r, outcomes in todo.items():
+                if i < runs[r].limit and not stopped[r]:
+                    outcomes.append(runs[r].outcome(i))
+        marshal.dump(todo, pipe)
+        pipe.flush()
+
+
+def _fold(runs: list, readers: list, stopped) -> None:
+    """Fold block b = 0, 1, ... of every live run until none is: from worker
+    b mod P, or computed here for b mod P = 0 and for any block whose worker
+    ended without sending it."""
+    b = 0
+    while True:
+        live = [r for r, run in enumerate(runs) if run.live]
+        if not live:
+            return
+        k = b % len(readers)
+        sent = None
+        if readers[k] is not None:
+            try:
+                sent = marshal.load(readers[k])
+            except (EOFError, ValueError, TypeError):  # it ended early
+                readers[k].close()
+                readers[k] = None
+        if sent is None:
+            for i in range(b * BLOCK, (b + 1) * BLOCK):
+                for r in live:
+                    if runs[r].live:
+                        runs[r].fold(runs[r].outcome(i))
+        else:
+            for r in live:
+                for outcome in sent[r]:
+                    runs[r].fold(outcome)
+                    if not runs[r].live:
+                        break
+        for r in live:
+            if not runs[r].live:
+                stopped[r] = 1
+        b += 1

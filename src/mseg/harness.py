@@ -13,7 +13,9 @@ identities.  Every suite is a row of a second table, ``SUITES``: the checks
 it runs, its default target and its input source.  One driver runs every
 row, in one of two modes: until each check has met its hypothesis a target
 number of times (the propositions), or for a fixed number of draws (the
-invariances).
+invariances); every run goes through :func:`mseg.fanout.fan_out`, which
+spreads its draws over the usable CPUs by blocks and reports what one
+process would.
 ``replay_violation`` re-runs any recorded violation through ``CHECKS``.
 
 Verdicts of the condition checks are treated as ground truth.  A FALSE
@@ -101,8 +103,11 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
 # Six of the seven suites draw from one index space, gen_ms(p, index), so a
 # run asks for the same instances again: `mseg suite all` at seed 0 makes
 # 7,003 calls for 2,702 draws.  On one CPU, its suites run in lockstep, so
-# 2,048 entries catch all 4,301 repeats (1,024 catch 4,178); fanned out,
-# each process has its own memo.  Criteria 4, 5 and 8 of the acceptance
+# 2,048 entries catch all 4,301 repeats (1,024 catch 4,178).  Fanned out,
+# each process has its own memo, but a block holds the same draw indices of
+# every suite, so each process still catches the repeats across suites: in
+# one run on two CPUs the two processes drew 3,833 instances and caught
+# 3,433 repeats.  Criteria 4, 5 and 8 of the acceptance
 # benchmark draw thousands of new instances, and fill the memo: 4,096
 # entries raised its peak RSS by 1.6 MB (23.5 to 25.1 MB) and 2,048 by
 # 0.7 MB.  Draws are immutable; callers may share the results.
@@ -238,23 +243,75 @@ def _draw_invariances(p: GenParams, target: int, i: int) -> Dict[str, object]:
     return drawn
 
 
-def _lockstep(runs: list) -> list:
-    """The values the generators return, advanced one step each in turn.
+class SuiteRun:
+    """One run of a suite toward a target, as a fold of its draws' outcomes.
 
-    The suites of `suite all` draw from one index space and ask for the same
-    checks, so in lockstep they ask for an instance or a verdict while the
-    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
-    check is pure, so each report is that of the suite run alone.
+    ``fold`` takes the outcome of draw ``draws`` (``Suite.outcome``); ``live``
+    is the stop rule: fewer than ``limit`` draws, and, unless the suite makes
+    a fixed number, a check still short of the target.  ``steps`` is the run
+    in one process, as a generator that yields before each draw and returns
+    the report; ``mseg.fanout`` folds the same outcomes from other processes.
     """
-    reports = {}
-    while len(reports) < len(runs):
-        for k, run in enumerate(runs):
-            if k not in reports:
-                try:
-                    next(run)
-                except StopIteration as done:
-                    reports[k] = done.value
-    return [reports[k] for k in range(len(runs))]
+
+    __slots__ = ("suite", "p", "cfg", "target", "limit", "draws", "counts", "violations", "bounds")
+
+    def __init__(self, suite: Suite, p: GenParams, cfg: RankConfig, instances: Optional[int]):
+        target = suite.target if instances is None else instances
+        if target < 1:
+            raise ValueError("instances must be positive")
+        self.suite, self.p, self.cfg, self.target = suite, p, cfg, target
+        self.limit = target if suite.fixed_draws else target * _ATTEMPT_FACTOR
+        self.draws = 0
+        self.counts = [0] * len(suite.checks)
+        self.violations: List[dict] = []
+        self.bounds: List[Fraction] = []
+
+    @property
+    def live(self) -> bool:
+        return self.draws < self.limit and (
+            self.suite.fixed_draws or min(self.counts) < self.target
+        )
+
+    def outcome(self, i: int) -> list:
+        return self.suite.outcome(self.p, self.cfg, self.target, i)
+
+    def fold(self, outcome: list) -> None:
+        self.draws += 1
+        for k, violation, bound in outcome:
+            self.counts[k] += 1
+            if bound:
+                self.bounds.append(Fraction(*bound))
+            if violation is not None:
+                self.violations.append(violation)
+
+    def steps(self):
+        suite, p, cfg, target = self.suite, self.p, self.cfg, self.target
+        while self.live:
+            yield
+            self.fold(suite.outcome(p, cfg, target, self.draws))
+        return self.report()
+
+    def report(self) -> PropertyReport:
+        suite, counts = self.suite, self.counts
+        # details count the part <name>-<k> as part<k> and <name>/<check> as <check>
+        details = {
+            check.replace(f"{suite.name}-", "part", 1).removeprefix(f"{suite.name}/"): n
+            for check, n in zip(suite.checks, counts)
+            if check != suite.name
+        }
+        floor = 1 if suite.fixed_draws else self.target
+        least = counts.index(min(counts))
+        shortfall = (suite.checks[least], counts[least], floor) if counts[least] < floor else None
+        satisfied = self.draws if suite.fixed_draws else sum(counts)
+        return PropertyReport(
+            suite.name,
+            self.draws,
+            satisfied,
+            self.violations,
+            union_bound(self.bounds),
+            details,
+            shortfall,
+        )
 
 
 class Suite(NamedTuple):
@@ -266,8 +323,13 @@ class Suite(NamedTuple):
     hypothesis ``target`` times, or ``target * 200`` draws are used up; with
     ``fixed_draws`` it makes exactly ``target`` draws instead, and each check
     must meet its hypothesis at least once.  A check short of that floor
-    sets the report's ``shortfall``.  ``steps`` is the run as a generator,
-    which yields before each draw and returns the report.
+    sets the report's ``shortfall``.  ``outcome`` is the work of one draw,
+    ``run`` the fold of a run (a ``SuiteRun``), and ``steps`` that run in one
+    process, as a generator.  A call runs it through ``fanout.fan_out``: by
+    blocks of draws on every usable CPU, the parent folding them in draw
+    order and marking a stopped run in a byte map the workers read, where
+    this process may fork and runs one thread; else in this process.  The
+    report is the same either way.
     """
 
     name: str
@@ -279,50 +341,41 @@ class Suite(NamedTuple):
     def __call__(
         self, p: GenParams, cfg: RankConfig = RankConfig(), instances: Optional[int] = None
     ) -> PropertyReport:
-        return _lockstep([self.steps(p, cfg, instances)])[0]
+        """The report of a run toward ``instances`` (default ``target``).
+
+        It forks one worker per further usable CPU, each computing every
+        P-th block of draws, where ``os.fork`` exists, the run spans two
+        blocks or more and this process runs a single thread; otherwise it
+        runs here.  Either way the report is that of one process."""
+        from .fanout import fan_out  # compiled by the first suite run, not at start-up
+
+        return fan_out([self.run(p, cfg, instances)])[0]
+
+    def run(self, p: GenParams, cfg: RankConfig, instances: Optional[int] = None) -> SuiteRun:
+        return SuiteRun(self, p, cfg, instances)
 
     def steps(self, p: GenParams, cfg: RankConfig, instances: Optional[int] = None):
-        target = self.target if instances is None else instances
-        if target < 1:
-            raise ValueError("instances must be positive")
-        limit = target if self.fixed_draws else target * _ATTEMPT_FACTOR
-        plan = [(check, CHECK_INPUTS[check]) for check in self.checks]
-        counts = dict.fromkeys(self.checks, 0)
-        violations: List[dict] = []
-        bounds: List[Fraction] = []
-        draws = 0
-        while draws < limit and (self.fixed_draws or min(counts.values()) < target):
-            yield
-            drawn = self.draw(p, target, draws)
-            draws += 1
-            if drawn is None:
+        return self.run(p, cfg, instances).steps()
+
+    def outcome(self, p: GenParams, cfg: RankConfig, target: int, i: int) -> list:
+        """Draw i of a run toward ``target``: (k, violation record or None,
+        FALSE bound) for each check k, in run order, that met its hypothesis.
+        The bound is (numerator, denominator), or 0 when it is 0, so that
+        ``marshal`` sends an outcome as it is."""
+        met: list = []
+        drawn = self.draw(p, target, i)
+        if drawn is None:
+            return met
+        for k, check in enumerate(self.checks):
+            try:
+                inputs = {key: drawn[key] for key in CHECK_INPUTS[check]}
+            except KeyError:  # the draw lacks an input of this check
                 continue
-            for check, keys in plan:
-                try:
-                    inputs = {key: drawn[key] for key in keys}
-                except KeyError:  # the draw lacks an input of this check
-                    continue
-                result = run_check(check, cfg, inputs)
-                if result is None:
-                    continue
+            result = run_check(check, cfg, inputs)
+            if result is not None:
                 violation, b = result
-                counts[check] += 1
-                bounds.append(b)
-                if violation is not None:
-                    violations.append(violation)
-        # details count the part <name>-<k> as part<k> and <name>/<check> as <check>
-        details = {
-            check.replace(f"{self.name}-", "part", 1).removeprefix(f"{self.name}/"): n
-            for check, n in counts.items()
-            if check != self.name
-        }
-        floor = 1 if self.fixed_draws else target
-        least = min(counts, key=counts.get)
-        shortfall = (least, counts[least], floor) if counts[least] < floor else None
-        satisfied = draws if self.fixed_draws else sum(counts.values())
-        return PropertyReport(
-            self.name, draws, satisfied, violations, union_bound(bounds), details, shortfall
-        )
+                met.append((k, violation, (b.numerator, b.denominator) if b else 0))
+        return met
 
 
 SUITES: Dict[str, Suite] = {

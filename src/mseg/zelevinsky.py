@@ -124,19 +124,26 @@ def _chain(segs) -> List[int]:
     return chain
 
 
-def _strip(segs) -> Tuple[Segment, list]:
-    """One involution step on ``(line, e, b)`` tuples in descending order:
-    the stripped segment and the remaining tuples, not re-sorted."""
+def _strip(segs: list) -> Segment:
+    """One involution step, in place, on ``(line, e, b)`` tuples in
+    descending order, which it keeps without a re-sort: from the chain's end
+    back, an emptied tuple is deleted, a shortened one stays where the order
+    allows, else moves down by bisection.  Returns the stripped segment."""
     chain = _chain(segs)
-    rest = list(segs)
-    for k in reversed(chain):
-        line, e, b = segs[k]
-        if b < e:
-            rest[k] = (line, e - 1, b)
-        else:
-            del rest[k]
     line, top, _ = segs[0]
-    return Segment(line, segs[chain[-1]][1], top), rest
+    bottom = segs[chain[-1]][1]
+    for k in reversed(chain):
+        _, e, b = segs[k]
+        if b == e:
+            del segs[k]
+            continue
+        t = (line, e - 1, b)
+        if k + 1 == len(segs) or segs[k + 1] <= t:
+            segs[k] = t
+        else:
+            del segs[k]
+            segs.insert(bisect_left(segs, True, k, key=t.__ge__), t)
+    return Segment(line, bottom, top)
 
 
 def leading_indices(m: Multisegment) -> List[int]:
@@ -160,7 +167,8 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
     reduction right-truncates exactly the chain segments, discarding any
     that empty.  Point multiplicities are preserved between the two parts.
     """
-    delta, rest = _strip([s.sort_key() for s in m.segs])
+    rest = [s.sort_key() for s in m.segs]
+    delta = _strip(rest)
     return delta, Multisegment(tuple(Segment(line, b, e) for line, e, b in rest))
 
 
@@ -172,10 +180,10 @@ def mw_step(m: Multisegment) -> Tuple[Segment, Multisegment]:
 def mw_dual(m: Multisegment) -> Multisegment:
     """The Moeglin-Waldspurger involution, by repeated end-chain stripping.
 
-    The segments are stripped as plain ``(line, e, b)`` tuples, re-sorted
-    into canonical order after every step; only the output is built as
-    segments.  A chain never leaves the line of its first segment, so this
-    equals the sum over the lines of m of the involution of each line's part.
+    The segments are stripped as plain ``(line, e, b)`` tuples, kept in
+    canonical order by each step; only the output is built as segments.  A
+    chain never leaves the line of its first segment, so this equals the sum
+    over the lines of m of the involution of each line's part.
     Past ``MAX_SEGMENTS`` output segments, more than the parser takes, it
     raises ``TooLargeError``."""
     out: List[Segment] = []
@@ -183,9 +191,7 @@ def mw_dual(m: Multisegment) -> Multisegment:
     while segs:
         if len(out) == MAX_SEGMENTS:
             raise TooLargeError(f"the involution has more than {MAX_SEGMENTS} segments")
-        delta, segs = _strip(segs)
-        segs.sort(reverse=True)
-        out.append(delta)
+        out.append(_strip(segs))
     return Multisegment(tuple(out))
 
 

@@ -15,6 +15,7 @@ import pytest
 from exact_rank import rank_exact
 
 import mseg.checks
+import mseg.fanout
 import mseg.harness
 from mseg.conditions import check_gls, check_lc, lc_matrix
 from mseg.harness import SUITES, GenParams, gen_ladder, gen_ms
@@ -56,7 +57,8 @@ def _record(key, verdict):
 @pytest.fixture(scope="module", autouse=True)
 def _recording_checks():
     """Wrap check_gls and check_lc where this module and the suites look
-    them up, so every TRUE verdict they return is recorded."""
+    them up, so every TRUE verdict they return is recorded.  The suites run
+    on one CPU: a forked worker's verdicts would not be recorded here."""
     gls, lc = check_gls, check_lc
 
     def recording_gls(m, cfg=DEFAULT):
@@ -66,6 +68,7 @@ def _recording_checks():
         return _record(("lc", m, m2), lc(m, m2, cfg))
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mseg.fanout, "usable_cpus", lambda: [None])
         for module in (mseg.checks, sys.modules[__name__]):
             mp.setattr(module, "check_gls", recording_gls)
             mp.setattr(module, "check_lc", recording_lc)

@@ -4,9 +4,9 @@ import io
 import json
 import os
 import random
-import select
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -401,7 +401,7 @@ class TestSubcommands:
             mseg.harness.gen_ms.cache_clear()
             alone.append(SUITES[name](gen, cfg, instances=trials))
         runs = [SUITES[name].steps(gen, cfg, trials) for name in sorted(SUITES)]
-        assert mseg.harness._lockstep(runs) == alone
+        assert mseg.fanout._lockstep(runs) == alone
         if max_segments == 0:
             short = [r.shortfall[0] for r in alone if r.shortfall]
             assert short == ["invariances/mw-delta-minimal", "mm-minus", "rhoext"]
@@ -449,114 +449,234 @@ def _cpus(n):
     return lambda: [None] * n
 
 
-def _both_paths(monkeypatch, argv):
-    """(exit code, stdout, stderr) of `argv` in one process, then with
-    `suite all` spread over two; no child is left after either."""
+def _on_cpus(monkeypatch, call):
+    """What ``call()`` returns with 1, 2 and 3 usable CPUs; no child is left
+    after any."""
     seen = []
-    for n in (1, 2):
+    for n in (1, 2, 3):
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(n))
-        seen.append(invoke(argv))
+        seen.append(call())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     return seen
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made in this process, counted."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@pytest.fixture
+def from_workers():
+    """(send, taken): ``send()`` in a forked worker writes a byte that
+    ``taken()`` in this process reads back, so a test knows a worker got as
+    far as it."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    os.set_blocking(read, False)
+
+    def send():
+        if os.getpid() != parent:
+            os.write(write, b".")
+
+    def taken():
+        try:
+            return len(os.read(read, 64))
+        except BlockingIOError:
+            return 0
+
+    yield send, taken
+    os.close(read), os.close(write)
+
+
+def _pair_in_block_one(name, p):
+    """The inputs (m, m2) of the first draw of suite ``name`` in block 1 that
+    no earlier draw repeats: the first worker computes it."""
+    draw = SUITES[name].draw
+    seen = {tuple(draw(p, 0, i).values()) for i in range(mseg.fanout.BLOCK)}
+    for i in range(mseg.fanout.BLOCK, 2 * mseg.fanout.BLOCK):
+        pair = tuple(draw(p, 0, i).values())
+        if pair not in seen:
+            return pair
+        seen.add(pair)
+    raise AssertionError("every draw of block 1 repeats an earlier one")
+
+
 class TestFanOut:
-    """`suite all` over several CPUs prints what it prints in one process."""
+    """A suite run over several CPUs, by blocks of draws, gives what it gives
+    in one process."""
 
     @pytest.mark.parametrize(
         "extra",
         [["--seed", "0"], ["--seed", "7"], ["--trials", "12"], ["--max-segments", "0", "--trials", "5"]],
     )
-    def test_same_bytes(self, monkeypatch, extra):
+    def test_same_bytes(self, monkeypatch, forks, extra):
         # at --max-segments 0 three checks fall short: the reason is the same
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        one, two = _both_paths(monkeypatch, ["suite", "all", "--format", "json", *extra])
-        assert one == two and one[0] == 0 and forks == [1]
+        argv = ["suite", "all", "--format", "json", *extra]
+        outputs, made = zip(*_on_cpus(monkeypatch, lambda: (invoke(argv), len(forks))))
+        assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
+        assert made == (0, 1, 3)  # so far: none, then one worker, then two
         if extra[0] == "--max-segments":
-            assert json.loads(one[1])["verdict"] is None
+            assert json.loads(outputs[0][1])["verdict"] is None
+        for name in sorted(SUITES):
+            argv[1] = name
+            one, two, three = _on_cpus(monkeypatch, lambda: invoke(argv))
+            assert one == two == three, name
 
-    def test_wrapped_entry_stays_in_process(self, monkeypatch):
-        # a SUITES entry that is only callable, such as a tracer's wrapper
-        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        wrapped = SUITES["gedelta"]
-        monkeypatch.setitem(SUITES, "gedelta", lambda *args, **kwargs: wrapped(*args, **kwargs))
-        assert invoke(["suite", "all", "--trials", "6"])[0] == 0
+    @pytest.mark.parametrize(
+        "params, instances",
+        [
+            (mseg.GenParams(seed=0), None),
+            (mseg.GenParams(seed=7), None),
+            (mseg.GenParams(), 12),
+            (mseg.GenParams(max_segments=0), 5),
+        ],
+    )
+    def test_suite_called_alone(self, monkeypatch, params, instances):
+        for name, suite in SUITES.items():
+            cfg = mseg.RankConfig()
+            one, two, three = _on_cpus(monkeypatch, lambda: suite(params, cfg, instances))
+            assert one == two == three, name
+
+    def test_fixed_draw_suite(self, monkeypatch, forks):
+        # 200 draws span several blocks; one block of draws leaves no worker a share
+        for trials, want in ((200, (0, 1, 3)), (mseg.fanout.BLOCK, (0, 0, 0))):
+            forks.clear()
+            argv = ["suite", "invariances", "--trials", str(trials), "--format", "json"]
+            outputs, made = zip(*_on_cpus(monkeypatch, lambda: (invoke(argv), len(forks))))
+            assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
+            assert made == want
 
     def test_injected_violation(self, monkeypatch):
-        # forked children inherit the patched CHECKS entry
+        # forked workers inherit the patched CHECKS entry
         def broken(cfg, m, m2):
             return False, {"injected": True}, ()
 
         monkeypatch.setitem(mseg.harness.CHECKS, "sumofseg", broken)
-        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12", "--format", "json"])
-        assert one == two
-        data = json.loads(one[1])
-        assert data["verdict"] is False and data["outputs"]["violations"]
-        assert {v["property"] for v in data["outputs"]["violations"]} == {"sumofseg"}
+        for name in ("all", "sumofseg"):
+            argv = ["suite", name, "--trials", "12", "--format", "json"]
+            one, two, three = _on_cpus(monkeypatch, lambda: invoke(argv))
+            assert one == two == three
+            data = json.loads(one[1])
+            assert data["verdict"] is False and data["outputs"]["violations"]
+            assert {v["property"] for v in data["outputs"]["violations"]} == {"sumofseg"}
 
-    @pytest.fixture
-    def child_first(self, monkeypatch):
-        """The parent of a fan-out takes no ticket before its child calls
-        ``signal()``; ``ran`` lists the runs of each ``_lockstep`` call made
-        in this process."""
-        parent, pin, lockstep = os.getpid(), mseg.fanout._pin, mseg.fanout._lockstep
-        ready, done = os.pipe()
-        ran = []
-
-        def late(cpus):
-            if os.getpid() == parent:
-                select.select([ready], [], [], 10)
-            pin(cpus)
-
-        def counted(runs):
-            ran.append(len(runs))
-            return lockstep(runs)
-
-        monkeypatch.setattr(mseg.fanout, "_pin", late)
-        monkeypatch.setattr(mseg.fanout, "_lockstep", counted)
-        yield parent, lambda: os.write(done, b"."), ran
-        os.close(ready), os.close(done)
-
-    def test_check_that_raises(self, monkeypatch, child_first):
-        parent, signal, ran = child_first
+    def test_check_that_raises(self, monkeypatch, from_workers):
+        # the check raises on one draw of block 1: the worker computing it
+        # ends, and the parent computes the block and raises the same error
+        send, taken = from_workers
+        check = mseg.harness.CHECKS["mm-minus"]
+        bad = _pair_in_block_one("mm-minus", mseg.GenParams())
 
         def raising(cfg, m, m2):
-            if os.getpid() != parent:
-                signal()
-            raise MsegError("injected failure")
+            if (m, m2) == bad:
+                send()
+                raise MsegError(f"injected failure at {m} and {m2}")
+            return check(cfg, m=m, m2=m2)
 
         monkeypatch.setitem(mseg.harness.CHECKS, "mm-minus", raising)
-        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12"])
-        assert one == two == (3, "", "error: injected failure\n")
-        # in one process the seven suites run in one call.  Fanned out, the
-        # child ran 3ms, gedelta and invariances and failed in mm-minus; the
-        # parent ran the last three, then those four again
-        assert ran == [7, 1, 1, 1, 4]
+        argv = ["suite", "mm-minus", "--trials", "60"]
+        one, two, three = _on_cpus(monkeypatch, lambda: (invoke(argv), taken()))
+        assert one[0] == two[0] == three[0]
+        assert one[0][:2] == (3, "") and one[0][2].startswith("error: injected failure at ")
+        assert (one[1], two[1], three[1]) == (0, 1, 1)
 
-    def test_child_that_exits_early(self, monkeypatch, child_first):
-        parent, signal, ran = child_first
-        check = mseg.harness.CHECKS["3ms-2"]
+    def test_child_that_exits_early(self, monkeypatch, from_workers):
+        # a worker ends cleanly at one draw of block 1, sending nothing more:
+        # the parent computes the blocks it would have sent
+        send, taken = from_workers
+        check = mseg.harness.CHECKS["mm-minus"]
+        bad = _pair_in_block_one("mm-minus", mseg.GenParams())
 
-        def exiting(cfg, m, m2, n):
-            if os.getpid() != parent:
-                signal()
-                os._exit(0)  # a clean exit that sends nothing
-            return check(cfg, m=m, m2=m2, n=n)
+        def exiting(cfg, m, m2):
+            if (m, m2) == bad and os.getpid() != parent:
+                send()
+                os._exit(0)
+            return check(cfg, m=m, m2=m2)
 
-        monkeypatch.setitem(mseg.harness.CHECKS, "3ms-2", exiting)
-        one, two = _both_paths(monkeypatch, ["suite", "all", "--trials", "12", "--format", "json"])
-        assert one == two and one[0] == 0
-        # the child took 3ms with it: the parent ran the other six, then 3ms
-        assert ran == [7] + [1] * 7
+        parent = os.getpid()
+        monkeypatch.setitem(mseg.harness.CHECKS, "mm-minus", exiting)
+        argv = ["suite", "all", "--trials", "60", "--format", "json"]
+        one, two, three = _on_cpus(monkeypatch, lambda: (invoke(argv), taken()))
+        assert one[0] == two[0] == three[0] and one[0][0] == 0
+        assert (one[1], two[1], three[1]) == (0, 1, 1)
+
+    def test_wrapped_entry_stays_in_process(self, monkeypatch):
+        # a SUITES entry that is only callable, such as a tracer's wrapper, is
+        # called once, in this process, and sees the report
+        argv = ["suite", "all", "--trials", "6", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
+        want = invoke(argv)
+        wrapped, calls = SUITES["gedelta"], []
+
+        def wrapper(*args, **kwargs):
+            calls.append(os.getpid())
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setitem(SUITES, "gedelta", wrapper)
+        assert invoke(argv) == want and calls == [os.getpid()]
+
+    def test_second_thread_makes_no_fork(self, monkeypatch):
+        # forking a process that runs other threads can deadlock the child
+        argv = ["suite", "all", "--trials", "12", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+
+        def both():  # the command, and a suite called from the library
+            return invoke(argv), SUITES["mm-minus"](mseg.GenParams(), mseg.RankConfig(), 12)
+
+        want = both()
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            assert both() == want
+        finally:
+            release.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # five workers on a machine of fewer cores share the stop map and
+        # each send every fifth block: the bytes of one process
+        argv = ["suite", "all", "--trials", "40", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        want = invoke(argv)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(6))
+        assert invoke(argv) == want and want[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_share_is_fixed(self, monkeypatch):
+        # the parent computes its own blocks, b = 0 mod P, and every run it
+        # folds is live there, so it makes the same draws on every call: a
+        # traced pass counts the same work each time
+        made = []
+        outcome = mseg.harness.Suite.outcome
+
+        def recorded(suite, p, cfg, target, i):
+            made.append((suite.name, i))
+            return outcome(suite, p, cfg, target, i)
+
+        monkeypatch.setattr(mseg.harness.Suite, "outcome", recorded)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(3))
+        shares = []
+        for _ in range(2):
+            made.clear()
+            assert invoke(["suite", "all", "--format", "json"])[0] == 0
+            shares.append(list(made))
+        assert shares[0] == shares[1] and shares[0]
+        assert {i // mseg.fanout.BLOCK % 3 for _, i in shares[0]} == {0}
 
 
 # pairs on one or two lines with small coordinates, so segments link often

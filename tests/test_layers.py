@@ -17,8 +17,8 @@ LAYERS = {
     "zelevinsky": 2,
     "conditions": 3,
     "checks": 4,
-    "harness": 5,
-    "fanout": 6,
+    "fanout": 5,
+    "harness": 6,
     "cli": 7,
 }
 

@@ -142,6 +142,31 @@ def _walked_chain(segs):
     return chain
 
 
+def _resorted_strip(segs):
+    """The reference for ``zelevinsky._strip``: the stripped segment, and the
+    remaining tuples shortened or dropped in place, then re-sorted."""
+    chain = _walked_chain(segs)
+    rest = list(segs)
+    for k in reversed(chain):
+        line, e, b = segs[k]
+        if b < e:
+            rest[k] = (line, e - 1, b)
+        else:
+            del rest[k]
+    rest.sort(reverse=True)
+    line, top, _ = segs[0]
+    return Segment(line, segs[chain[-1]][1], top), rest
+
+
+def _resorted_dual(m):
+    """The reference for ``mw_dual``: strip and re-sort until nothing is left."""
+    segs, out = [s.sort_key() for s in m.segs], []
+    while segs:
+        delta, segs = _resorted_strip(segs)
+        out.append(delta)
+    return Multisegment(tuple(out))
+
+
 class _Counted(list):
     """A list that counts the items read from it."""
 
@@ -165,8 +190,23 @@ class TestChain:
             segs.sort(reverse=True)
             while segs:
                 assert zelevinsky._chain(segs) == _walked_chain(segs)
-                segs = zelevinsky._strip(segs)[1]
-                segs.sort(reverse=True)
+                zelevinsky._strip(segs)
+
+    def test_strip_equals_the_resorting_loop(self):
+        # piles of equal and nested segments, some sharing one end, on up to
+        # two lines: every strip keeps the order that re-sorting gives
+        rng = random.Random(47)
+        for _ in range(400):
+            segs = []
+            for _ in range(rng.randint(1, 6)):
+                line, e = rng.choice("ab"), rng.randint(0, 4)
+                segs += [(line, e, e - rng.randint(0, 3))] * rng.randint(1, 5)
+            segs.sort(reverse=True)
+            m = Multisegment(tuple(Segment(line, b, e) for line, e, b in segs))
+            assert mw_dual.__wrapped__(m) == _resorted_dual(m)
+            while segs:
+                want = _resorted_strip(segs)
+                assert zelevinsky._strip(segs) == want[0] and segs == want[1]
 
     def test_equal_segments_are_jumped(self):
         # the walk read all 4,096 tuples of 4096*[0,0]; bisection reads
