@@ -303,9 +303,11 @@ def _reordered(block: Block, pairs: List[Pair], seed: int, attempt: int) -> List
 # repeat an earlier one.  On one usable CPU it runs its suites in lockstep in
 # one process, so an LRU memo of 16 entries catches 6,161 of those repeats,
 # 256 catch 6,772, 1,024 catch 7,464 and 4,096 catch 7,777.  Fanned out over
-# two CPUs by blocks of draws, each process asks for every suite's checks at
-# its draws: in one run the two memos of 256 caught 7,027 of 13,587 checks (a
-# worker draws past a suite's stop until it learns of it).  With the suites
+# two CPUs by windows of the instance index space, each process asks for
+# every suite's checks on the instances of its windows: the parent's memo of
+# 256 caught 3,620 of its 6,652 checks, and the worker's 3,781-4,090 of
+# 6,737-7,306 in ten runs (a worker draws past a suite's stop until it
+# learns of it), so the two missed 5,988-6,248 times.  With the suites
 # run one after another, a 4,096-entry memo took another 8 % off the suite's
 # time but raised its peak RSS from 26.5 to 29.2 MB, above the 26.9 MB it had
 # without a memo.

@@ -104,13 +104,14 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
 # run asks for the same instances again: `mseg suite all` at seed 0 makes
 # 7,003 calls for 2,702 draws.  On one CPU, its suites run in lockstep, so
 # 2,048 entries catch all 4,301 repeats (1,024 catch 4,178).  Fanned out,
-# each process has its own memo, but a block holds the same draw indices of
-# every suite, so each process still catches the repeats across suites: in
-# one run on two CPUs the two processes drew 3,833 instances and caught
-# 3,433 repeats.  Criteria 4, 5 and 8 of the acceptance
-# benchmark draw thousands of new instances, and fill the memo: 4,096
-# entries raised its peak RSS by 1.6 MB (23.5 to 25.1 MB) and 2,048 by
-# 0.7 MB.  Draws are immutable; callers may share the results.
+# each process has its own memo, but a block is a window of this index
+# space (Suite.stride), so each instance falls to one process, which
+# catches its repeats across suites: on two CPUs the parent drew 1,374
+# instances and caught 2,185 repeats, and in ten runs the worker drew 1,368
+# to 1,426 (1,360 in its share) and caught 2,199 to 2,411.  Criteria 4, 5
+# and 8 of the acceptance benchmark draw thousands of new instances, and
+# fill the memo: 4,096 entries raised its peak RSS by 1.6 MB (23.5 to
+# 25.1 MB) and 2,048 by 0.7 MB.  Draws are immutable; callers may share the results.
 @lru_cache(maxsize=2048)
 def gen_ms(p: GenParams, index: int) -> Multisegment:
     """A random multisegment, deterministic in (p, index).
@@ -248,9 +249,10 @@ class SuiteRun:
 
     ``fold`` takes the outcome of draw ``draws`` (``Suite.outcome``); ``live``
     is the stop rule: fewer than ``limit`` draws, and, unless the suite makes
-    a fixed number, a check still short of the target.  ``steps`` is the run
-    in one process, as a generator that yields before each draw and returns
-    the report; ``mseg.fanout`` folds the same outcomes from other processes.
+    a fixed number, a check still short of the target.  ``stride`` is the
+    suite's (``Suite.stride``).  ``steps`` is the run in one process, as a
+    generator that yields before each draw and returns the report;
+    ``mseg.fanout`` folds the same outcomes from other processes.
     """
 
     __slots__ = ("suite", "p", "cfg", "target", "limit", "draws", "counts", "violations", "bounds")
@@ -265,6 +267,10 @@ class SuiteRun:
         self.counts = [0] * len(suite.checks)
         self.violations: List[dict] = []
         self.bounds: List[Fraction] = []
+
+    @property
+    def stride(self) -> int:
+        return self.suite.stride
 
     @property
     def live(self) -> bool:
@@ -318,7 +324,11 @@ class Suite(NamedTuple):
     """One row of ``SUITES``: a property suite, run by calling it.
 
     ``checks`` names its ``CHECKS`` entries in run order, and ``draw`` is its
-    input source.  Each check runs on every draw that holds all the inputs it
+    input source.  ``stride`` is the number of ``gen_ms`` indices one draw
+    reads: draw i reads those in [stride * i, stride * (i + 1)), apart from
+    the m2 of ``invariances`` at ``target + i``.  ``fanout.fan_out`` cuts
+    the index space into windows by it; a wrong stride costs speed, not
+    output.  Each check runs on every draw that holds all the inputs it
     names in ``CHECK_INPUTS``.  The suite draws until every check has met its
     hypothesis ``target`` times, or ``target * 200`` draws are used up; with
     ``fixed_draws`` it makes exactly ``target`` draws instead, and each check
@@ -326,16 +336,17 @@ class Suite(NamedTuple):
     sets the report's ``shortfall``.  ``outcome`` is the work of one draw,
     ``run`` the fold of a run (a ``SuiteRun``), and ``steps`` that run in one
     process, as a generator.  A call runs it through ``fanout.fan_out``: by
-    blocks of draws on every usable CPU, the parent folding them in draw
-    order and marking a stopped run in a byte map the workers read, where
-    this process may fork and runs one thread; else in this process.  The
-    report is the same either way.
+    blocks of ``fanout.BLOCK`` draws on every usable CPU, the parent folding
+    them in draw order and marking a stopped run in a byte map the workers
+    read, where this process may fork and runs one thread; else in this
+    process.  The report is the same either way.
     """
 
     name: str
     checks: Tuple[str, ...]
     target: int
     draw: Callable[[GenParams, int, int], Optional[Dict[str, object]]]
+    stride: int
     fixed_draws: bool = False
 
     def __call__(
@@ -381,17 +392,18 @@ class Suite(NamedTuple):
 SUITES: Dict[str, Suite] = {
     suite.name: suite
     for suite in (
-        Suite("mm-minus", ("mm-minus",), 300, _draw_pair),
-        Suite("splitdisj", ("splitdisj",), 200, _draw_split),
-        Suite("gedelta", ("gedelta",), 200, _draw_gedelta),
-        Suite("3ms", ("3ms-2", "3ms-3", "3ms-4", "3ms-5"), 300, _draw_triple),
-        Suite("sumofseg", ("sumofseg",), 200, _draw_pair),
-        Suite("rhoext", ("rhoext",), 300, _draw_rhoext),
+        Suite("mm-minus", ("mm-minus",), 300, _draw_pair, 2),
+        Suite("splitdisj", ("splitdisj",), 200, _draw_split, 1),
+        Suite("gedelta", ("gedelta",), 200, _draw_gedelta, 2),
+        Suite("3ms", ("3ms-2", "3ms-3", "3ms-4", "3ms-5"), 300, _draw_triple, 3),
+        Suite("sumofseg", ("sumofseg",), 200, _draw_pair, 2),
+        Suite("rhoext", ("rhoext",), 300, _draw_rhoext, 2),
         Suite(
             "invariances",
             tuple(check for check in CHECKS if check.startswith("invariances/")),
             200,
             _draw_invariances,
+            1,
             fixed_draws=True,
         ),
     )

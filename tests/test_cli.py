@@ -1,6 +1,7 @@
 """Parsing, formatting, subcommands, JSON schema and exit codes."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ import mseg
 import mseg.cli
 import mseg.fanout
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
+from mseg.conditions import Verdict
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
@@ -498,12 +500,22 @@ def from_workers():
     os.close(read), os.close(write)
 
 
-def _pair_in_block_one(name, p):
-    """The inputs (m, m2) of the first draw of suite ``name`` in block 1 that
-    no earlier draw repeats: the first worker computes it."""
+def _blocks(names, p, instances=None):
+    """The draws of blocks 0, 1, ... of a fan-out of the suites ``names``, as
+    ``mseg.fanout.block`` lays them out: a list of (suite, draw) pairs each."""
+    runs = [SUITES[name].run(p, mseg.RankConfig(), instances) for name in names]
+    for b in itertools.count():
+        yield [(names[r], i) for r, i in mseg.fanout.block(runs, b)]
+
+
+def _pair_in_block_one(name, names, p, instances):
+    """The inputs (m, m2) of the first draw of suite ``name`` in block 1 of a
+    fan-out of the suites ``names`` that no earlier draw repeats: the first
+    worker computes it."""
     draw = SUITES[name].draw
-    seen = {tuple(draw(p, 0, i).values()) for i in range(mseg.fanout.BLOCK)}
-    for i in range(mseg.fanout.BLOCK, 2 * mseg.fanout.BLOCK):
+    blocks = _blocks(names, p, instances)
+    seen = {tuple(draw(p, 0, i).values()) for suite, i in next(blocks) if suite == name}
+    for i in [i for suite, i in next(blocks) if suite == name]:
         pair = tuple(draw(p, 0, i).values())
         if pair not in seen:
             return pair
@@ -517,10 +529,18 @@ class TestFanOut:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--seed", "0"], ["--seed", "7"], ["--trials", "12"], ["--max-segments", "0", "--trials", "5"]],
+        [
+            ["--seed", "0"],
+            ["--seed", "7"],
+            ["--trials", "12"],
+            ["--max-segments", "0", "--trials", "5"],
+            ["--prime", "2", "--seed", "6", "--trials", "20", "--max-segments", "6"],
+        ],
     )
     def test_same_bytes(self, monkeypatch, forks, extra):
-        # at --max-segments 0 three checks fall short: the reason is the same
+        # at --max-segments 0 three checks fall short: the reason is the same.
+        # The --prime 2 case has one FALSE bound, 1 at draw 8 of invariances,
+        # in block 0; test_bounds_from_workers has bounds sent by workers
         argv = ["suite", "all", "--format", "json", *extra]
         outputs, made = zip(*_on_cpus(monkeypatch, lambda: (invoke(argv), len(forks))))
         assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
@@ -570,12 +590,44 @@ class TestFanOut:
             assert data["verdict"] is False and data["outputs"]["violations"]
             assert {v["property"] for v in data["outputs"]["violations"]} == {"sumofseg"}
 
+    def test_bounds_from_workers(self, monkeypatch):
+        # the probabilistic FALSE bounds of the real suites are 1 and rare, so
+        # two checks get an extra verdict on each draw: sumofseg one of a
+        # proper fraction, mm-minus one of bound 1 and a violation where
+        # 7 len(m) + len(m2) is a multiple of 9.  The workers send the bounds
+        # as (numerator, denominator), and the parent sums them exactly
+        def bounded(check, bound):
+            def wrapped(cfg, m, m2):
+                outcome = check(cfg, m=m, m2=m2)
+                if outcome is None:
+                    return None
+                held, detail, verdicts = outcome
+                b = bound(7 * len(m) + len(m2))
+                return held and b < 1, detail, (*verdicts, Verdict(False, None, 8, b))
+
+            return wrapped
+
+        checks = mseg.harness.CHECKS
+        monkeypatch.setitem(checks, "sumofseg", bounded(checks["sumofseg"], lambda n: Fraction(1, 10_000 + n)))
+        monkeypatch.setitem(checks, "mm-minus", bounded(checks["mm-minus"], lambda n: Fraction(n % 9 == 0)))
+        for names in (["sumofseg"], ["mm-minus"], sorted(SUITES)):
+            argv = ["suite", names[0] if len(names) == 1 else "all", "--trials", "40", "--format", "json"]
+            one, two, three = _on_cpus(monkeypatch, lambda: invoke(argv))
+            assert one == two == three
+            outputs = json.loads(one[1])["outputs"]
+            bounds = {s["name"]: Fraction(s["accumulated_bound"]) for s in outputs["suites"]}
+            violations = [(v["property"], v["false_verdict_bound"]) for v in outputs["violations"]]
+            if "sumofseg" in names:
+                assert 0 < bounds["sumofseg"] < Fraction(40, 10_000)
+            if "mm-minus" in names:
+                assert bounds["mm-minus"] == 1 and violations and set(violations) == {("mm-minus", "1")}
+
     def test_check_that_raises(self, monkeypatch, from_workers):
         # the check raises on one draw of block 1: the worker computing it
         # ends, and the parent computes the block and raises the same error
         send, taken = from_workers
         check = mseg.harness.CHECKS["mm-minus"]
-        bad = _pair_in_block_one("mm-minus", mseg.GenParams())
+        bad = _pair_in_block_one("mm-minus", ["mm-minus"], mseg.GenParams(), 60)
 
         def raising(cfg, m, m2):
             if (m, m2) == bad:
@@ -595,7 +647,7 @@ class TestFanOut:
         # the parent computes the blocks it would have sent
         send, taken = from_workers
         check = mseg.harness.CHECKS["mm-minus"]
-        bad = _pair_in_block_one("mm-minus", mseg.GenParams())
+        bad = _pair_in_block_one("mm-minus", sorted(SUITES), mseg.GenParams(), 60)
 
         def exiting(cfg, m, m2):
             if (m, m2) == bad and os.getpid() != parent:
@@ -676,7 +728,77 @@ class TestFanOut:
             assert invoke(["suite", "all", "--format", "json"])[0] == 0
             shares.append(list(made))
         assert shares[0] == shares[1] and shares[0]
-        assert {i // mseg.fanout.BLOCK % 3 for _, i in shares[0]} == {0}
+        where = {}
+        for b, draws in enumerate(_blocks(sorted(SUITES), mseg.GenParams())):
+            where.update(dict.fromkeys(draws, b))
+            if where.keys() >= set(shares[0]):
+                break
+        assert {where[draw] % 3 for draw in shares[0]} == {0}
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_no_instance_is_split(self, monkeypatch, procs):
+        # each gen_ms index that the draws of `suite all` read lies in the
+        # blocks of one process, so each instance is drawn once, but for the
+        # m2 of invariances at target + i: walked here block by block up to
+        # each run's stop, without forking
+        gen, cfg, names = mseg.GenParams(), mseg.RankConfig(), sorted(SUITES)
+        stops = {
+            name: report.instances_generated
+            for name, report in zip(names, mseg.fanout._lockstep([SUITES[n].steps(gen, cfg) for n in names]))
+        }
+        owner, split, read = {}, set(), []
+        gen_ms = mseg.harness.gen_ms
+        monkeypatch.setattr(mseg.harness, "gen_ms", lambda p, index: read.append(index) or gen_ms(p, index))
+        for b, draws in enumerate(_blocks(names, gen)):
+            draws = [(name, i) for name, i in draws if i < stops[name]]
+            if not draws:
+                break
+            for name, i in draws:
+                suite = SUITES[name]
+                read.clear()
+                suite.draw(gen, suite.target, i)
+                for j in read:
+                    if name == "invariances" and j == suite.target + i:
+                        continue
+                    if owner.setdefault(j, b % procs) != b % procs:
+                        split.add(j)
+        assert len(owner) > 2000 and not split
+
+    def test_worker_waits_for_credits(self, monkeypatch):
+        # the parent sleeps at its first draw, and the worker still computes
+        # only the draws of its blocks up to AHEAD blocks past each run's
+        # last; unbounded, it would run on until its pipe filled
+        names, gen, parent = sorted(SUITES), mseg.GenParams(), os.getpid()
+        reports = mseg.fanout._lockstep([SUITES[name].steps(gen, mseg.RankConfig(), 40) for name in names])
+        last = {name: report.instances_generated - 1 for name, report in zip(names, reports)}
+        ahead = 2 * mseg.fanout.AHEAD  # blocks, every other one the worker's
+        stop, layout = {}, []
+        for b, draws in enumerate(_blocks(names, gen, 40)):
+            layout.append(draws)
+            stop.update((name, b) for name, i in draws if i == last[name])
+            if len(stop) == len(names) and b > max(stop.values()) + ahead:
+                break
+        bound = sum(b <= stop[name] + ahead for b in range(1, len(layout), 2) for name, _ in layout[b])
+        read, write = os.pipe()
+        os.set_blocking(read, False)
+        outcome = mseg.harness.Suite.outcome
+
+        def counted(suite, p, cfg, target, i):
+            if os.getpid() != parent:
+                os.write(write, b".")
+            elif (suite.name, i) == (names[0], 0):
+                time.sleep(0.3)
+            return outcome(suite, p, cfg, target, i)
+
+        monkeypatch.setattr(mseg.harness.Suite, "outcome", counted)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
+        argv = ["suite", "all", "--trials", "40", "--format", "json"]
+        try:
+            assert invoke(argv)[0] == 0
+            made = len(os.read(read, 1 << 16))
+        finally:
+            os.close(read), os.close(write)
+        assert 0 < made <= bound
 
 
 # pairs on one or two lines with small coordinates, so segments link often

@@ -195,6 +195,23 @@ class TestGenerators:
         assert len(calls) == 7003 and len(set(calls)) == 2702
         assert (info.hits, info.misses, info.currsize) == (4301, 2702, 2048)
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_stride_matches_the_draw_source(self, monkeypatch, name):
+        # draw i reads every gen_ms index of [stride * i, stride * (i + 1))
+        # and no other, but for the m2 of invariances at target + i.  A wrong
+        # stride changes no output, only how the fan-out's windows split
+        # instances between processes, so this is its only guard
+        suite, read = SUITES[name], []
+        monkeypatch.setattr(mseg.harness, "gen_ms", lambda p, index: read.append(index) or gen_ms(p, index))
+        for i in range(64):
+            read.clear()
+            suite.draw(P, suite.target, i)
+            own = range(suite.stride * i, suite.stride * (i + 1))
+            outside = [j for j in read if j not in own]
+            assert outside == ([suite.target + i] if name == "invariances" else []), (name, i)
+            if read:  # splitdisj reads none: stride 1
+                assert sorted(set(read) - set(outside)) == list(own), (name, i)
+
 
 class TestSuitesPass:
     def test_mm_minus(self):
