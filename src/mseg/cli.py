@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .harness import SUITES, GenParams, Suite
+from .harness import SUITES, GenParams, Suite, SuiteRun
 from .linalg import MERSENNE61, RankConfig
 from .segments import MAX_SEGMENTS, parse_mseg, parse_rho
 from .zelevinsky import derivative, mw_dual, mw_step, soc_cuspidal
@@ -307,7 +307,7 @@ def _suite(args, cfg: RankConfig) -> dict:
     if all(isinstance(s, Suite) for s in suites):
         from .fanout import fan_out  # only `suite` loads it
 
-        reports = fan_out([s.run(gen, cfg, **size) for s in suites])
+        reports = fan_out([SuiteRun(s, gen, cfg, **size) for s in suites])
     else:  # an entry that is only callable, such as a tracer's wrapper: one call each
         reports = [s(gen, cfg, **size) for s in suites]
     outputs = {

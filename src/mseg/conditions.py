@@ -300,10 +300,10 @@ def _reordered(block: Block, pairs: List[Pair], seed: int, attempt: int) -> List
 
 # Verdicts are pure in (inputs, cfg), and the suites ask for the same check
 # many times: of the 13,029 checks of `mseg suite all` at seed 0, 7,784
-# repeat an earlier one.  On one usable CPU it runs its suites in lockstep in
-# one process, so an LRU memo of 16 entries catches 6,161 of those repeats,
-# 256 catch 6,772, 1,024 catch 7,464 and 4,096 catch 7,777.  Fanned out over
-# two CPUs by windows of the instance index space, each process asks for
+# repeat an earlier one.  On one usable CPU one process walks the blocks of
+# every suite, windows of the instance index space, so an LRU memo of 16
+# entries catches 6,760 of those repeats, 256 catch 7,239, 1,024 catch 7,566
+# and 4,096 catch 7,776.  Fanned out over two CPUs, each process asks for
 # every suite's checks on the instances of its windows: the parent's memo of
 # 256 caught 3,620 of its 6,652 checks, and the worker's 3,781-4,090 of
 # 6,737-7,306 in ten runs (a worker draws past a suite's stop until it

@@ -6,7 +6,7 @@ it.  A run (``harness.SuiteRun``) is a fold of its draws' outcomes: it has
 ``limit``, the most draws it makes, and ``draws``, those folded so far;
 ``live``, its stop rule; ``outcome(i)``, the work of draw i, made of what
 ``marshal`` sends; ``fold(outcome)``, which takes the outcome of draw
-``draws``; ``steps()``, the run as a generator; and ``report()``.
+``draws``; and ``report()``.
 
 A run also has ``stride``, the ``gen_ms`` indices one draw reads: draw i
 of a pair suite reads 2i and 2i + 1, of ``3ms`` 3i to 3i + 2.  The index
@@ -20,9 +20,9 @@ With P usable CPUs, this process (k = 0) and P - 1 forked workers, each
 pinned to one CPU, compute blocks k, k + P, k + 2P, ... of every run.  So
 each instance is drawn by one process (but the m2 of ``invariances``' draw
 i, at index ``target + i``), whose memos of ``gen_ms`` and of the verdicts
-catch its repeats across suites as in ``_lockstep``.  In `mseg suite all` at
-seed 0 on two CPUs, this process drew 1,374 instances, and the worker 1,368
-to 1,426 in ten runs (1,360 in its share), against 2,702 in one process.
+catch its repeats across suites.  In `mseg suite all` at seed 0 on two
+CPUs, this process drew 1,374 instances, and the worker 1,368 to 1,426 in
+ten runs (1,360 in its share), against 2,702 in one process.
 
 A worker sends each block's outcomes back by ``marshal``, which start-up
 already loads.  It skips the runs that the parent has marked as stopped in a
@@ -38,9 +38,9 @@ here, so an exception surfaces as it does in one process.  Every draw is
 pure, so each report is that of the run in one process.
 
 It forks only where ``os.fork`` exists, the runs span at least two blocks,
-P >= 2, and the caller runs a single thread; otherwise ``_lockstep``
-advances the runs' ``steps()`` in this process, the one-CPU path and the
-reference.
+P >= 2, and the caller runs a single thread; otherwise P = 1, no worker is
+forked, and this process computes and folds every block itself, by the same
+walk.
 """
 
 from __future__ import annotations
@@ -91,25 +91,6 @@ def _pin(cpus) -> None:
             pass
 
 
-def _lockstep(runs: list) -> list:
-    """The values the generators return, advanced one step each in turn.
-
-    The suites of `suite all` draw from one index space and ask for the same
-    checks, so in lockstep they ask for an instance or a verdict while the
-    memos of ``gen_ms`` and the verdicts still hold it.  Every draw and
-    check is pure, so each report is that of the suite run alone.
-    """
-    reports = {}
-    while len(reports) < len(runs):
-        for k, run in enumerate(runs):
-            if k not in reports:
-                try:
-                    next(run)
-                except StopIteration as done:
-                    reports[k] = done.value
-    return [reports[k] for k in range(len(runs))]
-
-
 def window(runs: list) -> int:
     """W, the ``gen_ms`` indices of a block of ``runs``: ``BLOCK`` draws of
     the run with the largest stride."""
@@ -131,15 +112,20 @@ def block(runs: list, b: int) -> list:
 
 def fan_out(runs: list) -> list:
     """The reports of ``runs``, from P = min(usable CPUs, blocks) processes;
-    from ``_lockstep`` in this process when it may not fork."""
+    P = 1, this process alone, when it may not fork."""
     cpus = usable_cpus()
     width = window(runs)
     procs = min(len(cpus), max(run.stride * (run.limit - 1) // width + 1 for run in runs))
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _lockstep([run.steps() for run in runs])
-    import mmap  # loaded only where a run forks
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        procs = 1
+    if procs > 1:
+        # loaded only where a run forks: loaded on one CPU too, it raised the
+        # peak RSS of `suite all` by 0.14 MB (BENCH_one_driver.json)
+        import mmap
 
-    stopped = mmap.mmap(-1, len(runs))  # shared with the workers forked below
+        stopped = mmap.mmap(-1, len(runs))  # shared with the workers forked below
+    else:
+        stopped = bytearray(len(runs))
     readers: list = [None] * procs  # the pipe worker k writes, at k
     credits: list = [None] * procs  # the pipe worker k reads its credits from, at k
     pids = []
@@ -179,7 +165,8 @@ def fan_out(runs: list) -> list:
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
-        stopped.close()
+        if procs > 1:
+            stopped.close()
     return [run.report() for run in runs]
 
 

@@ -102,16 +102,17 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
 
 # Six of the seven suites draw from one index space, gen_ms(p, index), so a
 # run asks for the same instances again: `mseg suite all` at seed 0 makes
-# 7,003 calls for 2,702 draws.  On one CPU, its suites run in lockstep, so
-# 2,048 entries catch all 4,301 repeats (1,024 catch 4,178).  Fanned out,
-# each process has its own memo, but a block is a window of this index
-# space (Suite.stride), so each instance falls to one process, which
-# catches its repeats across suites: on two CPUs the parent drew 1,374
-# instances and caught 2,185 repeats, and in ten runs the worker drew 1,368
-# to 1,426 (1,360 in its share) and caught 2,199 to 2,411.  Criteria 4, 5
-# and 8 of the acceptance benchmark draw thousands of new instances, and
-# fill the memo: 4,096 entries raised its peak RSS by 1.6 MB (23.5 to
-# 25.1 MB) and 2,048 by 0.7 MB.  Draws are immutable; callers may share the results.
+# 7,003 calls for 2,702 draws.  A block is a window of this index space
+# (Suite.stride), so each instance falls to one process, which catches its
+# repeats across suites.  On one CPU the one process walks every window in
+# turn, and 512 entries catch all 4,301 repeats (256 catch 4,158).  On two
+# CPUs the parent drew 1,374 instances and caught 2,185 repeats, and in ten
+# runs the worker drew 1,368 to 1,426 (1,360 in its share) and caught 2,199
+# to 2,411.  The acceptance benchmark repeats its draws farther apart: 2,048
+# entries catch 2,014 repeats of its 9,294 calls, 512 none.  Its criteria 4,
+# 5 and 8 draw thousands of new instances and fill the memo: 4,096 entries
+# raised its peak RSS by 1.6 MB (23.5 to 25.1 MB) and 2,048 by 0.7 MB.
+# Draws are immutable; callers may share the results.
 @lru_cache(maxsize=2048)
 def gen_ms(p: GenParams, index: int) -> Multisegment:
     """A random multisegment, deterministic in (p, index).
@@ -250,14 +251,15 @@ class SuiteRun:
     ``fold`` takes the outcome of draw ``draws`` (``Suite.outcome``); ``live``
     is the stop rule: fewer than ``limit`` draws, and, unless the suite makes
     a fixed number, a check still short of the target.  ``stride`` is the
-    suite's (``Suite.stride``).  ``steps`` is the run in one process, as a
-    generator that yields before each draw and returns the report;
-    ``mseg.fanout`` folds the same outcomes from other processes.
+    suite's (``Suite.stride``).  ``mseg.fanout`` computes the outcomes, in
+    this process or in forked workers, and folds them in draw order.
     """
 
     __slots__ = ("suite", "p", "cfg", "target", "limit", "draws", "counts", "violations", "bounds")
 
-    def __init__(self, suite: Suite, p: GenParams, cfg: RankConfig, instances: Optional[int]):
+    def __init__(
+        self, suite: Suite, p: GenParams, cfg: RankConfig, instances: Optional[int] = None
+    ):
         target = suite.target if instances is None else instances
         if target < 1:
             raise ValueError("instances must be positive")
@@ -289,13 +291,6 @@ class SuiteRun:
                 self.bounds.append(Fraction(*bound))
             if violation is not None:
                 self.violations.append(violation)
-
-    def steps(self):
-        suite, p, cfg, target = self.suite, self.p, self.cfg, self.target
-        while self.live:
-            yield
-            self.fold(suite.outcome(p, cfg, target, self.draws))
-        return self.report()
 
     def report(self) -> PropertyReport:
         suite, counts = self.suite, self.counts
@@ -334,12 +329,12 @@ class Suite(NamedTuple):
     ``fixed_draws`` it makes exactly ``target`` draws instead, and each check
     must meet its hypothesis at least once.  A check short of that floor
     sets the report's ``shortfall``.  ``outcome`` is the work of one draw,
-    ``run`` the fold of a run (a ``SuiteRun``), and ``steps`` that run in one
-    process, as a generator.  A call runs it through ``fanout.fan_out``: by
-    blocks of ``fanout.BLOCK`` draws on every usable CPU, the parent folding
-    them in draw order and marking a stopped run in a byte map the workers
-    read, where this process may fork and runs one thread; else in this
-    process.  The report is the same either way.
+    and a ``SuiteRun`` the fold of a run's outcomes.  A call runs it through
+    ``fanout.fan_out``: by blocks of ``fanout.BLOCK`` draws on every usable
+    CPU, the parent folding them in draw order and marking a stopped run in
+    a byte map the workers read, where this process may fork and runs one
+    thread; else by the same blocks in this process alone.  The report is
+    the same either way.
     """
 
     name: str
@@ -360,13 +355,7 @@ class Suite(NamedTuple):
         runs here.  Either way the report is that of one process."""
         from .fanout import fan_out  # compiled by the first suite run, not at start-up
 
-        return fan_out([self.run(p, cfg, instances)])[0]
-
-    def run(self, p: GenParams, cfg: RankConfig, instances: Optional[int] = None) -> SuiteRun:
-        return SuiteRun(self, p, cfg, instances)
-
-    def steps(self, p: GenParams, cfg: RankConfig, instances: Optional[int] = None):
-        return self.run(p, cfg, instances).steps()
+        return fan_out([SuiteRun(self, p, cfg, instances)])[0]
 
     def outcome(self, p: GenParams, cfg: RankConfig, target: int, i: int) -> list:
         """Draw i of a run toward ``target``: (k, violation record or None,

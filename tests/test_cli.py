@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ import mseg.fanout
 from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
 from mseg.conditions import Verdict
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
+from mseg.harness import SuiteRun
 from mseg.linalg import MAX_TRIALS, MERSENNE61
 from mseg.segments import CuspidalPoint, Multisegment, Segment
 from mseg.zelevinsky import cross_pairs
@@ -391,10 +391,11 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "seed, trials, max_segments", [(0, 12, 4), (7, 12, 4), (0, 5, 0)]
     )
-    def test_suite_all_equals_each_suite_alone(self, seed, trials, max_segments):
-        # in lockstep the suites share the memos mid-run; every draw and check
-        # is pure, so each report is that of the suite run alone, shortfall
-        # included (at --max-segments 0 three checks fall short)
+    def test_suite_all_equals_each_suite_alone(self, monkeypatch, seed, trials, max_segments):
+        # walked together in one process the suites share the memos mid-run;
+        # every draw and check is pure, so each report is that of the suite
+        # run alone, shortfall included (at --max-segments 0 three checks
+        # fall short)
         gen = mseg.GenParams(max_segments=max_segments, seed=seed)
         cfg = mseg.RankConfig()
         alone = []
@@ -402,8 +403,9 @@ class TestSubcommands:
             mseg.conditions._decide.cache_clear()
             mseg.harness.gen_ms.cache_clear()
             alone.append(SUITES[name](gen, cfg, instances=trials))
-        runs = [SUITES[name].steps(gen, cfg, trials) for name in sorted(SUITES)]
-        assert mseg.fanout._lockstep(runs) == alone
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        runs = [SuiteRun(SUITES[name], gen, cfg, trials) for name in sorted(SUITES)]
+        assert mseg.fanout.fan_out(runs) == alone
         if max_segments == 0:
             short = [r.shortfall[0] for r in alone if r.shortfall]
             assert short == ["invariances/mw-delta-minimal", "mm-minus", "rhoext"]
@@ -413,11 +415,11 @@ class TestSubcommands:
         assert outputs["suites"] == [r.to_dict() for r in alone]
         assert outputs["violations"] == [v for r in alone for v in r.violations]
 
-    def test_suite_all_runs_in_lockstep(self, monkeypatch):
-        # on one usable CPU, each suite makes its draw k before any suite
-        # makes its draw k + 1, until it stops; an entry that is only
-        # callable runs whole in its turn
-        monkeypatch.setattr(mseg.fanout, "usable_cpus", lambda: [None])
+    def test_suite_all_walks_the_blocks_on_one_cpu(self, monkeypatch):
+        # on one usable CPU, this process makes the draws of block 0, 1, ...
+        # in the order of mseg.fanout.block, each suite's up to its stop; an
+        # entry that is only callable runs whole in its turn
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
         order = []
 
         def recorded(suite):
@@ -433,10 +435,14 @@ class TestSubcommands:
         for name in names:
             monkeypatch.setitem(SUITES, name, recorded(SUITES[name]))
         assert invoke(argv)[1] == want
-        draws = Counter(n for n, _ in order)
-        # round k: in name order, every suite that makes more than k draws
-        rounds = range(max(draws.values()))
-        assert order == [(n, k) for k in rounds for n in names if draws[n] > k]
+        stops = {s["name"]: s["instances_generated"] for s in json.loads(want)["outputs"]["suites"]}
+        walk = []
+        for draws in _blocks(names, mseg.GenParams(), 6):
+            draws = [(name, i) for name, i in draws if i < stops[name]]
+            if not draws:
+                break
+            walk += draws
+        assert order == walk and len(walk) == sum(stops.values())
         wrapped = SUITES["gedelta"]
         monkeypatch.setitem(SUITES, "gedelta", lambda *args, **kwargs: wrapped(*args, **kwargs))
         assert invoke(argv)[1] == want
@@ -503,7 +509,7 @@ def from_workers():
 def _blocks(names, p, instances=None):
     """The draws of blocks 0, 1, ... of a fan-out of the suites ``names``, as
     ``mseg.fanout.block`` lays them out: a list of (suite, draw) pairs each."""
-    runs = [SUITES[name].run(p, mseg.RankConfig(), instances) for name in names]
+    runs = [SuiteRun(SUITES[name], p, mseg.RankConfig(), instances) for name in names]
     for b in itertools.count():
         yield [(names[r], i) for r, i in mseg.fanout.block(runs, b)]
 
@@ -742,9 +748,10 @@ class TestFanOut:
         # m2 of invariances at target + i: walked here block by block up to
         # each run's stop, without forking
         gen, cfg, names = mseg.GenParams(), mseg.RankConfig(), sorted(SUITES)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
         stops = {
             name: report.instances_generated
-            for name, report in zip(names, mseg.fanout._lockstep([SUITES[n].steps(gen, cfg) for n in names]))
+            for name, report in zip(names, mseg.fanout.fan_out([SuiteRun(SUITES[n], gen, cfg) for n in names]))
         }
         owner, split, read = {}, set(), []
         gen_ms = mseg.harness.gen_ms
@@ -769,7 +776,8 @@ class TestFanOut:
         # only the draws of its blocks up to AHEAD blocks past each run's
         # last; unbounded, it would run on until its pipe filled
         names, gen, parent = sorted(SUITES), mseg.GenParams(), os.getpid()
-        reports = mseg.fanout._lockstep([SUITES[name].steps(gen, mseg.RankConfig(), 40) for name in names])
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        reports = mseg.fanout.fan_out([SuiteRun(SUITES[name], gen, mseg.RankConfig(), 40) for name in names])
         last = {name: report.instances_generated - 1 for name, report in zip(names, reports)}
         ahead = 2 * mseg.fanout.AHEAD  # blocks, every other one the worker's
         stop, layout = {}, []

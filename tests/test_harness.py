@@ -179,8 +179,10 @@ class TestGenerators:
 
     def test_memo_catches_repeats_of_suite_all(self, monkeypatch):
         # `mseg suite all` at seed 0 asks for 2,702 distinct draws in 7,003
-        # calls; on one usable CPU its suites run in lockstep in one process,
-        # so 2,048 entries catch all 4,301 repeats
+        # calls; on one usable CPU one process walks the windows of the index
+        # space, so 2,048 entries catch all 4,301 repeats.  Of its 13,029
+        # checks, the 256 verdicts of conditions._decide catch 7,239 repeats:
+        # the README's memo table
         monkeypatch.setattr(mseg.fanout, "usable_cpus", lambda: [None])
         calls = []
 
@@ -190,10 +192,13 @@ class TestGenerators:
 
         monkeypatch.setattr(mseg.harness, "gen_ms", recording)
         gen_ms.cache_clear()
+        mseg.conditions._decide.cache_clear()
         assert cli.run(["suite", "all", "--seed", "0", "--format", "json"], out=io.StringIO()) == 0
         info = gen_ms.cache_info()
         assert len(calls) == 7003 and len(set(calls)) == 2702
         assert (info.hits, info.misses, info.currsize) == (4301, 2702, 2048)
+        info = mseg.conditions._decide.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (7239, 5790, 256)
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_stride_matches_the_draw_source(self, monkeypatch, name):
