@@ -21,21 +21,28 @@ pinned to one CPU, compute blocks k, k + P, k + 2P, ... of every run.  So
 each instance is drawn by one process (but the m2 of ``invariances``' draw
 i, at index ``target + i``), whose memos of ``gen_ms`` and of the verdicts
 catch its repeats across suites.  In `mseg suite all` at seed 0 on two
-CPUs, this process drew 1,374 instances, and the worker 1,368 to 1,426 in
+CPUs, this process drew 1,374 instances, and the worker 1,372 to 1,426 in
 ten runs (1,360 in its share), against 2,702 in one process.
 
-A worker sends each block's outcomes back by ``marshal``, which start-up
-already loads.  It skips the runs that the parent has marked as stopped in a
-shared byte map (an anonymous ``mmap`` made before the fork), read before
-each block and each draw.  It starts a block only on a credit, a byte that
-the parent writes to it for each block of its that it folds, beyond the
-``AHEAD`` it starts with, so it computes few blocks past a run's stop.  The
-parent folds block after block, each run strictly in draw order under its
-stop rule, and starts a block of its own only after folding every earlier
-block, so the draws it computes, and a traced pass's counters, are the same
-on every pass of one seed.  A block that does not come back is computed
-here, so an exception surfaces as it does in one process.  Every draw is
-pure, so each report is that of the run in one process.
+A worker has one channel from the parent, its credit pipe.  It computes a
+block only on a credit: ``len(runs)`` bytes read before the block, the
+parent's stop map, a 1 for each run that has stopped.  It computes the
+block's draws of every run the map leaves live and sends their outcomes
+back by ``marshal``, which start-up already loads.  It starts with
+``AHEAD`` credits whose maps are all zero, and the parent writes it one
+more after folding each block it sent, the map as that fold leaves it.  So
+a worker runs at most ``AHEAD`` blocks past the parent's fold of its
+blocks, and learns of a stop at most one credit after the parent makes
+it.  It ends when its map leaves no run of the block live, or on a short
+credit: the parent has closed its end.  The parent folds block after
+block, each run strictly in draw order under its stop rule, and starts a
+block of its own only after folding every earlier block, so the draws it
+computes, and a traced pass's counters, are the same on every pass of one
+seed.  A block that does not come back is computed here, so an exception
+surfaces as it does in one process.  Every draw is pure, so each report is
+that of the run in one process.  When the fold ends, or raises, the parent
+closes its pipe ends and kills each worker, which holds nothing but pipes
+and copy-on-write memory, rather than wait for one inside a draw.
 
 It forks only where ``os.fork`` exists, the runs span at least two blocks,
 P >= 2, and the caller runs a single thread; otherwise P = 1, no worker is
@@ -118,14 +125,6 @@ def fan_out(runs: list) -> list:
     procs = min(len(cpus), max(run.stride * (run.limit - 1) // width + 1 for run in runs))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         procs = 1
-    if procs > 1:
-        # loaded only where a run forks: loaded on one CPU too, it raised the
-        # peak RSS of `suite all` by 0.14 MB (BENCH_one_driver.json)
-        import mmap
-
-        stopped = mmap.mmap(-1, len(runs))  # shared with the workers forked below
-    else:
-        stopped = bytearray(len(runs))
     readers: list = [None] * procs  # the pipe worker k writes, at k
     credits: list = [None] * procs  # the pipe worker k reads its credits from, at k
     pids = []
@@ -133,7 +132,7 @@ def fan_out(runs: list) -> list:
         for k, cpu in enumerate(cpus[1:procs], 1):
             back, send = os.pipe()
             go, credit = os.pipe()
-            os.write(credit, bytes(AHEAD))
+            os.write(credit, bytes(AHEAD * len(runs)))
             try:
                 pid = os.fork()
             except OSError:  # fewer workers: their blocks are computed here
@@ -147,7 +146,7 @@ def fan_out(runs: list) -> list:
                         pipe.close()
                     _pin({cpu})
                     with open(send, "wb") as pipe:
-                        _work(runs, range(k, sys.maxsize, procs), stopped, pipe, go)
+                        _work(runs, range(k, sys.maxsize, procs), pipe, go)
                     code = 0
                 finally:
                     os._exit(code)
@@ -155,45 +154,44 @@ def fan_out(runs: list) -> list:
             pids.append(pid)
             readers[k], credits[k] = open(back, "rb"), open(credit, "wb", buffering=0)
         _pin({cpus[0]})
-        _fold(runs, readers, credits, stopped)
+        _fold(runs, readers, credits)
     finally:
-        stopped[:] = b"\1" * len(runs)  # a worker still drawing ends at its next draw
         _pin(set(cpus))
-        # a worker writing a block past the last ends on EPIPE, and one
-        # waiting for a credit on EOF
         for pipe in filter(None, readers + credits):
             pipe.close()
         for pid in pids:
+            try:
+                os.kill(pid, 9)  # SIGKILL: importing signal for its name takes 0.65 ms
+            except OSError:  # already gone
+                pass
             os.waitpid(pid, 0)
-        if procs > 1:
-            stopped.close()
     return [run.report() for run in runs]
 
 
-def _work(runs: list, blocks, stopped, pipe, credits: int) -> None:
-    """A worker: the outcomes of ``blocks`` of every run not marked stopped,
-    a ``{run: outcomes}`` message a block, until no run is left.  Each block
-    takes a credit, a byte read from ``credits``; none comes once the parent
-    has closed its end."""
+def _work(runs: list, blocks, pipe, credits: int) -> None:
+    """A worker: the outcomes of ``blocks`` of every run live in the stop
+    map of the block's credit, read from ``credits``, a ``{run: outcomes}``
+    message a block, until the map leaves no run of a block live or a
+    credit comes short."""
     for b in blocks:
-        if not os.read(credits, 1):
+        stopped = os.read(credits, len(runs))
+        if len(stopped) < len(runs):
             return
-        draws = block(runs, b)
-        todo = {r: [] for r, _ in draws if not stopped[r]}
+        todo: dict = {}
+        for r, i in block(runs, b):
+            if not stopped[r]:
+                todo.setdefault(r, []).append(runs[r].outcome(i))
         if not todo:
             return
-        for r, i in draws:
-            if not stopped[r]:  # a run stopped before the block is not in todo
-                todo[r].append(runs[r].outcome(i))
         marshal.dump(todo, pipe)
         pipe.flush()
 
 
-def _fold(runs: list, readers: list, credits: list, stopped) -> None:
+def _fold(runs: list, readers: list, credits: list) -> None:
     """Fold block b = 0, 1, ... of every live run until none is: from worker
     b mod P, or computed here for b mod P = 0 and for any block whose worker
-    ended without sending it.  Each block a worker sends earns it the credit
-    for one more."""
+    ended without sending it.  Each block a worker sends earns it a credit,
+    the stop map as its fold leaves the runs."""
     b = 0
     while True:
         live = [r for r, run in enumerate(runs) if run.live]
@@ -207,11 +205,6 @@ def _fold(runs: list, readers: list, credits: list, stopped) -> None:
             except (EOFError, ValueError, TypeError):  # it ended early
                 readers[k].close()
                 readers[k] = None
-            else:
-                try:
-                    credits[k].write(b"\0")
-                except OSError:  # it ended since: its pipe ends at its next block
-                    pass
         if sent is None:
             for r, i in block(runs, b):
                 if runs[r].live:
@@ -222,7 +215,8 @@ def _fold(runs: list, readers: list, credits: list, stopped) -> None:
                     runs[r].fold(outcome)
                     if not runs[r].live:
                         break
-        for r in live:
-            if not runs[r].live:
-                stopped[r] = 1
+            try:
+                credits[k].write(bytes(not run.live for run in runs))
+            except OSError:  # it ended since: its pipe ends at its next block
+                pass
         b += 1

@@ -107,10 +107,10 @@ def _random_segment(rng: random.Random, p: GenParams, lo: int, hi: int) -> Segme
 # repeats across suites.  On one CPU the one process walks every window in
 # turn, and 512 entries catch all 4,301 repeats (256 catch 4,158).  On two
 # CPUs the parent drew 1,374 instances and caught 2,185 repeats, and in ten
-# runs the worker drew 1,368 to 1,426 (1,360 in its share) and caught 2,199
-# to 2,411.  The acceptance benchmark repeats its draws farther apart: 2,048
-# entries catch 2,014 repeats of its 9,294 calls, 512 none.  Its criteria 4,
-# 5 and 8 draw thousands of new instances and fill the memo: 4,096 entries
+# runs the worker drew 1,372 to 1,426 (1,360 in its share) and caught 2,432.
+# The acceptance benchmark repeats its draws farther apart: 2,048 entries
+# catch 2,014 repeats of its 9,294 calls, 512 none.  Its criteria 4, 5 and 8
+# draw thousands of new instances and fill the memo: 4,096 entries
 # raised its peak RSS by 1.6 MB (23.5 to 25.1 MB) and 2,048 by 0.7 MB.
 # Draws are immutable; callers may share the results.
 @lru_cache(maxsize=2048)
@@ -330,11 +330,9 @@ class Suite(NamedTuple):
     must meet its hypothesis at least once.  A check short of that floor
     sets the report's ``shortfall``.  ``outcome`` is the work of one draw,
     and a ``SuiteRun`` the fold of a run's outcomes.  A call runs it through
-    ``fanout.fan_out``: by blocks of ``fanout.BLOCK`` draws on every usable
-    CPU, the parent folding them in draw order and marking a stopped run in
-    a byte map the workers read, where this process may fork and runs one
-    thread; else by the same blocks in this process alone.  The report is
-    the same either way.
+    ``fanout.fan_out``, which spreads its blocks of draws over the usable
+    CPUs where it may (``mseg.fanout`` describes how); the report is that
+    of one process.
     """
 
     name: str
@@ -347,12 +345,8 @@ class Suite(NamedTuple):
     def __call__(
         self, p: GenParams, cfg: RankConfig = RankConfig(), instances: Optional[int] = None
     ) -> PropertyReport:
-        """The report of a run toward ``instances`` (default ``target``).
-
-        It forks one worker per further usable CPU, each computing every
-        P-th block of draws, where ``os.fork`` exists, the run spans two
-        blocks or more and this process runs a single thread; otherwise it
-        runs here.  Either way the report is that of one process."""
+        """The report of a run toward ``instances`` (default ``target``),
+        from ``fanout.fan_out``: that of one process on any number of CPUs."""
         from .fanout import fan_out  # compiled by the first suite run, not at start-up
 
         return fan_out([SuiteRun(self, p, cfg, instances)])[0]

@@ -469,6 +469,15 @@ def _on_cpus(monkeypatch, call):
     return seen
 
 
+def _fds():
+    """The descriptors open in this process, or None where /proc/self/fd is
+    missing."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The forks made in this process, counted."""
@@ -705,8 +714,8 @@ class TestFanOut:
         assert not waiting.is_alive()
 
     def test_more_workers_than_cores(self, monkeypatch):
-        # five workers on a machine of fewer cores share the stop map and
-        # each send every fifth block: the bytes of one process
+        # five workers on a machine of fewer cores each take their credits
+        # and send every fifth block: the bytes of one process
         argv = ["suite", "all", "--trials", "40", "--format", "json"]
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
         want = invoke(argv)
@@ -714,6 +723,78 @@ class TestFanOut:
         assert invoke(argv) == want and want[0] == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_inside_a_draw_is_not_waited_for(self, monkeypatch, from_workers):
+        # mm-minus at --trials 4 stops at draw 37, in block 2, which this
+        # process computes once the worker sleeps at draw 48, the first of
+        # block 3, started on its second credit: the worker is ended, not
+        # waited for
+        send, taken = from_workers
+        argv = ["suite", "mm-minus", "--trials", "4", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        want = invoke(argv)
+        assert json.loads(want[1])["trials"] == 38
+        parent, outcome, asleep = os.getpid(), mseg.harness.Suite.outcome, []
+
+        def sleeping(suite, p, cfg, target, i):
+            if os.getpid() != parent and i == 3 * mseg.fanout.BLOCK:
+                send()
+                time.sleep(5)
+            elif os.getpid() == parent and i == 2 * mseg.fanout.BLOCK:
+                for _ in range(500):  # up to 5 s for the worker to fall asleep
+                    if taken():
+                        asleep.append(i)
+                        break
+                    time.sleep(0.01)
+            return outcome(suite, p, cfg, target, i)
+
+        monkeypatch.setattr(mseg.harness.Suite, "outcome", sleeping)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
+        start = time.monotonic()
+        assert invoke(argv) == want and want[0] == 0
+        assert time.monotonic() - start < 2.5 and asleep
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_that_fails(self, monkeypatch):
+        # on three CPUs the second fork fails: one worker computes blocks 1,
+        # 4, 7, ... and this process the others, with the bytes of one
+        # process, no child left and no descriptor left open
+        argv = ["suite", "all", "--trials", "40", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        want = invoke(argv)
+        calls, fork = [], os.fork
+
+        def failing():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("injected fork failure")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(3))
+        fds = _fds()
+        assert invoke(argv) == want and want[0] == 0
+        assert len(calls) == 2 and _fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pin_that_fails(self, monkeypatch, forks):
+        # named CPUs that the kernel refuses to pin to: every process runs
+        # unpinned, with the bytes of one process
+        argv = ["suite", "all", "--trials", "40", "--format", "json"]
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
+        want = invoke(argv)
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(set(cpus))
+            raise OSError("injected affinity failure")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        monkeypatch.setattr(mseg.fanout, "usable_cpus", lambda: [0, 1, 2])
+        assert invoke(argv) == want and want[0] == 0
+        assert refused == [{0}, {0, 1, 2}] and len(forks) == 2
 
     def test_parent_share_is_fixed(self, monkeypatch):
         # the parent computes its own blocks, b = 0 mod P, and every run it
