@@ -301,15 +301,14 @@ def _ladder(args, cfg: RankConfig) -> dict:
 def _suite(args, cfg: RankConfig) -> dict:
     gen = GenParams(max_segments=args.max_segments, coord_range=args.coord_range, seed=args.seed)
     names = sorted(SUITES) if args.name == "all" else [args.name]
-    # without --trials each suite draws its own default instance target
-    size = {} if args.trials is None else {"instances": args.trials}
+    # without --trials (None) each suite draws its own default instance target
     suites = [SUITES[name] for name in names]
     if all(isinstance(s, Suite) for s in suites):
         from .fanout import fan_out  # only `suite` loads it
 
-        reports = fan_out([SuiteRun(s, gen, cfg, **size) for s in suites])
+        reports = fan_out([SuiteRun(s, gen, cfg, args.trials) for s in suites])
     else:  # an entry that is only callable, such as a tracer's wrapper: one call each
-        reports = [s(gen, cfg, **size) for s in suites]
+        reports = [s(gen, cfg, args.trials) for s in suites]
     outputs = {
         "suites": [r.to_dict() for r in reports],
         "violations": [v for r in reports for v in r.violations],

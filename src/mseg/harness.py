@@ -10,12 +10,12 @@ Every statement a suite tests lives in one table, ``CHECKS`` of
 :mod:`mseg.checks`, of single-instance checks keyed by the names in
 violation records: the proposition statements and the ``invariances/``
 identities.  Every suite is a row of a second table, ``SUITES``: the checks
-it runs, its default target and its input source.  One driver runs every
-row, in one of two modes: until each check has met its hypothesis a target
-number of times (the propositions), or for a fixed number of draws (the
-invariances); every run goes through :func:`mseg.fanout.fan_out`, which
-spreads its draws over the usable CPUs by blocks and reports what one
-process would.
+it runs, its default target and its input source.  One driver,
+``SuiteRun``, runs every row, in one of two modes: until each check has met
+its hypothesis a target number of times (the propositions), or for a fixed
+number of draws (the invariances); every run goes through
+:func:`mseg.fanout.fan_out`, which spreads its draws over the usable CPUs
+by blocks and reports what one process would.
 ``replay_violation`` re-runs any recorded violation through ``CHECKS``.
 
 Verdicts of the condition checks are treated as ground truth.  A FALSE
@@ -140,32 +140,19 @@ def gen_ladder(p: GenParams, index: int) -> Multisegment:
     return Multisegment(tuple(chain))
 
 
-class _Report(NamedTuple):
+class PropertyReport(NamedTuple):
+    """Result of one suite run; empty violations means the property passed."""
+
     name: str
     instances_generated: int
     hypothesis_satisfied: int
     violations: List[dict]
     accumulated_bound: Fraction
-    details: Optional[Dict[str, int]] = None
+    details: Dict[str, int]
     # (check, count, floor) when the draws ran out before every check met its
     # hypothesis floor times (the target, or 1 in a fixed-draw suite): the
     # first check in run order with the least count; not part of to_dict
     shortfall: Optional[Tuple[str, int, int]] = None
-
-
-class PropertyReport(_Report):
-    """Result of one suite run; empty violations means the property passed.
-
-    ``details`` left out is a new empty dict, never one shared by reports.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.details is None:
-            return self._replace(details={})
-        return self
 
     @property
     def passed(self) -> bool:
@@ -248,14 +235,17 @@ def _draw_invariances(p: GenParams, target: int, i: int) -> Dict[str, object]:
 class SuiteRun:
     """One run of a suite toward a target, as a fold of its draws' outcomes.
 
-    ``fold`` takes the outcome of draw ``draws`` (``Suite.outcome``); ``live``
-    is the stop rule: fewer than ``limit`` draws, and, unless the suite makes
-    a fixed number, a check still short of the target.  ``stride`` is the
-    suite's (``Suite.stride``).  ``mseg.fanout`` computes the outcomes, in
-    this process or in forked workers, and folds them in draw order.
+    ``outcome(i)`` is the work of draw i, and ``fold`` takes the outcome of
+    draw ``draws``; ``live`` is the stop rule: fewer than ``limit`` draws,
+    and, unless the suite makes a fixed number, a check still short of the
+    target.  ``stride`` is the suite's (``Suite.stride``).  ``mseg.fanout``
+    computes the outcomes, in this process or in forked workers, and folds
+    them in draw order.
     """
 
-    __slots__ = ("suite", "p", "cfg", "target", "limit", "draws", "counts", "violations", "bounds")
+    __slots__ = (
+        "suite", "p", "cfg", "target", "stride", "limit", "draws", "counts", "violations", "bounds"
+    )
 
     def __init__(
         self, suite: Suite, p: GenParams, cfg: RankConfig, instances: Optional[int] = None
@@ -264,15 +254,12 @@ class SuiteRun:
         if target < 1:
             raise ValueError("instances must be positive")
         self.suite, self.p, self.cfg, self.target = suite, p, cfg, target
+        self.stride = suite.stride
         self.limit = target if suite.fixed_draws else target * _ATTEMPT_FACTOR
         self.draws = 0
         self.counts = [0] * len(suite.checks)
         self.violations: List[dict] = []
         self.bounds: List[Fraction] = []
-
-    @property
-    def stride(self) -> int:
-        return self.suite.stride
 
     @property
     def live(self) -> bool:
@@ -281,7 +268,25 @@ class SuiteRun:
         )
 
     def outcome(self, i: int) -> list:
-        return self.suite.outcome(self.p, self.cfg, self.target, i)
+        """Draw i: (k, violation record or None, FALSE bound) for each check
+        k, in run order, that met its hypothesis.  The bound is (numerator,
+        denominator), or 0 when it is 0, so that ``marshal`` sends an outcome
+        as it is."""
+        met: list = []
+        suite = self.suite
+        drawn = suite.draw(self.p, self.target, i)
+        if drawn is None:
+            return met
+        for k, check in enumerate(suite.checks):
+            try:
+                inputs = {key: drawn[key] for key in CHECK_INPUTS[check]}
+            except KeyError:  # the draw lacks an input of this check
+                continue
+            result = run_check(check, self.cfg, inputs)
+            if result is not None:
+                violation, b = result
+                met.append((k, violation, (b.numerator, b.denominator) if b else 0))
+        return met
 
     def fold(self, outcome: list) -> None:
         self.draws += 1
@@ -328,8 +333,8 @@ class Suite(NamedTuple):
     hypothesis ``target`` times, or ``target * 200`` draws are used up; with
     ``fixed_draws`` it makes exactly ``target`` draws instead, and each check
     must meet its hypothesis at least once.  A check short of that floor
-    sets the report's ``shortfall``.  ``outcome`` is the work of one draw,
-    and a ``SuiteRun`` the fold of a run's outcomes.  A call runs it through
+    sets the report's ``shortfall``.  A ``SuiteRun`` is one run of it: the
+    work of each draw and the fold of their outcomes.  A call runs it through
     ``fanout.fan_out``, which spreads its blocks of draws over the usable
     CPUs where it may (``mseg.fanout`` describes how); the report is that
     of one process.
@@ -350,26 +355,6 @@ class Suite(NamedTuple):
         from .fanout import fan_out  # compiled by the first suite run, not at start-up
 
         return fan_out([SuiteRun(self, p, cfg, instances)])[0]
-
-    def outcome(self, p: GenParams, cfg: RankConfig, target: int, i: int) -> list:
-        """Draw i of a run toward ``target``: (k, violation record or None,
-        FALSE bound) for each check k, in run order, that met its hypothesis.
-        The bound is (numerator, denominator), or 0 when it is 0, so that
-        ``marshal`` sends an outcome as it is."""
-        met: list = []
-        drawn = self.draw(p, target, i)
-        if drawn is None:
-            return met
-        for k, check in enumerate(self.checks):
-            try:
-                inputs = {key: drawn[key] for key in CHECK_INPUTS[check]}
-            except KeyError:  # the draw lacks an input of this check
-                continue
-            result = run_check(check, cfg, inputs)
-            if result is not None:
-                violation, b = result
-                met.append((k, violation, (b.numerator, b.denominator) if b else 0))
-        return met
 
 
 SUITES: Dict[str, Suite] = {

@@ -734,9 +734,9 @@ class TestFanOut:
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(1))
         want = invoke(argv)
         assert json.loads(want[1])["trials"] == 38
-        parent, outcome, asleep = os.getpid(), mseg.harness.Suite.outcome, []
+        parent, outcome, asleep = os.getpid(), mseg.harness.SuiteRun.outcome, []
 
-        def sleeping(suite, p, cfg, target, i):
+        def sleeping(run, i):
             if os.getpid() != parent and i == 3 * mseg.fanout.BLOCK:
                 send()
                 time.sleep(5)
@@ -746,9 +746,9 @@ class TestFanOut:
                         asleep.append(i)
                         break
                     time.sleep(0.01)
-            return outcome(suite, p, cfg, target, i)
+            return outcome(run, i)
 
-        monkeypatch.setattr(mseg.harness.Suite, "outcome", sleeping)
+        monkeypatch.setattr(mseg.harness.SuiteRun, "outcome", sleeping)
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
         start = time.monotonic()
         assert invoke(argv) == want and want[0] == 0
@@ -801,13 +801,13 @@ class TestFanOut:
         # folds is live there, so it makes the same draws on every call: a
         # traced pass counts the same work each time
         made = []
-        outcome = mseg.harness.Suite.outcome
+        outcome = mseg.harness.SuiteRun.outcome
 
-        def recorded(suite, p, cfg, target, i):
-            made.append((suite.name, i))
-            return outcome(suite, p, cfg, target, i)
+        def recorded(run, i):
+            made.append((run.suite.name, i))
+            return outcome(run, i)
 
-        monkeypatch.setattr(mseg.harness.Suite, "outcome", recorded)
+        monkeypatch.setattr(mseg.harness.SuiteRun, "outcome", recorded)
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(3))
         shares = []
         for _ in range(2):
@@ -870,16 +870,16 @@ class TestFanOut:
         bound = sum(b <= stop[name] + ahead for b in range(1, len(layout), 2) for name, _ in layout[b])
         read, write = os.pipe()
         os.set_blocking(read, False)
-        outcome = mseg.harness.Suite.outcome
+        outcome = mseg.harness.SuiteRun.outcome
 
-        def counted(suite, p, cfg, target, i):
+        def counted(run, i):
             if os.getpid() != parent:
                 os.write(write, b".")
-            elif (suite.name, i) == (names[0], 0):
+            elif (run.suite.name, i) == (names[0], 0):
                 time.sleep(0.3)
-            return outcome(suite, p, cfg, target, i)
+            return outcome(run, i)
 
-        monkeypatch.setattr(mseg.harness.Suite, "outcome", counted)
+        monkeypatch.setattr(mseg.harness.SuiteRun, "outcome", counted)
         monkeypatch.setattr(mseg.fanout, "usable_cpus", _cpus(2))
         argv = ["suite", "all", "--trials", "40", "--format", "json"]
         try:

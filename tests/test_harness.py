@@ -377,10 +377,16 @@ class TestDeterminismAndReports:
         }
 
     def test_bound_accumulates(self):
-        rep = SUITES["mm-minus"](P, CFG, instances=40)
         # instances with false verdicts contribute a positive, tiny bound
-        assert rep.accumulated_bound >= 0
-        assert rep.accumulated_bound < Fraction(1, 10**20)
+        rep = SUITES["invariances"](GenParams(max_segments=8, coord_range=6, seed=0), CFG)
+        assert rep.accumulated_bound == Fraction(
+            82637771,
+            int(
+                "2663892096269646685627831675284736239830553298529672520186397306557457"
+                "75314418453296064809110616210114898741597253168213457538220054179687500000000"
+            ),
+        )
+        assert 0 < rep.accumulated_bound < Fraction(1, 10**20)
 
 
 class TestReplay:

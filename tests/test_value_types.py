@@ -121,9 +121,3 @@ class TestNamedTuples:
         with pytest.raises(ValueError):
             GenParams(-1)
         assert GenParams()._replace(seed=3) == GenParams(seed=3)
-
-    def test_report_details_are_not_shared(self):
-        a = PropertyReport("a", 0, 0, [], Fraction(0))
-        b = PropertyReport("b", 0, 0, [], Fraction(0))
-        assert a.details == {} and a.details is not b.details
-        assert a.to_dict()["details"] == {}
