@@ -76,9 +76,6 @@ class CoeffVector:
     def __reduce__(self):
         return CoeffVector, (self.values,)
 
-    def get(self, i: int, j: int) -> int:
-        return self.values.get((i, j), 0)
-
 
 class Verdict(NamedTuple):
     """Outcome of a randomized condition check.

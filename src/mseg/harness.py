@@ -35,9 +35,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .checks import CHECK_INPUTS, CHECKS, run_check
 from .conditions import union_bound
+from .errors import TooLargeError
 from .linalg import RankConfig, mix_stream
 from .segments import (
     DEFAULT_LINE,
+    MAX_SEGMENTS,
     CuspidalPoint,
     Multisegment,
     Segment,
@@ -55,7 +57,10 @@ class _Shape(NamedTuple):
 
 
 class GenParams(_Shape):
-    """Shape of the random instances: count, coordinate box, lengths."""
+    """Shape of the random instances: count, coordinate box, lengths.
+
+    A count past ``MAX_SEGMENTS``, more than the parser takes, raises
+    ``TooLargeError``: a draw holds up to that many segments."""
 
     __slots__ = ()
 
@@ -63,6 +68,8 @@ class GenParams(_Shape):
         self = super().__new__(cls, *args, **kwargs)
         if self.max_segments < 0 or self.coord_range < 0:
             raise ValueError("sizes must be nonnegative")
+        if self.max_segments > MAX_SEGMENTS:
+            raise TooLargeError(f"more than {MAX_SEGMENTS} segments")
         return self
 
     @classmethod

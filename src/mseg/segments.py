@@ -267,7 +267,8 @@ def ms_filter(m: Multisegment, kind: str, d: Segment) -> Multisegment:
 # ---------------------------------------------------------------------------
 
 # Most segments an expression may denote, multiplicities expanded, or the
-# involution may return; `suite --max-segments` is capped at it too.  It
+# involution may return; `harness.GenParams` caps `max_segments`, and so
+# `suite --max-segments`, at it too.  It
 # bounds neither memory nor time: no check lists Y pairs, so `check gls
 # "2048*[0,0]"` ends in 0.01 s, but `check gls "1024*[0,0]+[1,1]"` has 1,024
 # rows of 1,024 terms (84 MB peak).  On a 2-core Xeon VM, `check gls

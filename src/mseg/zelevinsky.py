@@ -269,12 +269,6 @@ class Matching(NamedTuple):
     a_set: FrozenSet[int] = frozenset()
     b_set: FrozenSet[int] = frozenset()
 
-    def forward(self) -> Dict[int, int]:
-        return {i: j for i, j in self.pairs}
-
-    def backward(self) -> Dict[int, int]:
-        return {j: i for i, j in self.pairs}
-
 
 def _validated(m: Multisegment, x: FrozenSet[int], y: FrozenSet[int], pairs) -> Matching:
     """Validate pairs against the rho sets (x, y) of m and build the matching."""
@@ -313,8 +307,8 @@ def _link_table(m: Multisegment, rho: CuspidalPoint) -> tuple:
 def _is_maximal(m: Multisegment, links: tuple, r: Matching) -> bool:
     """Maximality of a validated matching r against the links of (m, rho)."""
     segs = m.segs
-    fwd = r.forward()
-    bwd = r.backward()
+    fwd = dict(r.pairs)
+    bwd = {j: i for i, j in r.pairs}
     for j, partners in links:
         for i in partners:
             if i in fwd:

@@ -17,12 +17,12 @@ from hypothesis import given, strategies as st
 import mseg
 import mseg.cli
 import mseg.fanout
-from mseg.cli import MAX_INSTANCES, MAX_SEGMENTS, SUITES, emit_json, parse_mseg, parse_rho, run
+from mseg.cli import MAX_INSTANCES, SUITES, emit_json, parse_mseg, parse_rho, run
 from mseg.conditions import Verdict
 from mseg.errors import EmptySegmentError, MsegError, ParseError, TooLargeError
 from mseg.harness import SuiteRun
 from mseg.linalg import MAX_TRIALS, MERSENNE61
-from mseg.segments import CuspidalPoint, Multisegment, Segment
+from mseg.segments import MAX_SEGMENTS, CuspidalPoint, Multisegment, Segment
 from mseg.zelevinsky import cross_pairs
 
 
@@ -987,13 +987,22 @@ class TestExitCodes:
         assert code == 2
 
     def test_internal_error_is_3(self, monkeypatch):
-        # a library error that no input check caught is the program's fault
-        def fail(*args, **kwargs):
-            raise MsegError("broken")
+        # a library error that no input check caught is the program's fault;
+        # so is any other exception, a plain ValueError included: only the
+        # typed input errors exit 2
+        failures = {
+            MsegError("broken"): "error: broken\n",
+            RuntimeError("boom"): "internal error: boom\n",
+            ValueError("boom"): "internal error: boom\n",
+        }
+        for exc, message in failures.items():
 
-        monkeypatch.setattr(mseg.cli, "mw_dual", fail)
-        code, out, err = invoke(["mw", "[0,0]"])
-        assert code == 3 and not out and err == "error: broken\n"
+            def fail(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(mseg.cli, "mw_dual", fail)
+            code, out, err = invoke(["mw", "[0,0]"])
+            assert code == 3 and not out and err == message
 
     def test_reduce_of_zero_is_2(self):
         # the step strips a segment; the zero multisegment is rejected input
@@ -1064,6 +1073,9 @@ class TestExitCodes:
         code, out, err = invoke(argv)
         assert code == 2 and not out
         assert err == f"error: more than {MAX_SEGMENTS} segments\n"
+        # GenParams holds the cap, so the rank configuration is read first
+        code, out, err = invoke([*argv, "--prime", "4"])
+        assert code == 2 and not out and err == "error: 4 is not prime\n"
 
     def test_trials_at_cap_accepted(self):
         code, out, _ = invoke(["check", "gls", "[0,0]", "--trials", str(MAX_TRIALS), "--format", "json"])

@@ -81,9 +81,9 @@ def gls_reference(m, lam):
         row = [0] * len(col)
         for k in range(1, len(m) + 1):
             if (k, j) in xset and (i, k) in col:
-                row[col[(i, k)]] += lam.get(k, j)
+                row[col[(i, k)]] += lam.values.get((k, j), 0)
             if (i, k) in xset and (k, j) in col:
-                row[col[(k, j)]] -= lam.get(i, k)
+                row[col[(k, j)]] -= lam.values.get((i, k), 0)
         rows.append(row)
     return rows
 
@@ -106,10 +106,10 @@ def lc_reference(m, m2, lam, lam2):
         row = [0] * len(col)
         for k in range(1, len(m2) + 1):
             if (k, j) in x2 and (i, k) in col:
-                row[col[(i, k)]] += lam2.get(k, j)
+                row[col[(i, k)]] += lam2.values.get((k, j), 0)
         for k in range(1, len(m) + 1):
             if (i, k) in x1 and (k, j) in col:
-                row[col[(k, j)]] -= lam.get(i, k)
+                row[col[(k, j)]] -= lam.values.get((i, k), 0)
         rows.append(row)
     return rows
 

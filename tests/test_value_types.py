@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from mseg.conditions import CoeffVector, Verdict
+from mseg.errors import TooLargeError
 from mseg.harness import GenParams, PropertyReport
 from mseg.linalg import RankConfig
-from mseg.segments import CuspidalPoint, Multisegment, Segment
+from mseg.segments import MAX_SEGMENTS, CuspidalPoint, Multisegment, Segment
 from mseg.zelevinsky import DerivativeResult, Matching
 
 SEG = Segment("a", 0, 2)
@@ -121,3 +122,9 @@ class TestNamedTuples:
         with pytest.raises(ValueError):
             GenParams(-1)
         assert GenParams()._replace(seed=3) == GenParams(seed=3)
+        # a draw holds up to max_segments segments: capped as the parser is
+        with pytest.raises(TooLargeError, match=f"^more than {MAX_SEGMENTS} segments$"):
+            GenParams(max_segments=MAX_SEGMENTS + 1)
+        with pytest.raises(TooLargeError):
+            GenParams()._replace(max_segments=MAX_SEGMENTS + 1)
+        assert GenParams(max_segments=MAX_SEGMENTS).max_segments == MAX_SEGMENTS

@@ -636,7 +636,7 @@ def ref_make_matching(m, rho, pairs):
 def ref_is_maximal(m, rho, r):
     x, y = ref_rho_sets(m, rho)
     r = ref_make_matching(m, rho, r.pairs)
-    fwd, bwd = r.forward(), r.backward()
+    fwd, bwd = dict(r.pairs), {j: i for i, j in r.pairs}
     for i in y:
         for j in x:
             if not precedes(m.seg(i), m.seg(j)):
